@@ -1,0 +1,74 @@
+"""Pinned sha256 of report and trace bytes for fixed toys, seeds and modes.
+
+Reports are byte-reproducible for fixed seeds; these hashes extend that from
+"repeatable within one process" to "unchanged across revisions". A change
+that alters report bytes on purpose updates the hash it moves and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from dynprec.cli import EXIT_OK, main
+from dynprec.harness import gen_toy, run_experiment
+from dynprec.lstm_quant import Mode
+
+ALL_MODES = [Mode.STATIC8, Mode.STATIC4, Mode.DYNAMIC, Mode.RANDOM]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind, dims, seed, modes, digest",
+    [
+        (
+            "peaky",
+            (1, 16, 16, 200),
+            0,
+            ALL_MODES,
+            "120e642e3470cff51d82393192dbbea77f6efbe067018062a6b4fdf637062613",
+        ),
+        (
+            "random",
+            (2, 16, 32, 120),
+            3,
+            [Mode.DYNAMIC, Mode.RANDOM],
+            "80058c3c95ac47f19cbf36a0b5ddd37381fdc1acdfc38ddabead1472b43e2e3f",
+        ),
+        (
+            "flat",
+            (1, 8, 8, 100),
+            0,
+            [Mode.DYNAMIC],
+            "d92d8941eb0cf5621340f7d881c07e5d273098b7bcbdc26c61c008cb2d830498",
+        ),
+    ],
+    ids=["peaky", "random", "flat"],
+)
+def test_report_text_is_pinned(kind, dims, seed, modes, digest):
+    model, seq = gen_toy(kind, dims, seed)
+    result = run_experiment(model, seq, modes, seed=seed)
+    assert _sha(result.report_text.encode()) == digest
+
+
+@pytest.fixture()
+def peaky_files(tmp_path):
+    out = tmp_path / "toy"
+    assert main(["gen", "--kind", "peaky", "--dims", "1,16,16,200", "--seed", "0", "--out", str(out)]) == EXIT_OK
+    return ["--model", str(tmp_path / "toy.model"), "--input", str(tmp_path / "toy.seq")]
+
+
+def test_sweep_report_is_pinned(peaky_files, tmp_path):
+    report = tmp_path / "sweep.json"
+    argv = ["sweep", *peaky_files, "--param", "beta", "--values", "0.05,0.2", "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    assert _sha(report.read_bytes()) == "df12d45e6d301c5d7c6d15a3ecb8b58011bd919873c6b853f7d16ec31d9bd5fa"
+
+
+def test_trace_csv_is_pinned(peaky_files, tmp_path):
+    csv = tmp_path / "trace.csv"
+    argv = ["trace", *peaky_files, "--mode", "dynamic", "--element", "0", "--out", str(csv)]
+    assert main(argv) == EXIT_OK
+    assert _sha(csv.read_bytes()) == "3cc0faf666d604bcfb87ed0149d8c6fc7b354f4b721c6d3c2503cc8ae17c56df"
