@@ -37,7 +37,7 @@ from .lstm_quant import (
     run_quantized,
     sequence_fingerprint,
 )
-from .pdu import ElementTracker, PduConfig
+from .pdu import PduConfig, TrackerState
 from .sip import SipConfig, sip_cycles
 
 KIB = 1024
@@ -257,7 +257,7 @@ def simulate(
     *,
     random_p: float = 0.33,
     random_seed: int = 0,
-    trackers: list[list[ElementTracker]] | None = None,
+    trackers: list[TrackerState] | None = None,
 ) -> SimResult:
     """Run the quantized network and account its cycles and energy."""
     config = accel_config if accel_config is not None else AccelConfig()

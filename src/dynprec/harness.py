@@ -413,7 +413,7 @@ def run_experiment(
 
     qmodel = quantize_model(model)
     fp_trace = run_fp32(model, seq)
-    fp_phases = tuple(classify_trace(layer_c, pdu_config)[0] for layer_c in fp_trace.c)
+    fp_phases = tuple(classify_trace(layer_c, pdu_config) for layer_c in fp_trace.c)
     fp_flags = peak_flags_from_phases(fp_phases)
 
     ordered: list[Mode] = []

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .lstm_ref import InputSequence, LstmModel, StateTrace, sigmoid
-from .pdu import ElementTracker, PduConfig, Phase, Precision, pdu_observe
+from .pdu import PduConfig, Phase, Precision, TrackerState, pdu_observe
 from .quant import QuantParams, QuantizedVector, dot_int, encode_dual_arrays, rescale
 
 # Relative-error denominators are floored to avoid dividing by a near-zero cell state.
@@ -66,11 +66,6 @@ class QuantizedMatrix:
     def encode(cls, values: np.ndarray, alpha: float) -> "QuantizedMatrix":
         negatives, magnitudes7, offsets = encode_dual_arrays(values, alpha)
         return cls(negatives, magnitudes7, offsets, QuantParams(alpha, 8), QuantParams(alpha, 4))
-
-    def row(self, k: int) -> QuantizedVector:
-        return QuantizedVector(
-            self.negatives[k], self.magnitudes7[k], self.offset_bits[k], self.params8, self.params4
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,12 +210,13 @@ def run_quantized(
     *,
     random_p: float = 0.33,
     random_seed: int = 0,
-    trackers: list[list[ElementTracker]] | None = None,
+    trackers: list[TrackerState] | None = None,
 ) -> QuantRunResult:
     """Evaluate the network, one precision decision per cell element per step.
 
-    Dynamic mode feeds each element's freshly computed cell state to its
-    tracker and uses the returned precision on the next step. Random mode
+    Dynamic mode feeds each layer's freshly computed cell state to its
+    trackers (one ``TrackerState`` per layer) and runs an element at 8 bits
+    on the next step exactly when its tracker is in a peak. Random mode
     picks 4 bits with probability ``random_p`` from a seeded generator.
     """
     if seq.width != qmodel.layers[0].input_size:
@@ -232,11 +228,11 @@ def run_quantized(
         if pdu_config is None:
             pdu_config = PduConfig.for_sequence(n_steps)
         if trackers is None:
-            trackers = [[ElementTracker() for _ in range(layer.cell_size)] for layer in layers]
+            trackers = [TrackerState.fresh(layer.cell_size) for layer in layers]
         elif len(trackers) != len(layers) or any(
-            len(row) != layer.cell_size for row, layer in zip(trackers, layers)
+            state.phase.shape != (layer.cell_size,) for state, layer in zip(trackers, layers)
         ):
-            raise ValueError("tracker grid does not match the model's layer sizes")
+            raise ValueError("tracker states do not match the model's layer sizes")
     rng = np.random.default_rng(random_seed) if mode is Mode.RANDOM else None
 
     c = [np.zeros(layer.cell_size) for layer in layers]
@@ -265,9 +261,7 @@ def run_quantized(
             elif mode is Mode.STATIC4:
                 high = np.zeros(layer.cell_size, dtype=bool)
             elif mode is Mode.DYNAMIC:
-                high = np.array(
-                    [tr.next_precision is Precision.HIGH8 for tr in trackers[L]], dtype=bool
-                )
+                high = trackers[L].high_precision()
             else:
                 high = rng.random(layer.cell_size) >= random_p
 
@@ -300,9 +294,8 @@ def run_quantized(
             act.neurons_high += n_high
 
             if mode is Mode.DYNAMIC:
-                for k in range(layer.cell_size):
-                    pdu_observe(trackers[L][k], pdu_config, float(c[L][k]))
-                    phase_hist[L][t, k] = trackers[L][k].phase
+                pdu_observe(trackers[L], pdu_config, c[L])
+                phase_hist[L][t] = trackers[L].phase
                 act.pdu_updates += layer.cell_size
 
             x = h[L]

@@ -1,14 +1,18 @@
 """Per-element precision selection driven by cell-state stability.
 
-Every cell-state element owns a small state machine with three phases.
-A profiling window of ``t_profile`` observations records the element's
+Every cell-state element owns a small tracker with three phases. A
+profiling window of ``t_profile`` observations records the element's
 recent range; the range plus a ``beta`` margin defines a band. While
 the value stays inside the band the element is *stable* and the next
 step is evaluated at 4 bits. A value outside the band is a *peak* and
-switches the element to 8 bits until it re-enters the band. Staying in
+switches the element to 8 bits until it re-enters the band, so an
+element runs at 8 bits exactly when its phase is ``IN_PEAK``. Staying in
 a peak for more than ``m_max_peak`` steps, or stable for more than
 ``n_max_stable`` steps, forces a fresh profiling window so the band
 tracks slow drift of the signal.
+
+The trackers of one layer are held as arrays, one entry per element, and
+advance together once per step.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,19 +30,16 @@ class Phase(enum.IntEnum):
     IN_PEAK = 2
 
 
+# Plain-int phase codes for the array code: NumPy converts enum members
+# slowly, and the tracker compares against them on every step.
+_PROFILING, _STABLE, _IN_PEAK = (int(p) for p in Phase)
+
+
 class Precision(enum.IntEnum):
     """Selector values double as the bit width of the serial operand."""
 
     LOW4 = 4
     HIGH8 = 8
-
-    @property
-    def bits(self) -> int:
-        return int(self)
-
-
-# Profiling window used when the sequence length is not known up front.
-STREAMING_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -83,106 +83,112 @@ class PduConfig:
             epsilon_range=epsilon_range,
         )
 
-    @classmethod
-    def streaming(cls, *, beta: float = 0.1, epsilon_range: float = 1e-6) -> "PduConfig":
-        return cls(STREAMING_WINDOW, STREAMING_WINDOW, STREAMING_WINDOW, beta, epsilon_range)
 
+def thresholds(min_c, max_c, beta: float, epsilon_range: float):
+    """Band limits around the profiled range, guarded against a degenerate range.
 
-def thresholds(min_c: float, max_c: float, beta: float, epsilon_range: float) -> tuple[float, float]:
-    """Band limits around the profiled range, guarded against a degenerate range."""
-    if max_c < min_c:
+    Elementwise on arrays as on scalars, with the same float operations.
+    """
+    if np.any(max_c < min_c):
         raise ValueError(f"max_c {max_c} < min_c {min_c}")
-    r = max(max_c - min_c, epsilon_range)
+    r = np.maximum(max_c - min_c, epsilon_range)
     return min_c - r * beta, max_c + r * beta
 
 
-@dataclass
-class ElementTracker:
-    phase: Phase = Phase.PROFILING
-    min_c: float = math.inf
-    max_c: float = -math.inf
-    lower: float = math.nan
-    upper: float = math.nan
-    steps_in_phase: int = 0
-    next_precision: Precision = Precision.LOW4
+@dataclass(eq=False)
+class TrackerState:
+    """The tracker registers of one layer, one entry per cell-state element.
+
+    ``lower`` and ``upper`` hold an element's band once it has been
+    profiled; they are NaN while the element profiles.
+    """
+
+    phase: np.ndarray  # int8 Phase values
+    min_c: np.ndarray
+    max_c: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    steps_in_phase: np.ndarray  # int64
+
+    @classmethod
+    def fresh(cls, n_elements: int) -> "TrackerState":
+        return cls(
+            phase=np.full(n_elements, _PROFILING, dtype=np.int8),
+            min_c=np.full(n_elements, math.inf),
+            max_c=np.full(n_elements, -math.inf),
+            lower=np.full(n_elements, math.nan),
+            upper=np.full(n_elements, math.nan),
+            steps_in_phase=np.zeros(n_elements, dtype=np.int64),
+        )
+
+    def high_precision(self) -> np.ndarray:
+        """Elements that run at 8 bits on the next step: exactly those in a peak."""
+        return self.phase == _IN_PEAK
 
 
-def _restart_profiling(tracker: ElementTracker) -> None:
-    tracker.phase = Phase.PROFILING
-    tracker.min_c = math.inf
-    tracker.max_c = -math.inf
-    tracker.steps_in_phase = 0
+def pdu_observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) -> None:
+    """Fold one cell-state observation per element into the layer's trackers.
+
+    Afterwards ``state.high_precision()`` selects the elements that run at
+    8 bits on the next step.
+    """
+    c = np.asarray(c_vector, dtype=np.float64)
+    if c.shape != state.phase.shape:
+        raise ValueError(f"{state.phase.shape[0]} trackers but values of shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("cell-state values must be finite")
+    phase, steps = state.phase, state.steps_in_phase
+
+    profiling = phase == _PROFILING
+    np.minimum(state.min_c, c, out=state.min_c, where=profiling)
+    np.maximum(state.max_c, c, out=state.max_c, where=profiling)
+    steps += 1
+    # NaN bands compare False, so only profiled elements can cross: a stable
+    # one by leaving its band, an in-peak one by re-entering it
+    outside = (c < state.lower) | (c > state.upper)
+    crossed = outside != (phase == _IN_PEAK)
+    limits = np.array((config.t_profile, config.n_max_stable + 1, config.m_max_peak + 1))
+    changed = np.flatnonzero(crossed | (steps >= limits[phase]))
+    if not changed.size:
+        return  # most steps change no element's phase
+
+    # A band crossing takes precedence over an expired counter: a crossing
+    # swaps stable and in-peak, an expired counter ends profiling with a band
+    # and otherwise forces a fresh profiling window.
+    old = phase[changed]
+    new = np.where(
+        crossed[changed],
+        np.where(outside[changed], _IN_PEAK, _STABLE),
+        np.where(old == _PROFILING, _STABLE, _PROFILING),
+    )
+    phase[changed] = new
+    steps[changed] = 0
+    done = changed[old == _PROFILING]
+    if done.size:
+        state.lower[done], state.upper[done] = thresholds(
+            state.min_c[done], state.max_c[done], config.beta, config.epsilon_range
+        )
+    restart = changed[new == _PROFILING]
+    if restart.size:
+        state.min_c[restart] = math.inf
+        state.max_c[restart] = -math.inf
+        state.lower[restart] = math.nan
+        state.upper[restart] = math.nan
 
 
-def pdu_observe(tracker: ElementTracker, config: PduConfig, c_value: float) -> Precision:
-    """Fold one cell-state observation and return the precision for the next step."""
-    c_value = float(c_value)
-    if not math.isfinite(c_value):
-        raise ValueError(f"cell-state value must be finite, got {c_value!r}")
+def classify_trace(c_trace: np.ndarray, config: PduConfig) -> np.ndarray:
+    """Run fresh trackers over a [steps, elements] trace and return their phases.
 
-    if tracker.phase is Phase.PROFILING:
-        tracker.min_c = min(tracker.min_c, c_value)
-        tracker.max_c = max(tracker.max_c, c_value)
-        tracker.steps_in_phase += 1
-        if tracker.steps_in_phase >= config.t_profile:
-            tracker.lower, tracker.upper = thresholds(
-                tracker.min_c, tracker.max_c, config.beta, config.epsilon_range
-            )
-            tracker.phase = Phase.STABLE
-            tracker.steps_in_phase = 0
-        precision = Precision.LOW4
-    elif tracker.phase is Phase.STABLE:
-        if c_value < tracker.lower or c_value > tracker.upper:
-            tracker.phase = Phase.IN_PEAK
-            tracker.steps_in_phase = 0
-            precision = Precision.HIGH8
-        else:
-            tracker.steps_in_phase += 1
-            if tracker.steps_in_phase > config.n_max_stable:
-                _restart_profiling(tracker)
-            precision = Precision.LOW4
-    else:  # IN_PEAK
-        if tracker.lower <= c_value <= tracker.upper:
-            tracker.phase = Phase.STABLE
-            tracker.steps_in_phase = 0
-            precision = Precision.LOW4
-        else:
-            tracker.steps_in_phase += 1
-            if tracker.steps_in_phase > config.m_max_peak:
-                _restart_profiling(tracker)
-                precision = Precision.LOW4
-            else:
-                precision = Precision.HIGH8
-
-    tracker.next_precision = precision
-    return precision
-
-
-def pdu_batch_observe(
-    trackers: Sequence[ElementTracker], config: PduConfig, c_vector: Sequence[float] | np.ndarray
-) -> list[Precision]:
-    """Element-wise observe; trackers are fully independent."""
-    if len(trackers) != len(c_vector):
-        raise ValueError(f"{len(trackers)} trackers but {len(c_vector)} values")
-    return [pdu_observe(tracker, config, value) for tracker, value in zip(trackers, c_vector)]
-
-
-def classify_trace(c_trace: np.ndarray, config: PduConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run fresh trackers over a [steps, elements] trace.
-
-    Returns (phases, next_precision_bits), both [steps, elements]; row t holds the
-    tracker state right after observing step t, so ``phases == IN_PEAK`` flags the
-    steps whose value sits outside the profiled band.
+    Row t holds the tracker phases right after observing step t, so
+    ``phases == IN_PEAK`` flags the steps whose value sits outside the
+    profiled band.
     """
     trace = np.asarray(c_trace, dtype=np.float64)
     if trace.ndim != 2:
         raise ValueError(f"trace must be [steps, elements], got shape {trace.shape}")
-    n_steps, n_elems = trace.shape
-    trackers = [ElementTracker() for _ in range(n_elems)]
-    phases = np.empty((n_steps, n_elems), dtype=np.int8)
-    precisions = np.empty((n_steps, n_elems), dtype=np.uint8)
-    for t in range(n_steps):
-        for k in range(n_elems):
-            precisions[t, k] = pdu_observe(trackers[k], config, trace[t, k]).bits
-            phases[t, k] = trackers[k].phase
-    return phases, precisions
+    state = TrackerState.fresh(trace.shape[1])
+    phases = np.empty(trace.shape, dtype=np.int8)
+    for t, row in enumerate(trace):
+        pdu_observe(state, config, row)
+        phases[t] = state.phase
+    return phases

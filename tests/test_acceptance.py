@@ -21,7 +21,7 @@ from dynprec.lstm_quant import (
     run_quantized,
 )
 from dynprec.lstm_ref import run_fp32
-from dynprec.pdu import ElementTracker, PduConfig, Phase, Precision, classify_trace
+from dynprec.pdu import PduConfig, Phase, TrackerState, classify_trace
 from dynprec.quant import QuantParams, dot_int, encode_dual, extract_low, quantize
 from dynprec.sip import SipConfig, sip_cycles, sip_dot, sip_dot_batch
 
@@ -146,7 +146,7 @@ def test_criterion_05_peak_error_ordering(peaky_toy):
     model, qmodel, seq = peaky_toy
     fp = run_fp32(model, seq)
     pdu_cfg = PduConfig.for_sequence(len(seq))
-    flags = peak_flags_from_phases([classify_trace(layer_c, pdu_cfg)[0] for layer_c in fp.c])
+    flags = peak_flags_from_phases([classify_trace(layer_c, pdu_cfg) for layer_c in fp.c])
     st4 = run_quantized(qmodel, seq, Mode.STATIC4)
     dyn = run_quantized(qmodel, seq, Mode.DYNAMIC, pdu_cfg)
     peak4, stable4 = relative_error_stats(fp, st4.trace, flags)
@@ -159,6 +159,15 @@ def test_criterion_05_peak_error_ordering(peaky_toy):
     )
 
 
+def _pinned_in_peak(n_elements: int) -> TrackerState:
+    """Trackers in a peak with an empty band: they never re-enter it."""
+    state = TrackerState.fresh(n_elements)
+    state.phase[:] = Phase.IN_PEAK
+    state.lower[:] = math.inf
+    state.upper[:] = -math.inf
+    return state
+
+
 def test_criterion_06_mode_equivalence_oracle(peaky_toy):
     _, qmodel, seq = peaky_toy
     wide = PduConfig.for_sequence(len(seq), beta=math.inf)
@@ -169,15 +178,7 @@ def test_criterion_06_mode_equivalence_oracle(peaky_toy):
     ) and all(np.array_equal(a, b) for a, b in zip(dyn_wide.precision_bits, st4.precision_bits))
 
     pinned_cfg = PduConfig.for_sequence(len(seq), m_max_peak=10 * len(seq))
-    pinned = [
-        [
-            ElementTracker(
-                phase=Phase.IN_PEAK, lower=math.inf, upper=-math.inf, next_precision=Precision.HIGH8
-            )
-            for _ in range(layer.cell_size)
-        ]
-        for layer in qmodel.layers
-    ]
+    pinned = [_pinned_in_peak(layer.cell_size) for layer in qmodel.layers]
     dyn_pinned = run_quantized(qmodel, seq, Mode.DYNAMIC, pinned_cfg, trackers=pinned)
     st8 = run_quantized(qmodel, seq, Mode.STATIC8)
     pinned_ok = all(

@@ -16,7 +16,7 @@ from dynprec.lstm_quant import (
     run_quantized,
     sequence_fingerprint,
 )
-from dynprec.pdu import ElementTracker, PduConfig, Phase, Precision
+from dynprec.pdu import PduConfig, Phase, Precision, TrackerState
 from dynprec.lstm_ref import StateTrace
 
 
@@ -173,18 +173,11 @@ def test_dynamic_pinned_in_peak_reproduces_static8(toy):
     _, qmodel, seq = toy
     cell = qmodel.layers[0].cell_size
     cfg = PduConfig.for_sequence(len(seq), m_max_peak=10 * len(seq))
-    pinned = [
-        [
-            ElementTracker(
-                phase=Phase.IN_PEAK,
-                lower=math.inf,
-                upper=-math.inf,
-                next_precision=Precision.HIGH8,
-            )
-            for _ in range(cell)
-        ]
-    ]
-    dyn = run_quantized(qmodel, seq, Mode.DYNAMIC, cfg, trackers=pinned)
+    pinned = TrackerState.fresh(cell)
+    pinned.phase[:] = Phase.IN_PEAK
+    pinned.lower[:] = math.inf  # an empty band is never re-entered
+    pinned.upper[:] = -math.inf
+    dyn = run_quantized(qmodel, seq, Mode.DYNAMIC, cfg, trackers=[pinned])
     st8 = run_quantized(qmodel, seq, Mode.STATIC8)
     assert np.array_equal(dyn.precision_bits[0], st8.precision_bits[0])
     assert np.array_equal(dyn.trace.c[0], st8.trace.c[0])
@@ -303,3 +296,12 @@ def test_peak_flags_from_phases_roundtrip():
     phases = (np.array([[0, 1], [2, 1]], dtype=np.int8),)
     flags = peak_flags_from_phases(phases)
     assert flags[0].tolist() == [[False, False], [True, False]]
+
+
+def test_dynamic_rejects_mismatched_tracker_states(toy):
+    _, qmodel, seq = toy
+    cell = qmodel.layers[0].cell_size
+    with pytest.raises(ValueError):
+        run_quantized(qmodel, seq, Mode.DYNAMIC, trackers=[TrackerState.fresh(cell + 1)])
+    with pytest.raises(ValueError):
+        run_quantized(qmodel, seq, Mode.DYNAMIC, trackers=[])
