@@ -5,13 +5,14 @@ report over one or more modes, ``trace`` exports one element's per-step
 history as CSV, ``sweep`` re-runs an experiment across parameter values.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error, 3 capacity
-error.
+error, 4 a file could not be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FORMAT = 2
 EXIT_CAPACITY = 3
+EXIT_IO = 4
 
 _PDU_INT_KEYS = ("t_profile", "m_max_peak", "n_max_stable")
 _PDU_FLOAT_KEYS = ("beta", "epsilon_range")
@@ -108,9 +110,12 @@ def build_configs(
             **{k: values[k] for k in _ACCEL_INT_KEYS + _ACCEL_FLOAT_KEYS if k in values},
         )
         energy = EnergyModel(**{k: values[k] for k in _ENERGY_KEYS if k in values})
+        random_p = float(values.get("random_p", 0.33))
+        if not 0.0 <= random_p <= 1.0:
+            raise ValueError(f"random_p must be in [0, 1], got {random_p!r}")
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
-    return pdu, accel, energy, float(values.get("random_p", 0.33))
+    return pdu, accel, energy, random_p
 
 
 def _parse_modes(raw: str) -> list[Mode]:
@@ -209,6 +214,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--values must be comma-separated numbers, got {args.values!r}") from None
     if not raw_values:
         raise UsageError("--values is empty")
+    if any(math.isnan(value) for value in raw_values):
+        raise UsageError("--values holds NaN")
+    if args.param in _PDU_INT_KEYS and not all(value.is_integer() for value in raw_values):
+        raise UsageError(f"--values for {args.param} must be integers, got {args.values!r}")
 
     model = load_model(args.model)
     seq = load_sequence(args.input)
@@ -300,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

@@ -162,6 +162,8 @@ def load_model(path: str | Path) -> LstmModel:
             )
         spans.append((offset, size, key))
         flat = np.frombuffer(blob, dtype=_F32, count=expected // 4, offset=offset)
+        if not np.isfinite(flat).all():
+            raise ModelFormatError(f"{blob_path}: {key} holds NaN or infinite values")
         return flat.astype(np.float64).reshape(shape)
 
     layers = []
@@ -230,6 +232,8 @@ def load_sequence(path: str | Path) -> InputSequence:
     if len(raw) != expected:
         raise SequenceFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
     data = np.frombuffer(raw, dtype=_F32, count=steps * width, offset=header_len)
+    if not np.isfinite(data).all():
+        raise SequenceFormatError(f"{path}: sequence holds NaN or infinite values")
     return InputSequence(data.astype(np.float64).reshape(steps, width))
 
 

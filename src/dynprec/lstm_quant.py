@@ -229,9 +229,7 @@ def run_quantized(
             pdu_config = PduConfig.for_sequence(n_steps)
         if trackers is None:
             trackers = [TrackerState.fresh(layer.cell_size) for layer in layers]
-        elif len(trackers) != len(layers) or any(
-            state.phase.shape != (layer.cell_size,) for state, layer in zip(trackers, layers)
-        ):
+        elif [state.phase.shape for state in trackers] != [(layer.cell_size,) for layer in layers]:
             raise ValueError("tracker states do not match the model's layer sizes")
     rng = np.random.default_rng(random_seed) if mode is Mode.RANDOM else None
 

@@ -4,15 +4,10 @@ Every cell-state element owns a small tracker with three phases. A
 profiling window of ``t_profile`` observations records the element's
 recent range; the range plus a ``beta`` margin defines a band. While
 the value stays inside the band the element is *stable* and the next
-step is evaluated at 4 bits. A value outside the band is a *peak* and
-switches the element to 8 bits until it re-enters the band, so an
-element runs at 8 bits exactly when its phase is ``IN_PEAK``. Staying in
-a peak for more than ``m_max_peak`` steps, or stable for more than
-``n_max_stable`` steps, forces a fresh profiling window so the band
-tracks slow drift of the signal.
-
-The trackers of one layer are held as arrays, one entry per element, and
-advance together once per step.
+step is evaluated at 4 bits. A value outside the band is a *peak*: the
+element runs at 8 bits exactly while in a peak. Staying in a peak for
+more than ``m_max_peak`` steps, or stable for more than ``n_max_stable``
+steps, forces a fresh profiling window so the band tracks slow drift.
 """
 
 from __future__ import annotations
@@ -30,8 +25,7 @@ class Phase(enum.IntEnum):
     IN_PEAK = 2
 
 
-# Plain-int phase codes for the array code: NumPy converts enum members
-# slowly, and the tracker compares against them on every step.
+# plain ints for the per-step array compares; NumPy converts enum members slowly
 _PROFILING, _STABLE, _IN_PEAK = (int(p) for p in Phase)
 
 
@@ -84,11 +78,8 @@ class PduConfig:
         )
 
 
-def thresholds(min_c, max_c, beta: float, epsilon_range: float):
-    """Band limits around the profiled range, guarded against a degenerate range.
-
-    Elementwise on arrays as on scalars, with the same float operations.
-    """
+def thresholds(min_c: float | np.ndarray, max_c: float | np.ndarray, beta: float, epsilon_range: float):
+    """Band limits around the profiled range, guarded against a degenerate range (elementwise)."""
     if np.any(max_c < min_c):
         raise ValueError(f"max_c {max_c} < min_c {min_c}")
     r = np.maximum(max_c - min_c, epsilon_range)
@@ -97,10 +88,9 @@ def thresholds(min_c, max_c, beta: float, epsilon_range: float):
 
 @dataclass(eq=False)
 class TrackerState:
-    """The tracker registers of one layer, one entry per cell-state element.
+    """The trackers of one layer as arrays of registers, one entry per element.
 
-    ``lower`` and ``upper`` hold an element's band once it has been
-    profiled; they are NaN while the element profiles.
+    ``lower`` and ``upper`` are NaN while an element profiles.
     """
 
     phase: np.ndarray  # int8 Phase values
@@ -152,9 +142,8 @@ def pdu_observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) ->
     if not changed.size:
         return  # most steps change no element's phase
 
-    # A band crossing takes precedence over an expired counter: a crossing
-    # swaps stable and in-peak, an expired counter ends profiling with a band
-    # and otherwise forces a fresh profiling window.
+    # A band crossing swaps stable and in-peak and beats an expired counter,
+    # which ends profiling with a band or else forces a fresh profiling window.
     old = phase[changed]
     new = np.where(
         crossed[changed],
@@ -170,10 +159,8 @@ def pdu_observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) ->
         )
     restart = changed[new == _PROFILING]
     if restart.size:
-        state.min_c[restart] = math.inf
-        state.max_c[restart] = -math.inf
-        state.lower[restart] = math.nan
-        state.upper[restart] = math.nan
+        state.min_c[restart], state.max_c[restart] = math.inf, -math.inf
+        state.lower[restart] = state.upper[restart] = math.nan
 
 
 def classify_trace(c_trace: np.ndarray, config: PduConfig) -> np.ndarray:

@@ -2,9 +2,19 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from dynprec.cli import EXIT_CAPACITY, EXIT_FORMAT, EXIT_OK, EXIT_USAGE, build_configs, load_config_file, main
+from dynprec.cli import (
+    EXIT_CAPACITY,
+    EXIT_FORMAT,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_configs,
+    load_config_file,
+    main,
+)
 
 
 @pytest.fixture()
@@ -106,6 +116,59 @@ def test_format_errors_exit_2(toy_files, tmp_path, capsys):
     bad_cfg.write_text("no_such_key = 1\n")
     assert main(["run", "--model", str(model), "--input", str(seq), "--config", str(bad_cfg)]) == EXIT_FORMAT
     capsys.readouterr()
+
+
+def test_non_finite_inputs_exit_2(toy_files, tmp_path, capsys):
+    model, seq = toy_files
+    raw = bytearray(seq.read_bytes())
+    raw[-4:] = np.float32(np.nan).tobytes()  # last value of the last step
+    nan_seq = tmp_path / "nan.seq"
+    nan_seq.write_bytes(bytes(raw))
+    assert main(["run", "--model", str(model), "--input", str(nan_seq)]) == EXIT_FORMAT
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("random_p", ["7", "-0.1", "nan"])
+def test_random_p_outside_unit_interval_exit_2(toy_files, tmp_path, capsys, random_p):
+    model, seq = toy_files
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"random_p = {random_p}\n")
+    argv = ["run", "--model", str(model), "--input", str(seq), "--mode", "random", "--config", str(cfg)]
+    assert main(argv) == EXIT_FORMAT
+    assert "random_p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "param, values",
+    [("t_profile", "2.7"), ("t_profile", "nan"), ("m_max_peak", "inf"), ("n_max_stable", "4,5.5"), ("beta", "nan")],
+)
+def test_sweep_rejects_invalid_values_exit_1(toy_files, capsys, param, values):
+    model, seq = toy_files
+    argv = ["sweep", "--model", str(model), "--input", str(seq), "--param", param, "--values", values]
+    assert main(argv) == EXIT_USAGE
+    assert "--values" in capsys.readouterr().err
+
+
+def test_sweep_accepts_integral_values_for_integer_params(toy_files, tmp_path):
+    model, seq = toy_files
+    report = tmp_path / "sweep.json"
+    argv = ["sweep", "--model", str(model), "--input", str(seq), "--param", "t_profile",
+            "--values", "4,6.0", "--mode", "dynamic", "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    points = json.loads(report.read_text())["sweep"]["points"]
+    assert [p["report"]["pdu_config"]["t_profile"] for p in points] == [4, 6]
+
+
+def test_failed_writes_exit_4(toy_files, tmp_path, capsys):
+    model, seq = toy_files
+    missing = tmp_path / "no_such_dir"
+    files = ["--model", str(model), "--input", str(seq)]
+    assert main(["run", *files, "--mode", "static8", "--report", str(missing / "r.json")]) == EXIT_IO
+    assert main(["trace", *files, "--element", "0", "--out", str(missing / "t.csv")]) == EXIT_IO
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert main(["gen", "--kind", "flat", "--dims", "1,2,2,5", "--out", str(blocker / "toy")]) == EXIT_IO
+    assert "error:" in capsys.readouterr().err
 
 
 def test_capacity_error_exit_3(toy_files, tmp_path, capsys):

@@ -123,6 +123,26 @@ def test_sequence_truncation_reports_lengths(tmp_path):
         load_sequence(path)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sequence_rejects_non_finite_values(tmp_path, bad):
+    steps = np.zeros((4, 2))
+    steps[2, 1] = bad
+    path = tmp_path / "toy.seq"
+    write_sequence(InputSequence(steps), path)
+    with pytest.raises(SequenceFormatError, match="NaN or infinite"):
+        load_sequence(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_model_rejects_non_finite_values(tmp_path, bad):
+    model, _ = gen_toy("random", (1, 3, 4, 5), 2)
+    model.layers[0].forget_gate.w_h[1, 2] = bad
+    path = tmp_path / "toy.model"
+    write_model(model, path)
+    with pytest.raises(ModelFormatError, match="forget.w_h holds NaN or infinite"):
+        load_model(path)
+
+
 def test_sequence_bad_magic(tmp_path):
     path = tmp_path / "toy.seq"
     path.write_bytes(b"NOTASEQ!" + b"\x00" * 16)
