@@ -77,8 +77,12 @@ def load_config_file(path: str | Path) -> dict[str, float | int]:
     known = set(
         _PDU_INT_KEYS + _PDU_FLOAT_KEYS + _SIP_KEYS + _ACCEL_INT_KEYS + _ACCEL_FLOAT_KEYS
     ) | set(_ENERGY_KEYS) | set(_EXTRA_FLOAT_KEYS)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     values: dict[str, float | int] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -1,13 +1,15 @@
 """Quantized LSTM evaluation with a per-element precision choice each step.
 
-Weight matrices are packed offline as dual-precision codes; the input
-vector and the previous output are packed the same way once per step.
-The four gate neurons feeding one cell-state element always share that
-element's precision. Matrix-vector work runs on integer indices and is
+Weight matrices are packed offline as dual-precision codes. The run goes
+layer by layer: each layer's whole input sequence is packed the same way
+in one batch, then the layer runs over every step, packing only its own
+previous output per step. The four gate neurons feeding one cell-state
+element always share that element's precision. Matrix-vector work runs on
+integer indices, held exactly in float64 so that it runs in BLAS, and is
 rescaled to reals; the element-wise cell update and the activations stay
-in full precision. Alongside the numeric traces the run counts the
-events (fetches, bit operations, scalar-unit operations, tracker
-updates) that the accelerator model converts to energy.
+in full precision. Alongside the numeric traces the run counts the events
+(fetches, bit operations, scalar-unit operations, tracker updates) that
+the accelerator model converts to energy.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .lstm_ref import InputSequence, LstmModel, StateTrace, sigmoid
-from .pdu import PduConfig, Phase, Precision, TrackerState, pdu_observe
-from .quant import QuantParams, QuantizedVector, dot_int, encode_dual_arrays, rescale
+from .pdu import PduConfig, Phase, TrackerState, pdu_observe
+from .quant import QuantParams, dual_index_arrays, encode_dual_arrays, quant_step
 
 # Relative-error denominators are floored to avoid dividing by a near-zero cell state.
 EPS_DENOM = 1e-3
@@ -33,6 +35,9 @@ MU_ADDS_PER_ELEMENT = 9
 MU_EXPS_PER_ELEMENT = 5
 
 GATES_PER_ELEMENT = 4
+
+# Outputs live in (-1, 1) and are always quantized with alpha 1.
+H_STEP8, H_STEP4 = quant_step(1.0, 8), quant_step(1.0, 4)
 
 
 class Mode(enum.Enum):
@@ -51,21 +56,25 @@ class QuantizedMatrix:
     offset_bits: np.ndarray
     params8: QuantParams
     params4: QuantParams
-    high: np.ndarray = field(init=False)
-    low: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.negatives.ndim != 2:
             raise ValueError("QuantizedMatrix holds 2-D data")
-        magnitudes = self.magnitudes7.astype(np.int64)
-        object.__setattr__(self, "high", np.where(self.negatives, -magnitudes, magnitudes))
-        low_mag = (magnitudes >> 4) + self.offset_bits
-        object.__setattr__(self, "low", np.where(self.negatives, -low_mag, low_mag))
 
     @classmethod
     def encode(cls, values: np.ndarray, alpha: float) -> "QuantizedMatrix":
         negatives, magnitudes7, offsets = encode_dual_arrays(values, alpha)
         return cls(negatives, magnitudes7, offsets, QuantParams(alpha, 8), QuantParams(alpha, 4))
+
+    @property
+    def high(self) -> np.ndarray:
+        """Signed 8-bit indices, decoded on access."""
+        return np.where(self.negatives, -1, 1) * self.magnitudes7.astype(np.int64)
+
+    @property
+    def low(self) -> np.ndarray:
+        """Signed 4-bit indices, decoded on access."""
+        return np.where(self.negatives, -1, 1) * ((self.magnitudes7.astype(np.int64) >> 4) + self.offset_bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +82,53 @@ class QuantizedGate:
     fwd: QuantizedMatrix
     rec: QuantizedMatrix
     bias: np.ndarray
+
+
+def check_exact_fan_in(fan_in: int) -> None:
+    """Reject a fan-in whose float64 index sums could round.
+
+    Each term is at most 127 * 127, and float64 holds every integer below 2**53.
+    """
+    if 127 * 127 * fan_in >= 2**53:
+        raise ValueError(f"fan-in {fan_in} is too wide for exact float64 index sums")
+
+
+@dataclass(frozen=True, eq=False)
+class FusedOperand:
+    """One connection of all four gates stacked gate-major into [4H, n] rows.
+
+    ``w8`` and ``w4`` hold the signed 8- and 4-bit indices as float64, so the
+    products run in BLAS and stay exact integers (see ``check_exact_fan_in``);
+    ``step8`` and ``step4`` hold each row's weight step.
+    """
+
+    w8: np.ndarray
+    w4: np.ndarray
+    step8: np.ndarray
+    step4: np.ndarray
+
+    @classmethod
+    def stack(cls, matrices: Sequence[QuantizedMatrix]) -> "FusedOperand":
+        check_exact_fan_in(matrices[0].negatives.shape[1])
+        rows = [m.negatives.shape[0] for m in matrices]
+        return cls(
+            np.concatenate([m.high for m in matrices], dtype=np.float64),
+            np.concatenate([m.low for m in matrices], dtype=np.float64),
+            np.repeat([m.params8.step for m in matrices], rows),
+            np.repeat([m.params4.step for m in matrices], rows),
+        )
+
+    def matvec(self, v8, v4, vstep8, vstep4, high: np.ndarray | None, rows_high: int) -> np.ndarray:
+        """Rescaled products with a vector, row r at 8 bits where ``high[r]``, else at 4.
+
+        ``rows_high`` counts the 8-bit rows; a precision no row uses is skipped.
+        """
+        if rows_high == self.w8.shape[0]:
+            return (self.w8 @ v8) * (self.step8 * vstep8)
+        low = (self.w4 @ v4) * (self.step4 * vstep4)
+        if not rows_high:
+            return low
+        return np.where(high, (self.w8 @ v8) * (self.step8 * vstep8), low)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +139,15 @@ class QuantizedLayer:
     output_gate: QuantizedGate
     cell_size: int
     input_size: int
+    fwd: FusedOperand = field(init=False)
+    rec: FusedOperand = field(init=False)
+    bias: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        gates = self.gates()
+        object.__setattr__(self, "fwd", FusedOperand.stack([g.fwd for g in gates]))
+        object.__setattr__(self, "rec", FusedOperand.stack([g.rec for g in gates]))
+        object.__setattr__(self, "bias", np.concatenate([g.bias for g in gates]))
 
     def gates(self) -> tuple[QuantizedGate, QuantizedGate, QuantizedGate, QuantizedGate]:
         return (self.input_gate, self.forget_gate, self.updater_gate, self.output_gate)
@@ -157,51 +222,6 @@ class QuantRunResult:
         return low / total if total else 0.0
 
 
-def neuron_eval(
-    k: int,
-    precision: Precision,
-    layer: QuantizedLayer,
-    x_t_q: QuantizedVector,
-    h_prev_q: QuantizedVector,
-) -> tuple[float, float, float, float]:
-    """Pre-activations of element ``k``'s four gate neurons, all at one precision."""
-    if not 0 <= k < layer.cell_size:
-        raise ValueError(f"element index {k} out of range for cell size {layer.cell_size}")
-    outs = []
-    for gate in layer.gates():
-        if precision is Precision.HIGH8:
-            zf = dot_int(gate.fwd.high[k], x_t_q.high_values())
-            zr = dot_int(gate.rec.high[k], h_prev_q.high_values())
-            fwd = rescale(zf, gate.fwd.params8.step, x_t_q.params8.step)
-            recv = rescale(zr, gate.rec.params8.step, h_prev_q.params8.step)
-        else:
-            zf = dot_int(gate.fwd.low[k], x_t_q.low_values())
-            zr = dot_int(gate.rec.low[k], h_prev_q.low_values())
-            fwd = rescale(zf, gate.fwd.params4.step, x_t_q.params4.step)
-            recv = rescale(zr, gate.rec.params4.step, h_prev_q.params4.step)
-        outs.append(fwd + recv + float(gate.bias[k]))
-    return tuple(outs)  # type: ignore[return-value]
-
-
-def _gate_pre_activations(
-    gate: QuantizedGate,
-    x8: np.ndarray,
-    x4: np.ndarray,
-    h8: np.ndarray,
-    h4: np.ndarray,
-    x_q: QuantizedVector,
-    h_q: QuantizedVector,
-    high: np.ndarray,
-) -> np.ndarray:
-    fwd8 = (gate.fwd.high @ x8) * (gate.fwd.params8.step * x_q.params8.step)
-    fwd4 = (gate.fwd.low @ x4) * (gate.fwd.params4.step * x_q.params4.step)
-    rec8 = (gate.rec.high @ h8) * (gate.rec.params8.step * h_q.params8.step)
-    rec4 = (gate.rec.low @ h4) * (gate.rec.params4.step * h_q.params4.step)
-    fwd = np.where(high, fwd8, fwd4)
-    rec = np.where(high, rec8, rec4)
-    return fwd + rec + gate.bias
-
-
 def run_quantized(
     qmodel: QuantizedModel,
     seq: InputSequence,
@@ -218,6 +238,9 @@ def run_quantized(
     trackers (one ``TrackerState`` per layer) and runs an element at 8 bits
     on the next step exactly when its tracker is in a peak. Random mode
     picks 4 bits with probability ``random_p`` from a seeded generator.
+
+    Layer L at step t needs only layer L-1 at step t and layer L at step
+    t-1, so each layer runs over all steps before the next one starts.
     """
     if seq.width != qmodel.layers[0].input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {qmodel.layers[0].input_size}")
@@ -231,83 +254,77 @@ def run_quantized(
             trackers = [TrackerState.fresh(layer.cell_size) for layer in layers]
         elif [state.phase.shape for state in trackers] != [(layer.cell_size,) for layer in layers]:
             raise ValueError("tracker states do not match the model's layer sizes")
-    rng = np.random.default_rng(random_seed) if mode is Mode.RANDOM else None
+    if mode is Mode.RANDOM:
+        # one draw per element, in (step, layer) order
+        draws = np.random.default_rng(random_seed).random((n_steps, sum(layer.cell_size for layer in layers)))
+        ends = np.cumsum([layer.cell_size for layer in layers])
 
-    c = [np.zeros(layer.cell_size) for layer in layers]
-    h = [np.zeros(layer.cell_size) for layer in layers]
-    c_hist: list[list[np.ndarray]] = [[] for _ in layers]
-    h_hist: list[list[np.ndarray]] = [[] for _ in layers]
-    bits_hist = [np.empty((n_steps, layer.cell_size), dtype=np.uint8) for layer in layers]
-    phase_hist = (
-        [np.empty((n_steps, layer.cell_size), dtype=np.int8) for layer in layers]
-        if mode is Mode.DYNAMIC
-        else None
-    )
-    activity: list[StepActivity] = []
-
-    for t in range(n_steps):
-        act = StepActivity()
-        x = seq.steps[t]
-        for L, layer in enumerate(layers):
-            x_q = QuantizedVector.encode(x, _max_abs_alpha(x))
-            h_q = QuantizedVector.encode(h[L], 1.0)  # outputs live in (-1, 1)
-            x8, x4 = x_q.high_values(), x_q.low_values()
-            h8, h4 = h_q.high_values(), h_q.low_values()
-
-            if mode is Mode.STATIC8:
-                high = np.ones(layer.cell_size, dtype=bool)
-            elif mode is Mode.STATIC4:
-                high = np.zeros(layer.cell_size, dtype=bool)
-            elif mode is Mode.DYNAMIC:
-                high = trackers[L].high_precision()
-            else:
-                high = rng.random(layer.cell_size) >= random_p
-
-            pre = [
-                _gate_pre_activations(gate, x8, x4, h8, h4, x_q, h_q, high)
-                for gate in layer.gates()
-            ]
-            i_t, f_t, o_t = sigmoid(pre[0]), sigmoid(pre[1]), sigmoid(pre[3])
-            g_t = np.tanh(pre[2])
-            c[L] = f_t * c[L] + i_t * g_t
-            h[L] = o_t * np.tanh(c[L])
-            c_hist[L].append(c[L])
-            h_hist[L].append(h[L])
-            bits_hist[L][t] = np.where(high, 8, 4)
-
-            n_high = int(high.sum())
-            n_low = layer.cell_size - n_high
-            fan_in = layer.input_size + layer.cell_size
-            weights_per_element = GATES_PER_ELEMENT * fan_in
-            act.weight_bytes += n_high * weights_per_element
-            act.weight_nibbles += n_low * weights_per_element
-            act.input_elems += fan_in
-            if n_low:
-                act.input_adjusted += x_q.offset_count() + h_q.offset_count()
-            act.sip_bit_ops += weights_per_element * (n_high * 8 + n_low * 4)
-            act.mu_adds += MU_ADDS_PER_ELEMENT * layer.cell_size
-            act.mu_muls += MU_MULS_PER_ELEMENT * layer.cell_size
-            act.mu_exps += MU_EXPS_PER_ELEMENT * layer.cell_size
-            act.neurons_low += n_low
-            act.neurons_high += n_high
-
+    counts = {name: np.zeros(n_steps, dtype=np.int64) for name in StepActivity.__dataclass_fields__}
+    c_hist, h_hist, bits_hist, phase_hist = [], [], [], []
+    inputs = seq.steps
+    for L, layer in enumerate(layers):
+        n = layer.cell_size
+        if mode is Mode.RANDOM:
+            high_rows = draws[:, ends[L] - n : ends[L]] >= random_p
+        elif mode is not Mode.DYNAMIC:
+            high_rows = np.broadcast_to(mode is Mode.STATIC8, (n_steps, n))
+        peaks = np.max(np.abs(inputs), axis=1)
+        alphas = np.where(peaks > 0.0, peaks, 1.0)  # _max_abs_alpha, row by row
+        xs8, xs4 = alphas / 128.0, alphas / 8.0  # quant_step(alpha, 8) and (alpha, 4), row by row
+        x8, x4, x_offsets = dual_index_arrays(inputs, xs8[:, None], xs4[:, None])
+        adjusted = np.count_nonzero(x_offsets, axis=1)
+        c_trace, h_trace = np.empty((n_steps, n)), np.empty((n_steps, n))
+        high_hist = np.empty((n_steps, n), dtype=bool)
+        phases = np.empty((n_steps, n), dtype=np.int8)
+        c = h = np.zeros(n)
+        for t in range(n_steps):
+            high = trackers[L].high_precision() if mode is Mode.DYNAMIC else high_rows[t]
+            rows_high = GATES_PER_ELEMENT * int(np.count_nonzero(high))
+            high4 = np.concatenate((high,) * GATES_PER_ELEMENT) if 0 < rows_high < GATES_PER_ELEMENT * n else None
+            h8, h4, h_offsets = dual_index_arrays(h, H_STEP8, H_STEP4)
+            pre = (
+                layer.fwd.matvec(x8[t], x4[t], xs8[t], xs4[t], high4, rows_high)
+                + layer.rec.matvec(h8, h4, H_STEP8, H_STEP4, high4, rows_high)
+                + layer.bias
+            )
+            i_t, f_t, o_t = sigmoid(pre[:n]), sigmoid(pre[n : 2 * n]), sigmoid(pre[3 * n :])
+            g_t = np.tanh(pre[2 * n : 3 * n])
+            c = f_t * c + i_t * g_t
+            h = o_t * np.tanh(c)
+            c_trace[t], h_trace[t], high_hist[t] = c, h, high
+            adjusted[t] += np.count_nonzero(h_offsets)
             if mode is Mode.DYNAMIC:
-                pdu_observe(trackers[L], pdu_config, c[L])
-                phase_hist[L][t] = trackers[L].phase
-                act.pdu_updates += layer.cell_size
+                pdu_observe(trackers[L], pdu_config, c)
+                phases[t] = trackers[L].phase
+        c_hist.append(c_trace)
+        h_hist.append(h_trace)
+        bits_hist.append(np.where(high_hist, np.uint8(8), np.uint8(4)))
+        phase_hist.append(phases)
 
-            x = h[L]
-        activity.append(act)
+        n_high = np.count_nonzero(high_hist, axis=1)
+        n_low = n - n_high
+        fan_in = layer.input_size + n
+        weights_per_element = GATES_PER_ELEMENT * fan_in
+        counts["weight_bytes"] += n_high * weights_per_element
+        counts["weight_nibbles"] += n_low * weights_per_element
+        counts["input_elems"] += fan_in
+        counts["input_adjusted"] += np.where(n_low > 0, adjusted, 0)
+        counts["sip_bit_ops"] += weights_per_element * (n_high * 8 + n_low * 4)
+        counts["mu_adds"] += MU_ADDS_PER_ELEMENT * n
+        counts["mu_muls"] += MU_MULS_PER_ELEMENT * n
+        counts["mu_exps"] += MU_EXPS_PER_ELEMENT * n
+        counts["neurons_low"] += n_low
+        counts["neurons_high"] += n_high
+        if mode is Mode.DYNAMIC:
+            counts["pdu_updates"] += n
+        inputs = h_trace
 
-    trace = StateTrace(
-        c=tuple(np.stack(rows) for rows in c_hist),
-        h=tuple(np.stack(rows) for rows in h_hist),
-    )
+    columns = [column.tolist() for column in counts.values()]
     return QuantRunResult(
-        trace=trace,
+        trace=StateTrace(c=tuple(c_hist), h=tuple(h_hist)),
         precision_bits=tuple(bits_hist),
-        phases=tuple(phase_hist) if phase_hist is not None else None,
-        activity=tuple(activity),
+        phases=tuple(phase_hist) if mode is Mode.DYNAMIC else None,
+        activity=tuple(StepActivity(*row) for row in zip(*columns)),
         mode=mode,
     )
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -81,45 +80,10 @@ def quantize(y: float, params: QuantParams) -> QIndex:
     return QIndex(-magnitude if y < 0 else magnitude, params.bits)
 
 
-def quantize_array(values: np.ndarray, params: QuantParams) -> np.ndarray:
-    """Vectorized :func:`quantize`; returns an int64 array of the same shape."""
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("cannot quantize non-finite values")
-    magnitudes = np.floor(np.abs(arr) / params.step + 0.5)
-    magnitudes = np.minimum(magnitudes, params.magnitude_limit).astype(np.int64)
-    return np.where(arr < 0, -magnitudes, magnitudes)
-
-
 def dequantize(index: QIndex, params: QuantParams) -> float:
     if index.bits != params.bits:
         raise ValueError(f"index is {index.bits}-bit but params are {params.bits}-bit")
     return index.value * params.step
-
-
-def _index_values(seq: Sequence[QIndex | int] | np.ndarray) -> list[int]:
-    return [v.value if isinstance(v, QIndex) else int(v) for v in seq]
-
-
-def dot_int(w: Sequence[QIndex | int] | np.ndarray, x: Sequence[QIndex | int] | np.ndarray) -> int:
-    """Exact integer inner product of two index sequences."""
-    wv = _index_values(w)
-    xv = _index_values(x)
-    if len(wv) != len(xv):
-        raise ValueError(f"length mismatch: {len(wv)} vs {len(xv)}")
-    total = 0
-    for a, b in zip(wv, xv):
-        total += a * b
-    return total
-
-
-def rescale(z_int: int, qw: float, qx: float) -> float:
-    """Convert an integer inner product back to a real using both operand steps."""
-    qw = float(qw)
-    qx = float(qx)
-    if not (math.isfinite(qw) and qw > 0.0) or not (math.isfinite(qx) and qx > 0.0):
-        raise ValueError("quantization steps must be positive and finite")
-    return z_int * (qw * qx)
 
 
 @dataclass(frozen=True)
@@ -162,15 +126,31 @@ def extract_high(d: DualIndex) -> QIndex:
     return QIndex(-d.magnitude7 if d.negative else d.magnitude7, 8)
 
 
-def encode_dual_arrays(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`encode_dual`; returns (negatives, magnitudes7, offset_bits)."""
-    i8 = quantize_array(values, QuantParams(alpha, 8))
-    i4 = quantize_array(values, QuantParams(alpha, 4))
-    magnitudes7 = np.abs(i8)
-    offsets = np.abs(i4) - (magnitudes7 >> 4)
+def dual_index_arrays(values: np.ndarray, step8, step4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :func:`encode_dual`, unpacked for arithmetic.
+
+    Returns the signed 8- and 4-bit indices and the offset bits, all as
+    exact integers in float64. The steps may be scalars or broadcast per row.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("cannot quantize non-finite values")
+    mag = np.abs(arr)
+    high = np.minimum(np.floor(mag / step8 + 0.5), float(_magnitude_limit(8)))
+    low = np.minimum(np.floor(mag / step4 + 0.5), float(_magnitude_limit(4)))
+    offsets = low - np.floor(high / 16)
     if offsets.size and (offsets.min() < 0 or offsets.max() > 1):
         raise AssertionError("4-bit index deviates from the high nibble by more than one")
-    return i8 < 0, magnitudes7.astype(np.uint8), offsets.astype(bool)
+    negatives = (arr < 0) & (high > 0)
+    for m in (high, low):
+        np.subtract(0.0, m, out=m, where=negatives)  # 0.0 - m, so a zero index stays +0.0
+    return high, low, offsets
+
+
+def encode_dual_arrays(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :func:`encode_dual`; returns (negatives, magnitudes7, offset_bits)."""
+    high, _, offsets = dual_index_arrays(values, QuantParams(alpha, 8).step, QuantParams(alpha, 4).step)
+    return high < 0, np.abs(high).astype(np.uint8), offsets.astype(bool)
 
 
 @dataclass(frozen=True, eq=False)

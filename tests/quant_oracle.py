@@ -1,0 +1,220 @@
+"""Scalar and step-major references for the quantized run in ``dynprec.lstm_quant``.
+
+``quantize_array`` is the vectorized form of ``dynprec.quant.quantize``.
+``neuron_eval`` evaluates one cell element's four gate neurons with the
+Python-integer ``dot_int`` and ``rescale``: the per-neuron specification
+of the quantized arithmetic. ``run_quantized_reference`` is the step-major
+run: at every step it walks the layers in order, encodes each layer's input
+and previous output as ``QuantizedVector`` codes and evaluates each gate
+with its own int64 matrix-vector products at both precisions. The
+layer-major, fused float64 run must reproduce it bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from dynprec.lstm_quant import (
+    GATES_PER_ELEMENT,
+    MU_ADDS_PER_ELEMENT,
+    MU_EXPS_PER_ELEMENT,
+    MU_MULS_PER_ELEMENT,
+    Mode,
+    QuantizedGate,
+    QuantizedLayer,
+    QuantizedModel,
+    QuantRunResult,
+    StepActivity,
+)
+from dynprec.lstm_ref import InputSequence, StateTrace, sigmoid
+from dynprec.pdu import PduConfig, Precision, TrackerState, pdu_observe
+from dynprec.quant import QIndex, QuantizedVector, QuantParams
+
+
+def quantize_array(values: np.ndarray, params: QuantParams) -> np.ndarray:
+    """Vectorized :func:`quantize`; returns an int64 array of the same shape."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("cannot quantize non-finite values")
+    magnitudes = np.floor(np.abs(arr) / params.step + 0.5)
+    magnitudes = np.minimum(magnitudes, params.magnitude_limit).astype(np.int64)
+    return np.where(arr < 0, -magnitudes, magnitudes)
+
+
+def _index_values(seq: Sequence[QIndex | int] | np.ndarray) -> list[int]:
+    return [v.value if isinstance(v, QIndex) else int(v) for v in seq]
+
+
+def dot_int(w: Sequence[QIndex | int] | np.ndarray, x: Sequence[QIndex | int] | np.ndarray) -> int:
+    """Exact integer inner product of two index sequences."""
+    wv = _index_values(w)
+    xv = _index_values(x)
+    if len(wv) != len(xv):
+        raise ValueError(f"length mismatch: {len(wv)} vs {len(xv)}")
+    total = 0
+    for a, b in zip(wv, xv):
+        total += a * b
+    return total
+
+
+def rescale(z_int: int, qw: float, qx: float) -> float:
+    """Convert an integer inner product back to a real using both operand steps."""
+    qw = float(qw)
+    qx = float(qx)
+    if not (math.isfinite(qw) and qw > 0.0) or not (math.isfinite(qx) and qx > 0.0):
+        raise ValueError("quantization steps must be positive and finite")
+    return z_int * (qw * qx)
+
+
+def _max_abs_alpha(values: np.ndarray) -> float:
+    peak = float(np.max(np.abs(values))) if values.size else 0.0
+    return peak if peak > 0.0 else 1.0
+
+
+def neuron_eval(
+    k: int,
+    precision: Precision,
+    layer: QuantizedLayer,
+    x_t_q: QuantizedVector,
+    h_prev_q: QuantizedVector,
+) -> tuple[float, float, float, float]:
+    """Pre-activations of element ``k``'s four gate neurons, all at one precision."""
+    if not 0 <= k < layer.cell_size:
+        raise ValueError(f"element index {k} out of range for cell size {layer.cell_size}")
+    outs = []
+    for gate in layer.gates():
+        if precision is Precision.HIGH8:
+            zf = dot_int(gate.fwd.high[k], x_t_q.high_values())
+            zr = dot_int(gate.rec.high[k], h_prev_q.high_values())
+            fwd = rescale(zf, gate.fwd.params8.step, x_t_q.params8.step)
+            recv = rescale(zr, gate.rec.params8.step, h_prev_q.params8.step)
+        else:
+            zf = dot_int(gate.fwd.low[k], x_t_q.low_values())
+            zr = dot_int(gate.rec.low[k], h_prev_q.low_values())
+            fwd = rescale(zf, gate.fwd.params4.step, x_t_q.params4.step)
+            recv = rescale(zr, gate.rec.params4.step, h_prev_q.params4.step)
+        outs.append(fwd + recv + float(gate.bias[k]))
+    return tuple(outs)  # type: ignore[return-value]
+
+
+def gate_pre_activations(
+    gate: QuantizedGate,
+    x8: np.ndarray,
+    x4: np.ndarray,
+    h8: np.ndarray,
+    h4: np.ndarray,
+    x_q: QuantizedVector,
+    h_q: QuantizedVector,
+    high: np.ndarray,
+) -> np.ndarray:
+    fwd8 = (gate.fwd.high @ x8) * (gate.fwd.params8.step * x_q.params8.step)
+    fwd4 = (gate.fwd.low @ x4) * (gate.fwd.params4.step * x_q.params4.step)
+    rec8 = (gate.rec.high @ h8) * (gate.rec.params8.step * h_q.params8.step)
+    rec4 = (gate.rec.low @ h4) * (gate.rec.params4.step * h_q.params4.step)
+    fwd = np.where(high, fwd8, fwd4)
+    rec = np.where(high, rec8, rec4)
+    return fwd + rec + gate.bias
+
+
+def run_quantized_reference(
+    qmodel: QuantizedModel,
+    seq: InputSequence,
+    mode: Mode,
+    pdu_config: PduConfig | None = None,
+    *,
+    random_p: float = 0.33,
+    random_seed: int = 0,
+    trackers: list[TrackerState] | None = None,
+) -> QuantRunResult:
+    """Step-major, per-gate int64 evaluation with the signature of ``run_quantized``."""
+    if seq.width != qmodel.layers[0].input_size:
+        raise ValueError(f"sequence width {seq.width} != model input size {qmodel.layers[0].input_size}")
+    n_steps = len(seq)
+    layers = qmodel.layers
+
+    if mode is Mode.DYNAMIC:
+        if pdu_config is None:
+            pdu_config = PduConfig.for_sequence(n_steps)
+        if trackers is None:
+            trackers = [TrackerState.fresh(layer.cell_size) for layer in layers]
+        elif [state.phase.shape for state in trackers] != [(layer.cell_size,) for layer in layers]:
+            raise ValueError("tracker states do not match the model's layer sizes")
+    rng = np.random.default_rng(random_seed) if mode is Mode.RANDOM else None
+
+    c = [np.zeros(layer.cell_size) for layer in layers]
+    h = [np.zeros(layer.cell_size) for layer in layers]
+    c_hist: list[list[np.ndarray]] = [[] for _ in layers]
+    h_hist: list[list[np.ndarray]] = [[] for _ in layers]
+    bits_hist = [np.empty((n_steps, layer.cell_size), dtype=np.uint8) for layer in layers]
+    phase_hist = (
+        [np.empty((n_steps, layer.cell_size), dtype=np.int8) for layer in layers]
+        if mode is Mode.DYNAMIC
+        else None
+    )
+    activity: list[StepActivity] = []
+
+    for t in range(n_steps):
+        act = StepActivity()
+        x = seq.steps[t]
+        for L, layer in enumerate(layers):
+            x_q = QuantizedVector.encode(x, _max_abs_alpha(x))
+            h_q = QuantizedVector.encode(h[L], 1.0)  # outputs live in (-1, 1)
+            x8, x4 = x_q.high_values(), x_q.low_values()
+            h8, h4 = h_q.high_values(), h_q.low_values()
+
+            if mode is Mode.STATIC8:
+                high = np.ones(layer.cell_size, dtype=bool)
+            elif mode is Mode.STATIC4:
+                high = np.zeros(layer.cell_size, dtype=bool)
+            elif mode is Mode.DYNAMIC:
+                high = trackers[L].high_precision()
+            else:
+                high = rng.random(layer.cell_size) >= random_p
+
+            pre = [gate_pre_activations(gate, x8, x4, h8, h4, x_q, h_q, high) for gate in layer.gates()]
+            i_t, f_t, o_t = sigmoid(pre[0]), sigmoid(pre[1]), sigmoid(pre[3])
+            g_t = np.tanh(pre[2])
+            c[L] = f_t * c[L] + i_t * g_t
+            h[L] = o_t * np.tanh(c[L])
+            c_hist[L].append(c[L])
+            h_hist[L].append(h[L])
+            bits_hist[L][t] = np.where(high, 8, 4)
+
+            n_high = int(high.sum())
+            n_low = layer.cell_size - n_high
+            fan_in = layer.input_size + layer.cell_size
+            weights_per_element = GATES_PER_ELEMENT * fan_in
+            act.weight_bytes += n_high * weights_per_element
+            act.weight_nibbles += n_low * weights_per_element
+            act.input_elems += fan_in
+            if n_low:
+                act.input_adjusted += x_q.offset_count() + h_q.offset_count()
+            act.sip_bit_ops += weights_per_element * (n_high * 8 + n_low * 4)
+            act.mu_adds += MU_ADDS_PER_ELEMENT * layer.cell_size
+            act.mu_muls += MU_MULS_PER_ELEMENT * layer.cell_size
+            act.mu_exps += MU_EXPS_PER_ELEMENT * layer.cell_size
+            act.neurons_low += n_low
+            act.neurons_high += n_high
+
+            if mode is Mode.DYNAMIC:
+                pdu_observe(trackers[L], pdu_config, c[L])
+                phase_hist[L][t] = trackers[L].phase
+                act.pdu_updates += layer.cell_size
+
+            x = h[L]
+        activity.append(act)
+
+    trace = StateTrace(
+        c=tuple(np.stack(rows) for rows in c_hist),
+        h=tuple(np.stack(rows) for rows in h_hist),
+    )
+    return QuantRunResult(
+        trace=trace,
+        precision_bits=tuple(bits_hist),
+        phases=tuple(phase_hist) if phase_hist is not None else None,
+        activity=tuple(activity),
+        mode=mode,
+    )

@@ -118,6 +118,22 @@ def test_format_errors_exit_2(toy_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_manifest_exit_2(toy_files, tmp_path, capsys):
+    _, seq = toy_files
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(b"\xff\xfeformat = dynprec-lstm\n")
+    assert main(["run", "--model", str(bad), "--input", str(seq)]) == EXIT_FORMAT
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exit_2(toy_files, tmp_path, capsys):
+    model, seq = toy_files
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfebeta = 0.1\n")
+    assert main(["run", "--model", str(model), "--input", str(seq), "--config", str(bad)]) == EXIT_FORMAT
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_non_finite_inputs_exit_2(toy_files, tmp_path, capsys):
     model, seq = toy_files
     raw = bytearray(seq.read_bytes())

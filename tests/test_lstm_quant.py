@@ -1,15 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynprec.lstm_ref import GateWeights, InputSequence, LstmLayer, LstmModel, run_fp32
 from dynprec.lstm_quant import (
     EPS_DENOM,
     GATES_PER_ELEMENT,
     Mode,
-    QuantizedVector,
-    neuron_eval,
+    check_exact_fan_in,
     peak_flags_from_phases,
     quantize_model,
     relative_error_stats,
@@ -18,6 +20,8 @@ from dynprec.lstm_quant import (
 )
 from dynprec.pdu import PduConfig, Phase, Precision, TrackerState
 from dynprec.lstm_ref import StateTrace
+from dynprec.quant import QuantizedVector
+from quant_oracle import neuron_eval, run_quantized_reference
 
 
 def _random_model(rng, layer_dims, scale=0.5):
@@ -82,6 +86,36 @@ def test_stored_codes_keep_dual_invariants(toy):
                 decoded4 = (m.magnitudes7.astype(int) >> 4) + m.offset_bits
                 assert decoded4.max() <= 7
                 assert m.params4.step == 16 * m.params8.step
+
+
+def _arrays(obj):
+    """Every array a dataclass holds, through nested dataclasses."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            yield value
+        elif dataclasses.is_dataclass(value):
+            yield from _arrays(value)
+
+
+def test_quantized_layer_holds_one_float64_copy_per_precision():
+    layer = quantize_model(_random_model(np.random.default_rng(4), [(24, 32)])).layers[0]
+    arrays = list(_arrays(layer))
+    assert not any(a.dtype == np.int64 for a in arrays)
+    rows = GATES_PER_ELEMENT * layer.cell_size
+    weights = rows * (layer.input_size + layer.cell_size)
+    packed_codes = 3 * weights  # sign, magnitude byte and offset bit, one byte each
+    operands = 2 * 8 * weights  # float64 at 8 and at 4 bits
+    vectors = 6 * 8 * rows  # four row-step vectors, the stacked bias and the gate biases
+    assert sum(a.nbytes for a in arrays) <= operands + packed_codes + vectors
+
+
+def test_fan_in_guard_at_the_float64_integer_bound():
+    first_inexact = -(-(2**53) // (127 * 127))  # smallest fan-in with 127**2 * fan_in >= 2**53
+    assert 127 * 127 * (first_inexact - 1) < 2**53 <= 127 * 127 * first_inexact
+    check_exact_fan_in(first_inexact - 1)
+    with pytest.raises(ValueError):
+        check_exact_fan_in(first_inexact)
 
 
 def test_neuron_eval_zero_weights_returns_biases():
@@ -305,3 +339,71 @@ def test_dynamic_rejects_mismatched_tracker_states(toy):
         run_quantized(qmodel, seq, Mode.DYNAMIC, trackers=[TrackerState.fresh(cell + 1)])
     with pytest.raises(ValueError):
         run_quantized(qmodel, seq, Mode.DYNAMIC, trackers=[])
+
+
+def _copy_states(states):
+    return [TrackerState(*(getattr(s, f.name).copy() for f in dataclasses.fields(s))) for s in states]
+
+
+def _pinned_states(rng, qmodel):
+    """Trackers that start mid-sequence: mixed phases, bands and counters."""
+    states = []
+    for layer in qmodel.layers:
+        n = layer.cell_size
+        state = TrackerState.fresh(n)
+        state.phase[:] = rng.integers(0, 3, n)
+        band = np.sort(rng.uniform(-0.6, 0.6, (n, 2)), axis=1)
+        placed = state.phase != Phase.PROFILING
+        state.lower[placed], state.upper[placed] = band[placed, 0], band[placed, 1]
+        state.steps_in_phase[:] = rng.integers(0, 3, n)
+        states.append(state)
+    return states
+
+
+@st.composite
+def _differential_cases(draw):
+    n_layers = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=n_layers + 1, max_size=n_layers + 1))
+    n_steps = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    saturating = draw(st.booleans())  # large weights and inputs drive |h| to the clamp
+    scale = 4.0 if saturating else 0.5
+    model = _random_model(rng, list(zip(sizes[:-1], sizes[1:])), scale=scale)
+    steps = rng.uniform(-1, 1, (n_steps, sizes[0])) * (5.0 if saturating else 1.0)
+    steps[rng.random(n_steps) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0  # alpha falls back to 1
+    mode = draw(st.sampled_from(list(Mode)))
+    config = PduConfig(
+        t_profile=draw(st.integers(1, 4)),
+        m_max_peak=draw(st.integers(1, 4)),
+        n_max_stable=draw(st.integers(1, 4)),
+        beta=draw(st.sampled_from((0.0, 0.1, math.inf))),
+    )
+    kwargs = {"random_p": draw(st.sampled_from((0.0, 0.33, 1.0))), "random_seed": draw(st.integers(0, 99))}
+    qmodel = quantize_model(model)
+    trackers = _pinned_states(rng, qmodel) if mode is Mode.DYNAMIC and draw(st.booleans()) else None
+    return qmodel, InputSequence(steps), mode, config, kwargs, trackers
+
+
+@given(_differential_cases())
+@settings(max_examples=200, deadline=None)
+def test_run_quantized_matches_step_major_oracle(case):
+    qmodel, seq, mode, config, kwargs, trackers = case
+    mine = _copy_states(trackers) if trackers is not None else None
+    theirs = _copy_states(trackers) if trackers is not None else None
+    got = run_quantized(qmodel, seq, mode, config, trackers=mine, **kwargs)
+    want = run_quantized_reference(qmodel, seq, mode, config, trackers=theirs, **kwargs)
+    for L in range(len(qmodel.layers)):
+        assert np.array_equal(got.trace.c[L], want.trace.c[L])
+        assert np.array_equal(got.trace.h[L], want.trace.h[L])
+        assert np.array_equal(got.precision_bits[L], want.precision_bits[L])
+        assert got.precision_bits[L].dtype == want.precision_bits[L].dtype
+    if mode is Mode.DYNAMIC:
+        assert all(np.array_equal(a, b) for a, b in zip(got.phases, want.phases, strict=True))
+    else:
+        assert got.phases is None and want.phases is None
+    assert got.activity == want.activity
+    assert all(type(v) is int for a in got.activity for v in dataclasses.astuple(a))
+    if trackers is not None:
+        for a, b in zip(mine, theirs, strict=True):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
