@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .lstm_ref import InputSequence
 from .lstm_quant import (
     MU_ADDS_PER_ELEMENT,
@@ -49,15 +51,18 @@ INPUT_ENTRY_BYTES = 2  # high-precision byte plus cached adjusted low byte
 STATE_ENTRY_BYTES = 4  # one 32-bit real
 PDU_ENTRY_BYTES = 8  # packed tracker record
 
+# Per-step cycles are summed in int64; a run whose worst case could pass
+# this is refused rather than wrapped.
+MAX_CYCLES = 2**63 - 1
+
 
 class CapacityError(RuntimeError):
-    """A configured on-chip buffer cannot hold the model's working set."""
+    """A configured on-chip buffer cannot hold the model's working set,
+    or a run's cycle count does not fit the int64 cycle counter."""
 
-    def __init__(self, buffer: str, required: int, available: int) -> None:
+    def __init__(self, buffer: str, required: float, available: int, unit: str = "bytes") -> None:
         self.buffer = buffer
-        super().__init__(
-            f"{buffer} needs {required} bytes but only {available} are configured"
-        )
+        super().__init__(f"{buffer} needs {required} {unit} but holds only {available}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,8 @@ class AccelConfig:
     peak_bandwidth: float = 30e9
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0 or self.peak_bandwidth <= 0:
-            raise ValueError("frequency and peak bandwidth must be positive")
+        if not (0 < self.frequency_hz < math.inf and 0 < self.peak_bandwidth < math.inf):
+            raise ValueError("frequency and peak bandwidth must be positive and finite")
         for name in (
             "mu_add_cycles",
             "mu_mul_cycles",
@@ -134,8 +139,8 @@ class EnergyModel:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.weight_nibble_read > self.weight_byte_read:
             raise ValueError("a nibble read cannot cost more than a byte read")
 
@@ -192,7 +197,12 @@ def _step_cycles(
     run: QuantRunResult,
     config: AccelConfig,
     dynamic: bool,
-) -> tuple[int, list[int]]:
+) -> tuple[int, np.ndarray]:
+    """Total cycles of a run, and the int64 cycles of each step.
+
+    Each layer costs the larger of its dot-product cycles and the drain
+    floor; a step is stretched to the input/output bandwidth bound.
+    """
     per_layer_cost = []
     for layer in qmodel.layers:
         c8 = sip_cycles(layer.input_size, 8, config.sip) + sip_cycles(layer.cell_size, 8, config.sip)
@@ -201,26 +211,29 @@ def _step_cycles(
 
     mu_drain = config.mu_drain_cycles()
     pdu_drain = config.pdu_update_cycles if dynamic else 0
+    floor = max(mu_drain, pdu_drain)
+    fill = mu_drain + pdu_drain
 
     in0 = qmodel.layers[0].input_size
     out_cell = qmodel.layers[-1].cell_size
     dram_bytes = (in0 + out_cell) * STATE_ENTRY_BYTES
-    min_step_cycles = math.ceil(dram_bytes * config.frequency_hz / config.peak_bandwidth)
+    stretch = dram_bytes * config.frequency_hz / config.peak_bandwidth
 
     n_steps = run.trace.n_steps
-    step_cycles: list[int] = []
-    for t in range(n_steps):
-        cycles = 0
-        for L, (c8, c4) in enumerate(per_layer_cost):
-            bits = run.precision_bits[L][t]
-            n_high = int((bits == 8).sum())
-            n_low = bits.shape[0] - n_high
-            dpu = n_high * c8 + n_low * c4
-            cycles += max(dpu, mu_drain, pdu_drain)
-        step_cycles.append(max(cycles, min_step_cycles))
+    widest_step = sum(
+        max(layer.cell_size * c8, floor) for layer, (c8, _) in zip(qmodel.layers, per_layer_cost)
+    )
+    bound = fill + n_steps * max(stretch, widest_step)
+    if not bound <= MAX_CYCLES:
+        raise CapacityError("cycle counter", bound, MAX_CYCLES, unit="cycles")
 
-    fill = mu_drain + pdu_drain
-    return fill + sum(step_cycles), step_cycles
+    cycles = np.zeros(n_steps, dtype=np.int64)
+    for (c8, c4), bits in zip(per_layer_cost, run.precision_bits):
+        n_high = (bits == 8).sum(axis=1)
+        dpu = n_high * c8 + (bits.shape[1] - n_high) * c4
+        cycles += np.maximum(dpu, floor)
+    step_cycles = np.maximum(cycles, math.ceil(stretch))
+    return fill + int(step_cycles.sum()), step_cycles
 
 
 def _energy(

@@ -5,7 +5,8 @@ report over one or more modes, ``trace`` exports one element's per-step
 history as CSV, ``sweep`` re-runs an experiment across parameter values.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error, 3 capacity
-error, 4 a file could not be read or written.
+error (an on-chip buffer, or the 64-bit cycle counter), 4 a file could
+not be read or written.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .harness import (
     ConfigError,
     ExperimentResult,
     FormatError,
+    SequenceFormatError,
     TOY_KINDS,
     export_trace,
     gen_toy,
@@ -32,6 +34,7 @@ from .harness import (
     write_sequence,
 )
 from .lstm_quant import Mode
+from .lstm_ref import InputSequence, LstmModel
 from .pdu import PduConfig
 from .sip import SipConfig
 
@@ -122,6 +125,17 @@ def build_configs(
     return pdu, accel, energy, random_p
 
 
+def _seed(raw: str) -> int:
+    """``--seed`` values: the generators take only non-negative integers."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_modes(raw: str) -> list[Mode]:
     modes = []
     for name in raw.split(","):
@@ -148,9 +162,18 @@ def _parse_dims(raw: str) -> tuple[int, int, int, int]:
     return dims  # type: ignore[return-value]
 
 
-def _experiment_from_args(args: argparse.Namespace, modes: list[Mode]) -> ExperimentResult:
+def _load_inputs(args: argparse.Namespace) -> tuple[LstmModel, InputSequence]:
     model = load_model(args.model)
     seq = load_sequence(args.input)
+    if seq.width != model.layers[0].input_size:
+        raise SequenceFormatError(
+            f"{args.input}: sequence width {seq.width} != model input size {model.layers[0].input_size}"
+        )
+    return model, seq
+
+
+def _experiment_from_args(args: argparse.Namespace, modes: list[Mode]) -> ExperimentResult:
+    model, seq = _load_inputs(args)
     values = load_config_file(args.config) if args.config else {}
     pdu, accel, energy, random_p = build_configs(values, len(seq))
     return run_experiment(
@@ -223,8 +246,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.param in _PDU_INT_KEYS and not all(value.is_integer() for value in raw_values):
         raise UsageError(f"--values for {args.param} must be integers, got {args.values!r}")
 
-    model = load_model(args.model)
-    seq = load_sequence(args.input)
+    model, seq = _load_inputs(args)
     base = load_config_file(args.config) if args.config else {}
     points = []
     for value in raw_values:
@@ -262,7 +284,7 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a toy model and input sequence")
     gen.add_argument("--kind", required=True, choices=TOY_KINDS)
     gen.add_argument("--dims", required=True, help="layers,input_size,cell_size,steps")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", required=True, help="output path prefix")
     gen.set_defaults(func=_cmd_gen)
 
@@ -272,7 +294,7 @@ def build_parser() -> _Parser:
     run.add_argument("--mode", default="static8,static4,dynamic", help="comma-separated modes")
     run.add_argument("--config", default=None)
     run.add_argument("--report", default=None, help="report path (stdout when omitted)")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.set_defaults(func=_cmd_run)
 
     trace = sub.add_parser("trace", help="export one element's per-step trace as CSV")
@@ -283,7 +305,7 @@ def build_parser() -> _Parser:
     trace.add_argument("--element", type=int, required=True)
     trace.add_argument("--layer", type=int, default=0)
     trace.add_argument("--out", required=True)
-    trace.add_argument("--seed", type=int, default=0)
+    trace.add_argument("--seed", type=_seed, default=0)
     trace.set_defaults(func=_cmd_trace)
 
     sweep = sub.add_parser("sweep", help="re-run an experiment across parameter values")
@@ -294,7 +316,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--mode", default="static8,dynamic")
     sweep.add_argument("--config", default=None)
     sweep.add_argument("--report", default=None)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_seed, default=0)
     sweep.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -15,6 +15,7 @@ seeds is byte-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -135,7 +136,11 @@ def load_model(path: str | Path) -> LstmModel:
         raise ModelFormatError(f"{path}: layer count must be >= 1")
     declared_bytes = _manifest_int(entries, "blob_bytes", path)
 
-    blob_path = path.with_name(entries.get("blob", path.name + ".bin"))
+    blob_name = entries.get("blob", path.name + ".bin")
+    try:
+        blob_path = path.with_name(blob_name)
+    except ValueError:
+        raise ModelFormatError(f"{path}: blob must name a file beside the manifest, got {blob_name!r}") from None
     if not blob_path.exists():
         raise ModelFormatError(f"tensor blob not found: {blob_path}")
     blob = blob_path.read_bytes()
@@ -155,7 +160,7 @@ def load_model(path: str | Path) -> LstmModel:
             offset, size = int(offset_s), int(size_s)
         except ValueError:
             raise ModelFormatError(f"{path}: key {key!r} must be 'offset:size'") from None
-        expected = int(np.prod(shape)) * 4
+        expected = math.prod(shape) * 4  # Python ints: a hostile shape cannot wrap
         if size != expected:
             raise ModelFormatError(
                 f"{path}: {key} declares {size} bytes but shape {shape} needs {expected}"

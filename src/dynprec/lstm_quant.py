@@ -5,11 +5,12 @@ layer by layer: each layer's whole input sequence is packed the same way
 in one batch, then the layer runs over every step, packing only its own
 previous output per step. The four gate neurons feeding one cell-state
 element always share that element's precision. Matrix-vector work runs on
-integer indices, held exactly in float64 so that it runs in BLAS, and is
-rescaled to reals; the element-wise cell update and the activations stay
-in full precision. Alongside the numeric traces the run counts the events
-(fetches, bit operations, scalar-unit operations, tracker updates) that
-the accelerator model converts to energy.
+integer indices, held exactly in float32 so that it runs in BLAS, in
+column blocks whose sums stay exact float32 integers; the block sums are
+added and rescaled to reals in float64. The element-wise cell update and
+the activations stay in full precision. Alongside the numeric traces the
+run counts the events (fetches, bit operations, scalar-unit operations,
+tracker updates) that the accelerator model converts to energy.
 """
 
 from __future__ import annotations
@@ -93,13 +94,34 @@ def check_exact_fan_in(fan_in: int) -> None:
         raise ValueError(f"fan-in {fan_in} is too wide for exact float64 index sums")
 
 
+# Widest column block whose index sums stay exact in float32: every partial
+# sum of up to this many terms of at most 127 * 127 is an integer below 2**24.
+FLOAT32_EXACT_COLUMNS = (2**24 - 1) // (127 * 127)
+
+
+def exact_index_products(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``w @ v`` for integer-valued float32 operands, exact for any fan-in.
+
+    Each column block is one float32 BLAS product whose sum is an exact
+    integer; the block results are added in float64, which stays exact under
+    ``check_exact_fan_in``. A fan-in of at most ``FLOAT32_EXACT_COLUMNS`` is
+    one block, returned as float32 for the caller's float64 rescale.
+    """
+    total = w[:, :FLOAT32_EXACT_COLUMNS] @ v[:FLOAT32_EXACT_COLUMNS]
+    for start in range(FLOAT32_EXACT_COLUMNS, w.shape[1], FLOAT32_EXACT_COLUMNS):
+        stop = start + FLOAT32_EXACT_COLUMNS
+        total = np.add(total, w[:, start:stop] @ v[start:stop], dtype=np.float64)
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class FusedOperand:
     """One connection of all four gates stacked gate-major into [4H, n] rows.
 
-    ``w8`` and ``w4`` hold the signed 8- and 4-bit indices as float64, so the
-    products run in BLAS and stay exact integers (see ``check_exact_fan_in``);
-    ``step8`` and ``step4`` hold each row's weight step.
+    ``w8`` and ``w4`` hold the signed 8- and 4-bit indices as float32, so the
+    products run in BLAS and stay exact integers (see
+    ``exact_index_products``); ``step8`` and ``step4`` hold each row's weight
+    step in float64.
     """
 
     w8: np.ndarray
@@ -112,8 +134,8 @@ class FusedOperand:
         check_exact_fan_in(matrices[0].negatives.shape[1])
         rows = [m.negatives.shape[0] for m in matrices]
         return cls(
-            np.concatenate([m.high for m in matrices], dtype=np.float64),
-            np.concatenate([m.low for m in matrices], dtype=np.float64),
+            np.concatenate([m.high for m in matrices], dtype=np.float32),
+            np.concatenate([m.low for m in matrices], dtype=np.float32),
             np.repeat([m.params8.step for m in matrices], rows),
             np.repeat([m.params4.step for m in matrices], rows),
         )
@@ -121,14 +143,15 @@ class FusedOperand:
     def matvec(self, v8, v4, vstep8, vstep4, high: np.ndarray | None, rows_high: int) -> np.ndarray:
         """Rescaled products with a vector, row r at 8 bits where ``high[r]``, else at 4.
 
-        ``rows_high`` counts the 8-bit rows; a precision no row uses is skipped.
+        ``v8`` and ``v4`` are float32 indices. ``rows_high`` counts the 8-bit
+        rows; a precision no row uses is skipped. The rescale runs in float64.
         """
         if rows_high == self.w8.shape[0]:
-            return (self.w8 @ v8) * (self.step8 * vstep8)
-        low = (self.w4 @ v4) * (self.step4 * vstep4)
+            return exact_index_products(self.w8, v8) * (self.step8 * vstep8)
+        low = exact_index_products(self.w4, v4) * (self.step4 * vstep4)
         if not rows_high:
             return low
-        return np.where(high, (self.w8 @ v8) * (self.step8 * vstep8), low)
+        return np.where(high, exact_index_products(self.w8, v8) * (self.step8 * vstep8), low)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,6 +295,7 @@ def run_quantized(
         alphas = np.where(peaks > 0.0, peaks, 1.0)  # _max_abs_alpha, row by row
         xs8, xs4 = alphas / 128.0, alphas / 8.0  # quant_step(alpha, 8) and (alpha, 4), row by row
         x8, x4, x_offsets = dual_index_arrays(inputs, xs8[:, None], xs4[:, None])
+        x8, x4 = x8.astype(np.float32), x4.astype(np.float32)  # exact: |index| <= 127
         adjusted = np.count_nonzero(x_offsets, axis=1)
         c_trace, h_trace = np.empty((n_steps, n)), np.empty((n_steps, n))
         high_hist = np.empty((n_steps, n), dtype=bool)
@@ -282,6 +306,7 @@ def run_quantized(
             rows_high = GATES_PER_ELEMENT * int(np.count_nonzero(high))
             high4 = np.concatenate((high,) * GATES_PER_ELEMENT) if 0 < rows_high < GATES_PER_ELEMENT * n else None
             h8, h4, h_offsets = dual_index_arrays(h, H_STEP8, H_STEP4)
+            h8, h4 = h8.astype(np.float32), h4.astype(np.float32)
             pre = (
                 layer.fwd.matvec(x8[t], x4[t], xs8[t], xs4[t], high4, rows_high)
                 + layer.rec.matvec(h8, h4, H_STEP8, H_STEP4, high4, rows_high)

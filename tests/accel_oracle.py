@@ -1,0 +1,57 @@
+"""Per-step loop reference for the cycle model in ``dynprec.accel``.
+
+``step_cycles_reference`` counts each layer's 8-bit elements step by step
+and applies the cycle rules with Python integers. The vectorized
+``accel._step_cycles`` must return the same totals and per-step cycles.
+It also names each step's regime: ``"bandwidth"`` when the step was
+stretched to the bandwidth bound, else ``"drain"`` when some layer was
+floored by a drain, else ``"dot"`` (dot-product bound).
+"""
+
+from __future__ import annotations
+
+import math
+
+from dynprec.accel import STATE_ENTRY_BYTES, AccelConfig
+from dynprec.lstm_quant import QuantizedModel, QuantRunResult
+from dynprec.sip import sip_cycles
+
+
+def step_cycles_reference(
+    qmodel: QuantizedModel,
+    run: QuantRunResult,
+    config: AccelConfig,
+    dynamic: bool,
+) -> tuple[int, list[int], list[str]]:
+    per_layer_cost = []
+    for layer in qmodel.layers:
+        c8 = sip_cycles(layer.input_size, 8, config.sip) + sip_cycles(layer.cell_size, 8, config.sip)
+        c4 = sip_cycles(layer.input_size, 4, config.sip) + sip_cycles(layer.cell_size, 4, config.sip)
+        per_layer_cost.append((c8, c4))
+
+    mu_drain = config.mu_drain_cycles()
+    pdu_drain = config.pdu_update_cycles if dynamic else 0
+
+    in0 = qmodel.layers[0].input_size
+    out_cell = qmodel.layers[-1].cell_size
+    dram_bytes = (in0 + out_cell) * STATE_ENTRY_BYTES
+    min_step_cycles = math.ceil(dram_bytes * config.frequency_hz / config.peak_bandwidth)
+
+    n_steps = run.trace.n_steps
+    step_cycles: list[int] = []
+    regimes: list[str] = []
+    for t in range(n_steps):
+        cycles = 0
+        floored = False
+        for L, (c8, c4) in enumerate(per_layer_cost):
+            bits = run.precision_bits[L][t]
+            n_high = int((bits == 8).sum())
+            n_low = bits.shape[0] - n_high
+            dpu = n_high * c8 + n_low * c4
+            cycles += max(dpu, mu_drain, pdu_drain)
+            floored |= dpu < max(mu_drain, pdu_drain)
+        step_cycles.append(max(cycles, min_step_cycles))
+        regimes.append("bandwidth" if cycles < min_step_cycles else "drain" if floored else "dot")
+
+    fill = mu_drain + pdu_drain
+    return fill + sum(step_cycles), step_cycles, regimes

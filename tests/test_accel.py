@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from dynprec.accel import (
+    MAX_CYCLES,
     AccelConfig,
     CapacityError,
     EnergyModel,
     check_capacity,
+    _step_cycles,
     compare,
     simulate,
 )
 from dynprec.lstm_ref import GateWeights, InputSequence, LstmLayer, LstmModel
 from dynprec.lstm_quant import Mode, quantize_model
 from dynprec.pdu import PduConfig
+from dynprec.sip import SipConfig
+from accel_oracle import step_cycles_reference
 
 
 def _random_model(rng, layer_dims, scale=0.5):
@@ -181,12 +185,64 @@ def test_energy_model_validation():
         EnergyModel(weight_byte_read=0.4, weight_nibble_read=0.5)
     with pytest.raises(ValueError):
         EnergyModel(mu_add=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EnergyModel(static_power=bad)
 
 
 def test_accel_config_validation():
     with pytest.raises(ValueError):
         AccelConfig(frequency_hz=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AccelConfig(frequency_hz=bad)
+        with pytest.raises(ValueError):
+            AccelConfig(peak_bandwidth=bad)
     with pytest.raises(ValueError):
         AccelConfig(mu_add_cycles=-1)
     with pytest.raises(ValueError):
         AccelConfig(weight_buffer_bytes=0)
+
+
+# 16x16 layer: 8 cycles per element at 4 bits and 16 at 8 bits, so a step
+# costs 128 + 8 * n_high dot-product cycles; the default drain is 93 cycles.
+_REGIME_CASES = {
+    "dot": ([(16, 16)], {}, Mode.RANDOM, {"dot"}),
+    "drain": ([(2, 2)], {}, Mode.STATIC4, {"drain"}),
+    "bandwidth": ([(16, 16)], {"peak_bandwidth": 1e3}, Mode.STATIC4, {"bandwidth"}),
+    "dot+drain": ([(16, 16)], {"mu_comm_cycles": 109}, Mode.RANDOM, {"dot", "drain"}),  # drain 200
+    "dot+bandwidth": ([(16, 16)], {"peak_bandwidth": 3.4e8}, Mode.RANDOM, {"dot", "bandwidth"}),  # 189
+    "pdu drain": (
+        [(2, 2), (2, 3)],
+        {"mu_add_cycles": 0, "mu_mul_cycles": 0, "mu_exp_cycles": 0, "mu_comm_cycles": 0, "pdu_update_cycles": 90},
+        Mode.DYNAMIC,
+        {"drain"},
+    ),
+    "two layers": ([(16, 16), (16, 24)], {}, Mode.DYNAMIC, {"dot"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REGIME_CASES))
+def test_step_cycles_match_per_step_oracle(case):
+    dims, overrides, mode, regimes = _REGIME_CASES[case]
+    rng = np.random.default_rng(21)
+    qmodel = quantize_model(_random_model(rng, dims))
+    seq = InputSequence(rng.uniform(-1, 1, (60, dims[0][0])))
+    cfg = dataclasses.replace(AccelConfig(), **overrides)
+    run = simulate(qmodel, seq, mode, cfg, random_p=0.5, random_seed=5).run
+    dynamic = mode is Mode.DYNAMIC
+    total, steps = _step_cycles(qmodel, run, cfg, dynamic)
+    want_total, want_steps, want_regimes = step_cycles_reference(qmodel, run, cfg, dynamic)
+    assert type(total) is int and total == want_total
+    assert steps.dtype == np.int64 and steps.tolist() == want_steps
+    assert set(want_regimes) == regimes
+
+
+def test_cycle_count_beyond_int64_is_a_capacity_error(toy):
+    qmodel, seq = toy
+    huge = dataclasses.replace(AccelConfig(), sip=SipConfig(reduction_latency=MAX_CYCLES // 4))
+    with pytest.raises(CapacityError, match="cycle counter"):
+        simulate(qmodel, seq, Mode.STATIC4, huge)
+    slow = dataclasses.replace(AccelConfig(), frequency_hz=1e300, peak_bandwidth=1e-300)
+    with pytest.raises(CapacityError, match="cycle counter"):
+        simulate(qmodel, seq, Mode.STATIC4, slow)

@@ -134,6 +134,15 @@ def test_non_utf8_config_exit_2(toy_files, tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_sequence_width_mismatch_exit_2(toy_files, tmp_path, capsys):
+    model, _ = toy_files
+    assert main(["gen", "--kind", "flat", "--dims", "1,3,16,5", "--out", str(tmp_path / "narrow")]) == EXIT_OK
+    narrow = str(tmp_path / "narrow.seq")
+    assert main(["run", "--model", str(model), "--input", narrow]) == EXIT_FORMAT
+    assert main(["sweep", "--model", str(model), "--input", narrow, "--param", "beta", "--values", "0.1"]) == EXIT_FORMAT
+    assert "sequence width 3 != model input size 16" in capsys.readouterr().err
+
+
 def test_non_finite_inputs_exit_2(toy_files, tmp_path, capsys):
     model, seq = toy_files
     raw = bytearray(seq.read_bytes())
@@ -175,6 +184,20 @@ def test_sweep_accepts_integral_values_for_integer_params(toy_files, tmp_path):
     assert [p["report"]["pdu_config"]["t_profile"] for p in points] == [4, 6]
 
 
+@pytest.mark.parametrize("verb", ["gen", "run", "trace", "sweep"])
+def test_negative_seed_is_a_usage_error(toy_files, tmp_path, capsys, verb):
+    model, seq = toy_files
+    files = ["--model", str(model), "--input", str(seq), "--mode", "random"]
+    argv = {
+        "gen": ["gen", "--kind", "random", "--dims", "1,2,2,5", "--out", str(tmp_path / "g")],
+        "run": ["run", *files],
+        "trace": ["trace", *files, "--element", "0", "--out", str(tmp_path / "t.csv")],
+        "sweep": ["sweep", *files, "--param", "random_p", "--values", "0.5"],
+    }[verb]
+    assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+
+
 def test_failed_writes_exit_4(toy_files, tmp_path, capsys):
     model, seq = toy_files
     missing = tmp_path / "no_such_dir"
@@ -193,6 +216,28 @@ def test_capacity_error_exit_3(toy_files, tmp_path, capsys):
     cfg.write_text("weight_buffer_bytes = 64\n")
     assert main(["run", "--model", str(model), "--input", str(seq), "--config", str(cfg)]) == EXIT_CAPACITY
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("frequency_hz = inf", EXIT_FORMAT),
+        ("peak_bandwidth = nan", EXIT_FORMAT),
+        ("frequency_hz = 1e300\npeak_bandwidth = 1e-300", EXIT_CAPACITY),  # stretch overflows
+        (f"reduction_latency = {2**62}", EXIT_CAPACITY),
+        (f"mu_add_cycles = {10**400}", EXIT_CAPACITY),
+        ("static_power = nan", EXIT_FORMAT),
+        ("mu_add = inf", EXIT_FORMAT),
+    ],
+    ids=["inf-frequency", "nan-bandwidth", "stretch-overflow", "huge-reduction-latency", "huge-mu-cycles",
+         "nan-energy", "inf-energy"],
+)
+def test_extreme_config_values_exit_documented(toy_files, tmp_path, capsys, text, code):
+    model, seq = toy_files
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["run", "--model", str(model), "--input", str(seq), "--config", str(cfg)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_file_parsing(tmp_path):

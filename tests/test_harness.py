@@ -104,6 +104,29 @@ def test_missing_manifest_key(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("name", ["", "sub/toy.model.bin"])
+def test_blob_name_must_be_a_file_beside_the_manifest(tmp_path, name):
+    model, _ = gen_toy("random", (1, 2, 2, 5), 4)
+    path = tmp_path / "toy.model"
+    write_model(model, path)
+    path.write_text(path.read_text().replace("blob = toy.model.bin", f"blob = {name}"))
+    with pytest.raises(ModelFormatError, match="blob must name a file"):
+        load_model(path)
+
+
+def test_manifest_shape_product_does_not_wrap(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in int64, which matched a declared size of 0
+    model, _ = gen_toy("random", (1, 2, 2, 5), 4)
+    path = tmp_path / "toy.model"
+    write_model(model, path)
+    text = path.read_text().replace("layer0.input_size = 2", f"layer0.input_size = {2**32}")
+    text = text.replace("layer0.cell_size = 2", f"layer0.cell_size = {2**32}")
+    text = text.replace("tensor.layer0.input.w_x = 0:16", "tensor.layer0.input.w_x = 0:0")
+    path.write_text(text)
+    with pytest.raises(ModelFormatError, match="declares 0 bytes"):
+        load_model(path)
+
+
 def test_sequence_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     seq = InputSequence(rng.uniform(-1, 1, (12, 3)).astype(np.float32))

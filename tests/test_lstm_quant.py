@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dynprec.lstm_ref import GateWeights, InputSequence, LstmLayer, LstmModel, run_fp32
 from dynprec.lstm_quant import (
     EPS_DENOM,
+    FLOAT32_EXACT_COLUMNS,
     GATES_PER_ELEMENT,
     Mode,
     check_exact_fan_in,
@@ -98,14 +99,14 @@ def _arrays(obj):
             yield from _arrays(value)
 
 
-def test_quantized_layer_holds_one_float64_copy_per_precision():
+def test_quantized_layer_holds_one_float32_copy_per_precision():
     layer = quantize_model(_random_model(np.random.default_rng(4), [(24, 32)])).layers[0]
     arrays = list(_arrays(layer))
     assert not any(a.dtype == np.int64 for a in arrays)
     rows = GATES_PER_ELEMENT * layer.cell_size
     weights = rows * (layer.input_size + layer.cell_size)
     packed_codes = 3 * weights  # sign, magnitude byte and offset bit, one byte each
-    operands = 2 * 8 * weights  # float64 at 8 and at 4 bits
+    operands = 2 * 4 * weights  # float32 at 8 and at 4 bits
     vectors = 6 * 8 * rows  # four row-step vectors, the stacked bias and the gate biases
     assert sum(a.nbytes for a in arrays) <= operands + packed_codes + vectors
 
@@ -116,6 +117,40 @@ def test_fan_in_guard_at_the_float64_integer_bound():
     check_exact_fan_in(first_inexact - 1)
     with pytest.raises(ValueError):
         check_exact_fan_in(first_inexact)
+
+
+def test_float32_block_is_the_widest_exact_block_of_full_terms():
+    # sequential float32 sums of 127 * 127 terms, against Python ints
+    term = 127 * 127
+    sums = np.cumsum(np.full(FLOAT32_EXACT_COLUMNS + 1, term, dtype=np.float32), dtype=np.float32)
+    assert [int(v) for v in sums[:-1]] == [term * k for k in range(1, FLOAT32_EXACT_COLUMNS + 1)]
+    assert int(sums[-1]) != term * (FLOAT32_EXACT_COLUMNS + 1)
+    assert FLOAT32_EXACT_COLUMNS == 1040
+
+
+def test_multi_block_fan_in_matches_step_major_oracle():
+    # Every forward term is +-127 * 127. Row sums reach far beyond 2**24 and
+    # are odd (odd fan-in, odd terms), so no float32 value can hold them: one
+    # float32 block over the whole fan-in cannot be exact. The small alphas
+    # keep the gates out of saturation, so a rounded sum shows in the trace.
+    rng = np.random.default_rng(12)
+    fan_in, cell, steps = 2 * FLOAT32_EXACT_COLUMNS + 1, 3, 6
+    signs = np.where(rng.random((4, cell, fan_in)) < 0.9, 1.0, -1.0)
+    gates = [
+        GateWeights(0.02 * signs[g], rng.uniform(-0.5, 0.5, (cell, cell)), rng.uniform(-0.1, 0.1, cell))
+        for g in range(4)
+    ]
+    model = LstmModel((LstmLayer(*gates),))
+    x = 0.02 * np.where(rng.random(steps) < 0.5, 1.0, -1.0)[:, None] * np.ones((steps, fan_in))
+    qmodel, seq = quantize_model(model), InputSequence(x)
+    assert np.abs(qmodel.layers[0].fwd.w8).min() == 127
+    for mode in Mode:
+        got = run_quantized(qmodel, seq, mode, random_p=0.5)
+        want = run_quantized_reference(qmodel, seq, mode, random_p=0.5)
+        assert np.array_equal(got.trace.c[0], want.trace.c[0])
+        assert np.array_equal(got.trace.h[0], want.trace.h[0])
+        assert np.array_equal(got.precision_bits[0], want.precision_bits[0])
+        assert got.activity == want.activity
 
 
 def test_neuron_eval_zero_weights_returns_biases():
