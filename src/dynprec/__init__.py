@@ -1,8 +1,12 @@
 """Quantized LSTM inference with per-element dynamic precision selection."""
 
-from .accel import AccelConfig, CapacityError, EnergyModel, RunStats, SimResult, compare, simulate
+from .accel import AccelConfig, CapacityError, EnergyModel, SimResult, simulate
 from .harness import (
+    ConfigError,
     ExperimentResult,
+    FormatError,
+    ModelFormatError,
+    SequenceFormatError,
     export_trace,
     gen_toy,
     load_model,
@@ -11,89 +15,33 @@ from .harness import (
     write_model,
     write_sequence,
 )
-from .lstm_quant import (
-    Mode,
-    QuantizedModel,
-    StepActivity,
-    quantize_model,
-    relative_error_stats,
-    run_quantized,
-)
-from .lstm_ref import (
-    GateWeights,
-    InputSequence,
-    LstmLayer,
-    LstmModel,
-    LstmState,
-    StateTrace,
-    cell_step,
-    gate_eval,
-    run_fp32,
-)
-from .pdu import PduConfig, Phase, Precision, TrackerState, pdu_observe, thresholds
-from .quant import (
-    DualIndex,
-    QIndex,
-    QuantParams,
-    QuantizedVector,
-    dequantize,
-    encode_dual,
-    extract_high,
-    extract_low,
-    quant_step,
-    quantize,
-)
-from .sip import SipConfig, SipResult, sip_cycles, sip_dot
+from .lstm_quant import Mode, quantize_model
+from .lstm_ref import InputSequence, LstmModel
+from .pdu import PduConfig
+from .sip import SipConfig
 
 __all__ = [
     "AccelConfig",
     "CapacityError",
-    "DualIndex",
+    "ConfigError",
     "EnergyModel",
     "ExperimentResult",
-    "GateWeights",
+    "FormatError",
     "InputSequence",
-    "LstmLayer",
     "LstmModel",
-    "LstmState",
     "Mode",
+    "ModelFormatError",
     "PduConfig",
-    "Phase",
-    "Precision",
-    "QIndex",
-    "QuantParams",
-    "QuantizedModel",
-    "QuantizedVector",
-    "RunStats",
+    "SequenceFormatError",
     "SimResult",
     "SipConfig",
-    "SipResult",
-    "StateTrace",
-    "StepActivity",
-    "TrackerState",
-    "cell_step",
-    "compare",
-    "dequantize",
-    "encode_dual",
     "export_trace",
-    "extract_high",
-    "extract_low",
-    "gate_eval",
     "gen_toy",
     "load_model",
     "load_sequence",
-    "pdu_observe",
-    "quant_step",
-    "quantize",
     "quantize_model",
-    "relative_error_stats",
     "run_experiment",
-    "run_fp32",
-    "run_quantized",
     "simulate",
-    "sip_cycles",
-    "sip_dot",
-    "thresholds",
     "write_model",
     "write_sequence",
 ]

@@ -175,6 +175,10 @@ def _load_inputs(args: argparse.Namespace) -> tuple[LstmModel, InputSequence]:
 def _experiment_from_args(args: argparse.Namespace, modes: list[Mode]) -> ExperimentResult:
     model, seq = _load_inputs(args)
     values = load_config_file(args.config) if args.config else {}
+    return _experiment(model, seq, modes, values, args.seed)
+
+
+def _experiment(model: LstmModel, seq: InputSequence, modes: list[Mode], values: dict, seed: int) -> ExperimentResult:
     pdu, accel, energy, random_p = build_configs(values, len(seq))
     return run_experiment(
         model,
@@ -184,7 +188,7 @@ def _experiment_from_args(args: argparse.Namespace, modes: list[Mode]) -> Experi
         energy_model=energy,
         pdu_config=pdu,
         random_p=random_p,
-        seed=args.seed,
+        seed=seed,
     )
 
 
@@ -252,17 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for value in raw_values:
         values = dict(base)
         values[args.param] = int(value) if args.param in _PDU_INT_KEYS else value
-        pdu, accel, energy, random_p = build_configs(values, len(seq))
-        result = run_experiment(
-            model,
-            seq,
-            modes,
-            accel_config=accel,
-            energy_model=energy,
-            pdu_config=pdu,
-            random_p=random_p,
-            seed=args.seed,
-        )
+        result = _experiment(model, seq, modes, values, args.seed)
         points.append({"value": value, "report": result.report})
     sweep_report = {
         "schema_version": 1,

@@ -38,7 +38,6 @@ REPORT_SCHEMA_VERSION = 1
 SEQUENCE_MAGIC = b"LSTMSEQ1"
 MODEL_FORMAT = "lstm-model"
 MODEL_VERSION = 1
-TENSOR_PARTS = ("w_x", "w_h", "b")
 GATE_KEYS = ("input", "forget", "updater", "output")
 _F32 = np.dtype("<f4")
 
@@ -371,8 +370,6 @@ _PHASE_NAMES = {Phase.PROFILING: "profiling", Phase.STABLE: "stable", Phase.IN_P
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    model_hash: str
-    sequence_hash: str
     fp_trace: StateTrace
     fp_phases: tuple[np.ndarray, ...]
     sims: dict[str, SimResult]
@@ -484,8 +481,6 @@ def run_experiment(
         "precision_histogram": histogram,
     }
     return ExperimentResult(
-        model_hash=qmodel.fingerprint,
-        sequence_hash=sequence_fingerprint(seq),
         fp_trace=fp_trace,
         fp_phases=fp_phases,
         sims=sims,

@@ -1,30 +1,32 @@
 """Quantized LSTM evaluation with a per-element precision choice each step.
 
-Weight matrices are packed offline as dual-precision codes. The run goes
-layer by layer: each layer's whole input sequence is packed the same way
-in one batch, then the layer runs over every step, packing only its own
-previous output per step. The four gate neurons feeding one cell-state
-element always share that element's precision. Matrix-vector work runs on
-integer indices, held exactly in float32 so that it runs in BLAS, in
-column blocks whose sums stay exact float32 integers; the block sums are
-added and rescaled to reals in float64. The element-wise cell update and
-the activations stay in full precision. Alongside the numeric traces the
-run counts the events (fetches, bit operations, scalar-unit operations,
-tracker updates) that the accelerator model converts to energy.
+Each gate matrix is quantized offline at 8 and at 4 bits with its own
+alpha, and a layer's four gates are stacked into one operand per
+connection. The run goes layer by layer: each layer's whole input
+sequence is quantized the same way in one batch, then the layer runs over
+every step, quantizing only its own previous output per step. The four
+gate neurons feeding one cell-state element always share that element's
+precision. Matrix-vector work runs on integer indices, held exactly in
+float32 so that it runs in BLAS, in column blocks whose sums stay exact
+float32 integers; the block sums are added and rescaled to reals in
+float64. The element-wise cell update and the activations stay in full
+precision. Alongside the numeric traces the run counts the events
+(fetches, bit operations, scalar-unit operations, tracker updates) that
+the accelerator model converts to energy.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .lstm_ref import InputSequence, LstmModel, StateTrace, sigmoid
 from .pdu import PduConfig, Phase, TrackerState, pdu_observe
-from .quant import QuantParams, dual_index_arrays, encode_dual_arrays, quant_step
+from .quant import dual_index_arrays, packed_bytes, quant_step
 
 # Relative-error denominators are floored to avoid dividing by a near-zero cell state.
 EPS_DENOM = 1e-3
@@ -46,43 +48,6 @@ class Mode(enum.Enum):
     STATIC4 = "static4"
     DYNAMIC = "dynamic"
     RANDOM = "random"
-
-
-@dataclass(frozen=True, eq=False)
-class QuantizedMatrix:
-    """A weight matrix stored once as packed dual-precision codes."""
-
-    negatives: np.ndarray
-    magnitudes7: np.ndarray
-    offset_bits: np.ndarray
-    params8: QuantParams
-    params4: QuantParams
-
-    def __post_init__(self) -> None:
-        if self.negatives.ndim != 2:
-            raise ValueError("QuantizedMatrix holds 2-D data")
-
-    @classmethod
-    def encode(cls, values: np.ndarray, alpha: float) -> "QuantizedMatrix":
-        negatives, magnitudes7, offsets = encode_dual_arrays(values, alpha)
-        return cls(negatives, magnitudes7, offsets, QuantParams(alpha, 8), QuantParams(alpha, 4))
-
-    @property
-    def high(self) -> np.ndarray:
-        """Signed 8-bit indices, decoded on access."""
-        return np.where(self.negatives, -1, 1) * self.magnitudes7.astype(np.int64)
-
-    @property
-    def low(self) -> np.ndarray:
-        """Signed 4-bit indices, decoded on access."""
-        return np.where(self.negatives, -1, 1) * ((self.magnitudes7.astype(np.int64) >> 4) + self.offset_bits)
-
-
-@dataclass(frozen=True, eq=False)
-class QuantizedGate:
-    fwd: QuantizedMatrix
-    rec: QuantizedMatrix
-    bias: np.ndarray
 
 
 def check_exact_fan_in(fan_in: int) -> None:
@@ -130,14 +95,16 @@ class FusedOperand:
     step4: np.ndarray
 
     @classmethod
-    def stack(cls, matrices: Sequence[QuantizedMatrix]) -> "FusedOperand":
-        check_exact_fan_in(matrices[0].negatives.shape[1])
-        rows = [m.negatives.shape[0] for m in matrices]
+    def stack(cls, gates: Sequence[tuple[np.ndarray, np.ndarray, float, float]]) -> "FusedOperand":
+        """Stack each gate's (8-bit indices, 4-bit indices, step8, step4) gate-major."""
+        highs, lows, steps8, steps4 = zip(*gates)
+        check_exact_fan_in(highs[0].shape[1])
+        rows = [high.shape[0] for high in highs]
         return cls(
-            np.concatenate([m.high for m in matrices], dtype=np.float32),
-            np.concatenate([m.low for m in matrices], dtype=np.float32),
-            np.repeat([m.params8.step for m in matrices], rows),
-            np.repeat([m.params4.step for m in matrices], rows),
+            np.concatenate(highs, dtype=np.float32),
+            np.concatenate(lows, dtype=np.float32),
+            np.repeat(steps8, rows),
+            np.repeat(steps4, rows),
         )
 
     def matvec(self, v8, v4, vstep8, vstep4, high: np.ndarray | None, rows_high: int) -> np.ndarray:
@@ -156,24 +123,11 @@ class FusedOperand:
 
 @dataclass(frozen=True, eq=False)
 class QuantizedLayer:
-    input_gate: QuantizedGate
-    forget_gate: QuantizedGate
-    updater_gate: QuantizedGate
-    output_gate: QuantizedGate
+    fwd: FusedOperand
+    rec: FusedOperand
+    bias: np.ndarray
     cell_size: int
     input_size: int
-    fwd: FusedOperand = field(init=False)
-    rec: FusedOperand = field(init=False)
-    bias: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        gates = self.gates()
-        object.__setattr__(self, "fwd", FusedOperand.stack([g.fwd for g in gates]))
-        object.__setattr__(self, "rec", FusedOperand.stack([g.rec for g in gates]))
-        object.__setattr__(self, "bias", np.concatenate([g.bias for g in gates]))
-
-    def gates(self) -> tuple[QuantizedGate, QuantizedGate, QuantizedGate, QuantizedGate]:
-        return (self.input_gate, self.forget_gate, self.updater_gate, self.output_gate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,23 +142,33 @@ def _max_abs_alpha(values: np.ndarray) -> float:
 
 
 def quantize_model(model: LstmModel) -> QuantizedModel:
-    """Pack every gate matrix with its own max-abs alpha, one per connection type."""
+    """Quantize every gate matrix with its own max-abs alpha, one per connection type.
+
+    The fingerprint hashes, gate by gate, the packed codes and alpha of the
+    forward and then the recurrent matrix, then the bias.
+    """
     digest = hashlib.sha256()
     layers = []
     for layer in model.layers:
-        gates = []
+        fwd, rec = [], []
         for gate in layer.gates():
-            fwd = QuantizedMatrix.encode(gate.w_x, _max_abs_alpha(gate.w_x))
-            rec = QuantizedMatrix.encode(gate.w_h, _max_abs_alpha(gate.w_h))
-            bias = gate.b.copy()
-            for m in (fwd, rec):
-                digest.update(m.magnitudes7.tobytes())
-                digest.update(np.packbits(m.negatives).tobytes())
-                digest.update(np.packbits(m.offset_bits).tobytes())
-                digest.update(np.float64(m.params8.alpha).tobytes())
-            digest.update(bias.tobytes())
-            gates.append(QuantizedGate(fwd, rec, bias))
-        layers.append(QuantizedLayer(*gates, cell_size=layer.cell_size, input_size=layer.input_size))
+            for encoded, w in ((fwd, gate.w_x), (rec, gate.w_h)):
+                alpha = _max_abs_alpha(w)
+                step8, step4 = quant_step(alpha, 8), quant_step(alpha, 4)
+                high, low, offsets = dual_index_arrays(w, step8, step4)
+                digest.update(packed_bytes(high, offsets))
+                digest.update(np.float64(alpha).tobytes())
+                encoded.append((high, low, step8, step4))
+            digest.update(gate.b.tobytes())
+        layers.append(
+            QuantizedLayer(
+                fwd=FusedOperand.stack(fwd),
+                rec=FusedOperand.stack(rec),
+                bias=np.concatenate([gate.b for gate in layer.gates()]),
+                cell_size=layer.cell_size,
+                input_size=layer.input_size,
+            )
+        )
     return QuantizedModel(tuple(layers), digest.hexdigest())
 
 
@@ -245,6 +209,7 @@ class QuantRunResult:
         return low / total if total else 0.0
 
 
+@np.errstate(over="ignore")  # see lstm_ref.run_fp32
 def run_quantized(
     qmodel: QuantizedModel,
     seq: InputSequence,

@@ -7,8 +7,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-GATE_NAMES = ("input", "forget", "updater", "output")
-
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
@@ -170,6 +168,9 @@ class StateTrace:
         return self.c[0].shape[0]
 
 
+# exp(-x) overflows to inf for x below about -709, and sigmoid then returns
+# the correct 0; the runs that call sigmoid silence that warning once per run.
+@np.errstate(over="ignore")
 def run_fp32(model: LstmModel, seq: InputSequence) -> StateTrace:
     """Evaluate the whole network; layer k consumes layer k-1's outputs."""
     if seq.width != model.input_size:

@@ -29,13 +29,6 @@ class Phase(enum.IntEnum):
 _PROFILING, _STABLE, _IN_PEAK = (int(p) for p in Phase)
 
 
-class Precision(enum.IntEnum):
-    """Selector values double as the bit width of the serial operand."""
-
-    LOW4 = 4
-    HIGH8 = 8
-
-
 @dataclass(frozen=True)
 class PduConfig:
     t_profile: int

@@ -52,82 +52,8 @@ class QuantParams:
         return _magnitude_limit(self.bits)
 
 
-@dataclass(frozen=True)
-class QIndex:
-    """A clamped signed quantization index."""
-
-    value: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        _check_bits(self.bits)
-        limit = _magnitude_limit(self.bits)
-        if abs(self.value) > limit:
-            raise ValueError(f"index {self.value} outside +/-{limit} for {self.bits} bits")
-
-
-def quantize(y: float, params: QuantParams) -> QIndex:
-    """Round ``y`` to the nearest index, half away from zero, clamped symmetrically."""
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError(f"cannot quantize non-finite value {y!r}")
-    limit = params.magnitude_limit
-    ratio = abs(y) / params.step
-    if ratio >= limit:
-        magnitude = limit
-    else:
-        magnitude = int(math.floor(ratio + 0.5))
-    return QIndex(-magnitude if y < 0 else magnitude, params.bits)
-
-
-def dequantize(index: QIndex, params: QuantParams) -> float:
-    if index.bits != params.bits:
-        raise ValueError(f"index is {index.bits}-bit but params are {params.bits}-bit")
-    return index.value * params.step
-
-
-@dataclass(frozen=True)
-class DualIndex:
-    """One byte plus an offset bit encoding both the 8- and 4-bit index of a value.
-
-    ``magnitude7`` is the 8-bit index magnitude; its high nibble, plus the
-    offset bit, is the 4-bit index magnitude. One sign bit serves both.
-    """
-
-    negative: bool
-    magnitude7: int
-    offset_bit: bool
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.magnitude7 <= 127:
-            raise ValueError(f"magnitude7 must be in [0, 127], got {self.magnitude7}")
-        if (self.magnitude7 >> 4) + int(self.offset_bit) > 7:
-            raise ValueError("decoded 4-bit magnitude exceeds 7")
-
-
-def encode_dual(y: float, alpha: float) -> DualIndex:
-    """Quantize ``y`` at 8 and 4 bits and pack both indices into one code."""
-    params8 = QuantParams(alpha, 8)
-    params4 = QuantParams(alpha, 4)
-    i8 = quantize(y, params8)
-    i4 = quantize(y, params4)
-    magnitude7 = abs(i8.value)
-    offset = abs(i4.value) - (magnitude7 >> 4)
-    assert offset in (0, 1), "4-bit index deviates from the high nibble by more than one"
-    return DualIndex(negative=i8.value < 0, magnitude7=magnitude7, offset_bit=bool(offset))
-
-
-def extract_low(d: DualIndex) -> QIndex:
-    magnitude = (d.magnitude7 >> 4) + int(d.offset_bit)
-    return QIndex(-magnitude if d.negative else magnitude, 4)
-
-
-def extract_high(d: DualIndex) -> QIndex:
-    return QIndex(-d.magnitude7 if d.negative else d.magnitude7, 8)
-
-
 def dual_index_arrays(values: np.ndarray, step8, step4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`encode_dual`, unpacked for arithmetic.
+    """Quantize ``values`` at 8 and at 4 bits, unpacked for arithmetic.
 
     Returns the signed 8- and 4-bit indices and the offset bits, all as
     exact integers in float64. The steps may be scalars or broadcast per row.
@@ -147,12 +73,24 @@ def dual_index_arrays(values: np.ndarray, step8, step4) -> tuple[np.ndarray, np.
     return high, low, offsets
 
 
-def encode_dual_arrays(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`encode_dual`; returns (negatives, magnitudes7, offset_bits)."""
-    high, _, offsets = dual_index_arrays(values, QuantParams(alpha, 8).step, QuantParams(alpha, 4).step)
+def _packed(high: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return high < 0, np.abs(high).astype(np.uint8), offsets.astype(bool)
 
 
+def encode_dual_arrays(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed dual codes at one alpha; returns (negatives, magnitudes7, offset_bits)."""
+    high, _, offsets = dual_index_arrays(values, quant_step(alpha, 8), quant_step(alpha, 4))
+    return _packed(high, offsets)
+
+
+def packed_bytes(high: np.ndarray, offsets: np.ndarray) -> bytes:
+    """The stored codes in row-major order: one magnitude byte per value,
+    then the sign bits and the offset bits, each packed eight to a byte."""
+    negatives, magnitudes7, offset_bits = _packed(high, offsets)
+    return magnitudes7.tobytes() + np.packbits(negatives).tobytes() + np.packbits(offset_bits).tobytes()
+
+
+# Unused by the pipeline; kept because perfbench/run.py span_targets wraps its encode.
 @dataclass(frozen=True, eq=False)
 class QuantizedVector:
     """A vector stored once as packed dual-precision codes."""
@@ -178,13 +116,6 @@ class QuantizedVector:
 
     def __len__(self) -> int:
         return self.negatives.shape[0]
-
-    @property
-    def elements(self) -> tuple[DualIndex, ...]:
-        return tuple(
-            DualIndex(bool(n), int(m), bool(o))
-            for n, m, o in zip(self.negatives, self.magnitudes7, self.offset_bits)
-        )
 
     def high_values(self) -> np.ndarray:
         magnitudes = self.magnitudes7.astype(np.int64)

@@ -1,26 +1,19 @@
-"""Bit-serial inner product units and their cycle cost.
+"""Cycle cost of bit-serial inner product units.
 
 One serial unit multiplies a vector of full-width weights by one bit
-plane of the other operand per cycle, MSB first, shift-accumulating the
-partial products; an n-bit serial operand therefore costs n cycles per
-pass. The serial operand is handled in sign-magnitude form, with each
-element's sign folded into its weight up front, so the result is exactly
-the parallel integer dot product. Several units working side by side
-cover ``lanes * lane_width`` vector elements per pass.
+plane of the other operand per cycle, MSB first; an n-bit serial operand
+therefore costs n cycles per pass. Several units working side by side
+cover ``lanes * lane_width`` vector elements per pass. The functional
+unit, checked against the parallel integer dot product, is the test
+oracle ``tests/sip_oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-
-from .quant import QIndex
 
 SUPPORTED_PRECISIONS = (4, 8)
-WEIGHT_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -43,12 +36,6 @@ class SipConfig:
 DEFAULT_SIP_CONFIG = SipConfig()
 
 
-@dataclass(frozen=True)
-class SipResult:
-    value: int
-    cycles: int
-
-
 def _check_precision(precision: int) -> None:
     if precision not in SUPPORTED_PRECISIONS:
         raise ValueError(f"precision must be one of {SUPPORTED_PRECISIONS}, got {precision!r}")
@@ -61,60 +48,3 @@ def sip_cycles(vector_length: int, precision: int, config: SipConfig = DEFAULT_S
         raise ValueError(f"vector_length must be >= 1, got {vector_length}")
     chunks = math.ceil(vector_length / config.elements_per_pass)
     return chunks * precision + config.reduction_latency
-
-
-def _as_int_array(seq: Sequence[QIndex | int] | np.ndarray) -> np.ndarray:
-    if isinstance(seq, np.ndarray):
-        return seq.astype(np.int64)
-    return np.array([v.value if isinstance(v, QIndex) else int(v) for v in seq], dtype=np.int64)
-
-
-def _serial_dot(w: np.ndarray, x: np.ndarray, bits: int) -> np.ndarray:
-    """Bit-plane evaluation over the last axis; supports 1-D pairs and 2-D batches."""
-    signed_w = np.where(x < 0, -w, w)
-    magnitudes = np.abs(x)
-    acc = np.zeros(w.shape[:-1], dtype=np.int64)
-    for plane in range(bits - 1, -1, -1):
-        partial = (signed_w * ((magnitudes >> plane) & 1)).sum(axis=-1)
-        acc = (acc << 1) + partial
-    return acc
-
-
-def sip_dot(
-    w: Sequence[QIndex | int] | np.ndarray,
-    x: Sequence[QIndex | int] | np.ndarray,
-    precision: int,
-    config: SipConfig = DEFAULT_SIP_CONFIG,
-) -> SipResult:
-    """Serial dot product of ``w`` (parallel, 8-bit) against ``x`` (serial)."""
-    _check_precision(precision)
-    wv = _as_int_array(w)
-    xv = _as_int_array(x)
-    if wv.shape != xv.shape or wv.ndim != 1:
-        raise ValueError(f"operands must be equal-length vectors, got {wv.shape} and {xv.shape}")
-    w_limit = (1 << (WEIGHT_BITS - 1)) - 1
-    x_limit = (1 << (precision - 1)) - 1
-    if wv.size:
-        if np.abs(wv).max() > w_limit:
-            raise ValueError(f"weight index exceeds +/-{w_limit}")
-        if np.abs(xv).max() > x_limit:
-            raise ValueError(f"serial operand index exceeds +/-{x_limit} for {precision} bits")
-    chunks = math.ceil(wv.size / config.elements_per_pass)
-    value = int(_serial_dot(wv, xv, precision)) if wv.size else 0
-    return SipResult(value=value, cycles=chunks * precision + config.reduction_latency)
-
-
-def sip_dot_batch(
-    w: np.ndarray, x: np.ndarray, precision: int, config: SipConfig = DEFAULT_SIP_CONFIG
-) -> tuple[np.ndarray, int]:
-    """Row-wise :func:`sip_dot` over [rows, length] operand matrices.
-
-    Returns (values, cycles_per_row); every row has the same length and cost.
-    """
-    _check_precision(precision)
-    wv = np.asarray(w, dtype=np.int64)
-    xv = np.asarray(x, dtype=np.int64)
-    if wv.shape != xv.shape or wv.ndim != 2:
-        raise ValueError(f"operands must share a [rows, length] shape, got {wv.shape} and {xv.shape}")
-    chunks = math.ceil(wv.shape[1] / config.elements_per_pass)
-    return _serial_dot(wv, xv, precision), chunks * precision + config.reduction_latency

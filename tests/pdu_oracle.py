@@ -10,10 +10,18 @@ element profiles.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
-from dynprec.pdu import PduConfig, Phase, Precision, thresholds
+from dynprec.pdu import PduConfig, Phase, thresholds
+
+
+class Precision(enum.IntEnum):
+    """Selector values double as the bit width of the serial operand."""
+
+    LOW4 = 4
+    HIGH8 = 8
 
 
 @dataclass

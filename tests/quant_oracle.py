@@ -1,19 +1,24 @@
-"""Scalar and step-major references for the quantized run in ``dynprec.lstm_quant``.
+"""Scalar and step-major references for ``dynprec.quant`` and ``dynprec.lstm_quant``.
 
-``quantize_array`` is the vectorized form of ``dynprec.quant.quantize``.
-``neuron_eval`` evaluates one cell element's four gate neurons with the
-Python-integer ``dot_int`` and ``rescale``: the per-neuron specification
-of the quantized arithmetic. ``run_quantized_reference`` is the step-major
-run: at every step it walks the layers in order, encodes each layer's input
-and previous output as ``QuantizedVector`` codes and evaluates each gate
-with its own int64 matrix-vector products at both precisions. The
-layer-major, fused float64 run must reproduce it bit for bit.
+``QIndex``, ``quantize``, ``dequantize``, ``DualIndex``, ``encode_dual``,
+``extract_high`` and ``extract_low`` are the scalar specification of the
+quantizer and of the packed dual-precision code; ``quantize_array`` is the
+vectorized form of ``quantize``. ``neuron_eval`` evaluates one cell
+element's four gate neurons with the Python-integer ``dot_int`` and
+``rescale``: the per-neuron specification of the quantized arithmetic.
+``run_quantized_reference`` is the step-major run: at every step it walks
+the layers in order, encodes each layer's input and previous output as
+``QuantizedVector`` codes and evaluates each gate with its own int64
+matrix-vector products at both precisions. Both read each gate as its row
+block of the layer's fused operands (``gate_operands``). The layer-major,
+fused float32 run must reproduce the step-major run bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,15 +28,96 @@ from dynprec.lstm_quant import (
     MU_EXPS_PER_ELEMENT,
     MU_MULS_PER_ELEMENT,
     Mode,
-    QuantizedGate,
     QuantizedLayer,
     QuantizedModel,
     QuantRunResult,
     StepActivity,
 )
 from dynprec.lstm_ref import InputSequence, StateTrace, sigmoid
-from dynprec.pdu import PduConfig, Precision, TrackerState, pdu_observe
-from dynprec.quant import QIndex, QuantizedVector, QuantParams
+from dynprec.pdu import PduConfig, TrackerState, pdu_observe
+from dynprec.quant import QuantizedVector, QuantParams, _check_bits, _magnitude_limit
+from pdu_oracle import Precision
+
+
+@dataclass(frozen=True)
+class QIndex:
+    """A clamped signed quantization index."""
+
+    value: int
+    bits: int
+
+    def __post_init__(self) -> None:
+        _check_bits(self.bits)
+        limit = _magnitude_limit(self.bits)
+        if abs(self.value) > limit:
+            raise ValueError(f"index {self.value} outside +/-{limit} for {self.bits} bits")
+
+
+def quantize(y: float, params: QuantParams) -> QIndex:
+    """Round ``y`` to the nearest index, half away from zero, clamped symmetrically."""
+    y = float(y)
+    if not math.isfinite(y):
+        raise ValueError(f"cannot quantize non-finite value {y!r}")
+    limit = params.magnitude_limit
+    ratio = abs(y) / params.step
+    if ratio >= limit:
+        magnitude = limit
+    else:
+        magnitude = int(math.floor(ratio + 0.5))
+    return QIndex(-magnitude if y < 0 else magnitude, params.bits)
+
+
+def dequantize(index: QIndex, params: QuantParams) -> float:
+    if index.bits != params.bits:
+        raise ValueError(f"index is {index.bits}-bit but params are {params.bits}-bit")
+    return index.value * params.step
+
+
+@dataclass(frozen=True)
+class DualIndex:
+    """One byte plus an offset bit encoding both the 8- and 4-bit index of a value.
+
+    ``magnitude7`` is the 8-bit index magnitude; its high nibble, plus the
+    offset bit, is the 4-bit index magnitude. One sign bit serves both.
+    """
+
+    negative: bool
+    magnitude7: int
+    offset_bit: bool
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.magnitude7 <= 127:
+            raise ValueError(f"magnitude7 must be in [0, 127], got {self.magnitude7}")
+        if (self.magnitude7 >> 4) + int(self.offset_bit) > 7:
+            raise ValueError("decoded 4-bit magnitude exceeds 7")
+
+
+def encode_dual(y: float, alpha: float) -> DualIndex:
+    """Quantize ``y`` at 8 and 4 bits and pack both indices into one code."""
+    params8 = QuantParams(alpha, 8)
+    params4 = QuantParams(alpha, 4)
+    i8 = quantize(y, params8)
+    i4 = quantize(y, params4)
+    magnitude7 = abs(i8.value)
+    offset = abs(i4.value) - (magnitude7 >> 4)
+    assert offset in (0, 1), "4-bit index deviates from the high nibble by more than one"
+    return DualIndex(negative=i8.value < 0, magnitude7=magnitude7, offset_bit=bool(offset))
+
+
+def extract_low(d: DualIndex) -> QIndex:
+    magnitude = (d.magnitude7 >> 4) + int(d.offset_bit)
+    return QIndex(-magnitude if d.negative else magnitude, 4)
+
+
+def extract_high(d: DualIndex) -> QIndex:
+    return QIndex(-d.magnitude7 if d.negative else d.magnitude7, 8)
+
+
+def vector_elements(qv: QuantizedVector) -> tuple[DualIndex, ...]:
+    """Each element of a packed vector as a scalar ``DualIndex``."""
+    return tuple(
+        DualIndex(bool(n), int(m), bool(o)) for n, m, o in zip(qv.negatives, qv.magnitudes7, qv.offset_bits)
+    )
 
 
 def quantize_array(values: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -74,6 +160,42 @@ def _max_abs_alpha(values: np.ndarray) -> float:
     return peak if peak > 0.0 else 1.0
 
 
+class GateOperands(NamedTuple):
+    """One gate's rows of a layer's fused operands: int64 indices and scalar steps."""
+
+    fwd8: np.ndarray
+    fwd4: np.ndarray
+    rec8: np.ndarray
+    rec4: np.ndarray
+    fwd_step8: float
+    fwd_step4: float
+    rec_step8: float
+    rec_step4: float
+    bias: np.ndarray
+
+
+def gate_operands(layer: QuantizedLayer) -> tuple[GateOperands, ...]:
+    """Gate ``g`` is the row block ``g*H:(g+1)*H`` of each fused operand, cast to int64."""
+    n = layer.cell_size
+    gates = []
+    for g in range(GATES_PER_ELEMENT):
+        rows = slice(g * n, (g + 1) * n)
+        gates.append(
+            GateOperands(
+                layer.fwd.w8[rows].astype(np.int64),
+                layer.fwd.w4[rows].astype(np.int64),
+                layer.rec.w8[rows].astype(np.int64),
+                layer.rec.w4[rows].astype(np.int64),
+                float(layer.fwd.step8[g * n]),
+                float(layer.fwd.step4[g * n]),
+                float(layer.rec.step8[g * n]),
+                float(layer.rec.step4[g * n]),
+                layer.bias[rows],
+            )
+        )
+    return tuple(gates)
+
+
 def neuron_eval(
     k: int,
     precision: Precision,
@@ -85,23 +207,23 @@ def neuron_eval(
     if not 0 <= k < layer.cell_size:
         raise ValueError(f"element index {k} out of range for cell size {layer.cell_size}")
     outs = []
-    for gate in layer.gates():
+    for gate in gate_operands(layer):
         if precision is Precision.HIGH8:
-            zf = dot_int(gate.fwd.high[k], x_t_q.high_values())
-            zr = dot_int(gate.rec.high[k], h_prev_q.high_values())
-            fwd = rescale(zf, gate.fwd.params8.step, x_t_q.params8.step)
-            recv = rescale(zr, gate.rec.params8.step, h_prev_q.params8.step)
+            zf = dot_int(gate.fwd8[k], x_t_q.high_values())
+            zr = dot_int(gate.rec8[k], h_prev_q.high_values())
+            fwd = rescale(zf, gate.fwd_step8, x_t_q.params8.step)
+            recv = rescale(zr, gate.rec_step8, h_prev_q.params8.step)
         else:
-            zf = dot_int(gate.fwd.low[k], x_t_q.low_values())
-            zr = dot_int(gate.rec.low[k], h_prev_q.low_values())
-            fwd = rescale(zf, gate.fwd.params4.step, x_t_q.params4.step)
-            recv = rescale(zr, gate.rec.params4.step, h_prev_q.params4.step)
+            zf = dot_int(gate.fwd4[k], x_t_q.low_values())
+            zr = dot_int(gate.rec4[k], h_prev_q.low_values())
+            fwd = rescale(zf, gate.fwd_step4, x_t_q.params4.step)
+            recv = rescale(zr, gate.rec_step4, h_prev_q.params4.step)
         outs.append(fwd + recv + float(gate.bias[k]))
     return tuple(outs)  # type: ignore[return-value]
 
 
 def gate_pre_activations(
-    gate: QuantizedGate,
+    gate: GateOperands,
     x8: np.ndarray,
     x4: np.ndarray,
     h8: np.ndarray,
@@ -110,10 +232,10 @@ def gate_pre_activations(
     h_q: QuantizedVector,
     high: np.ndarray,
 ) -> np.ndarray:
-    fwd8 = (gate.fwd.high @ x8) * (gate.fwd.params8.step * x_q.params8.step)
-    fwd4 = (gate.fwd.low @ x4) * (gate.fwd.params4.step * x_q.params4.step)
-    rec8 = (gate.rec.high @ h8) * (gate.rec.params8.step * h_q.params8.step)
-    rec4 = (gate.rec.low @ h4) * (gate.rec.params4.step * h_q.params4.step)
+    fwd8 = (gate.fwd8 @ x8) * (gate.fwd_step8 * x_q.params8.step)
+    fwd4 = (gate.fwd4 @ x4) * (gate.fwd_step4 * x_q.params4.step)
+    rec8 = (gate.rec8 @ h8) * (gate.rec_step8 * h_q.params8.step)
+    rec4 = (gate.rec4 @ h4) * (gate.rec_step4 * h_q.params4.step)
     fwd = np.where(high, fwd8, fwd4)
     rec = np.where(high, rec8, rec4)
     return fwd + rec + gate.bias
@@ -143,6 +265,7 @@ def run_quantized_reference(
         elif [state.phase.shape for state in trackers] != [(layer.cell_size,) for layer in layers]:
             raise ValueError("tracker states do not match the model's layer sizes")
     rng = np.random.default_rng(random_seed) if mode is Mode.RANDOM else None
+    gates = [gate_operands(layer) for layer in layers]
 
     c = [np.zeros(layer.cell_size) for layer in layers]
     h = [np.zeros(layer.cell_size) for layer in layers]
@@ -174,7 +297,7 @@ def run_quantized_reference(
             else:
                 high = rng.random(layer.cell_size) >= random_p
 
-            pre = [gate_pre_activations(gate, x8, x4, h8, h4, x_q, h_q, high) for gate in layer.gates()]
+            pre = [gate_pre_activations(gate, x8, x4, h8, h4, x_q, h_q, high) for gate in gates[L]]
             i_t, f_t, o_t = sigmoid(pre[0]), sigmoid(pre[1]), sigmoid(pre[3])
             g_t = np.tanh(pre[2])
             c[L] = f_t * c[L] + i_t * g_t

@@ -22,9 +22,10 @@ from dynprec.lstm_quant import (
 )
 from dynprec.lstm_ref import run_fp32
 from dynprec.pdu import PduConfig, Phase, TrackerState, classify_trace
-from dynprec.quant import QuantParams, encode_dual, extract_low, quantize
-from dynprec.sip import SipConfig, sip_cycles, sip_dot, sip_dot_batch
-from quant_oracle import dot_int
+from dynprec.quant import QuantParams
+from dynprec.sip import SipConfig, sip_cycles
+from quant_oracle import dot_int, encode_dual, extract_low, quantize
+from sip_oracle import sip_dot, sip_dot_batch
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:

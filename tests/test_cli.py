@@ -15,6 +15,8 @@ from dynprec.cli import (
     load_config_file,
     main,
 )
+from dynprec.harness import write_model, write_sequence
+from dynprec.lstm_ref import GateWeights, InputSequence, LstmLayer, LstmModel
 
 
 @pytest.fixture()
@@ -22,6 +24,20 @@ def toy_files(tmp_path):
     out = tmp_path / "toy"
     assert main(["gen", "--kind", "peaky", "--dims", "1,16,16,200", "--seed", "7", "--out", str(out)]) == EXIT_OK
     return tmp_path / "toy.model", tmp_path / "toy.seq"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_saturated_sigmoid_runs_without_warnings(tmp_path, capsys):
+    # every pre-activation is below -710, where exp(-x) overflows float64
+    gate = GateWeights(np.full((3, 2), 0.5), np.zeros((3, 3)), np.full(3, -1000.0))
+    write_model(LstmModel((LstmLayer(gate, gate, gate, gate),)), tmp_path / "m.model")
+    write_sequence(InputSequence(np.ones((20, 2))), tmp_path / "m.seq")
+    report = tmp_path / "r.json"
+    argv = ["run", "--model", str(tmp_path / "m.model"), "--input", str(tmp_path / "m.seq"), "--report", str(report)]
+    assert main(argv + ["--mode", "static8,static4,dynamic,random"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    runs = json.loads(report.read_text())["runs"]
+    assert all(run["mean_abs_cell_error"] == 0.0 for run in runs.values())
 
 
 def test_gen_writes_files(tmp_path):

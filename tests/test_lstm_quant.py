@@ -19,10 +19,11 @@ from dynprec.lstm_quant import (
     run_quantized,
     sequence_fingerprint,
 )
-from dynprec.pdu import PduConfig, Phase, Precision, TrackerState
+from dynprec.pdu import PduConfig, Phase, TrackerState
 from dynprec.lstm_ref import StateTrace
-from dynprec.quant import QuantizedVector
-from quant_oracle import neuron_eval, run_quantized_reference
+from dynprec.quant import QuantizedVector, QuantParams, quant_step
+from pdu_oracle import Precision
+from quant_oracle import gate_operands, neuron_eval, quantize_array, run_quantized_reference
 
 
 def _random_model(rng, layer_dims, scale=0.5):
@@ -51,9 +52,9 @@ def toy():
 def test_quantize_model_alphas(toy):
     model, qmodel, _ = toy
     for layer, qlayer in zip(model.layers, qmodel.layers):
-        for gate, qgate in zip(layer.gates(), qlayer.gates()):
-            assert qgate.fwd.params8.alpha == np.max(np.abs(gate.w_x))
-            assert qgate.rec.params8.alpha == np.max(np.abs(gate.w_h))
+        for gate, qgate in zip(layer.gates(), gate_operands(qlayer)):
+            assert qgate.fwd_step8 == quant_step(np.max(np.abs(gate.w_x)), 8)
+            assert qgate.rec_step8 == quant_step(np.max(np.abs(gate.w_h)), 8)
 
 
 def test_quantize_model_round_trip_bound(toy):
@@ -61,11 +62,12 @@ def test_quantize_model_round_trip_bound(toy):
     # symmetric clamp and can be off by a full step
     model, qmodel, _ = toy
     for layer, qlayer in zip(model.layers, qmodel.layers):
-        for gate, qgate in zip(layer.gates(), qlayer.gates()):
-            step = qgate.fwd.params8.step
-            err = np.abs(qgate.fwd.high * step - gate.w_x)
+        for gate, qgate in zip(layer.gates(), gate_operands(qlayer)):
+            step = qgate.fwd_step8
+            err = np.abs(qgate.fwd8 * step - gate.w_x)
             assert np.max(err) <= step + 1e-12
-            interior = np.abs(gate.w_x) <= qgate.fwd.params8.alpha * (1 - 2.0 ** (1 - 8))
+            alpha = 128 * step  # quant_step(alpha, 8) is alpha / 128, exactly
+            interior = np.abs(gate.w_x) <= alpha * (1 - 2.0 ** (1 - 8))
             assert np.max(err[interior], initial=0.0) <= step / 2 + 1e-12
 
 
@@ -73,20 +75,42 @@ def test_quantize_model_zero_gate_defaults_alpha():
     zero = GateWeights(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
     model = LstmModel((LstmLayer(zero, zero, zero, zero),))
     qmodel = quantize_model(model)
-    gate = qmodel.layers[0].input_gate
-    assert gate.fwd.params8.alpha == 1.0
-    assert np.all(gate.fwd.high == 0)
+    gate = gate_operands(qmodel.layers[0])[0]
+    assert gate.fwd_step8 == quant_step(1.0, 8)
+    assert np.all(gate.fwd8 == 0)
 
 
 def test_stored_codes_keep_dual_invariants(toy):
     _, qmodel, _ = toy
     for qlayer in qmodel.layers:
-        for qgate in qlayer.gates():
-            for m in (qgate.fwd, qgate.rec):
-                assert m.magnitudes7.max() <= 127
-                decoded4 = (m.magnitudes7.astype(int) >> 4) + m.offset_bits
-                assert decoded4.max() <= 7
-                assert m.params4.step == 16 * m.params8.step
+        for operand in (qlayer.fwd, qlayer.rec):
+            magnitude8, magnitude4 = np.abs(operand.w8), np.abs(operand.w4)
+            assert magnitude8.max() <= 127
+            assert magnitude4.max() <= 7
+            assert np.array_equal(operand.step4, 16 * operand.step8)
+            offsets = magnitude4 - np.floor(magnitude8 / 16)  # the offset bit beside the high nibble
+            assert set(np.unique(offsets)) <= {0.0, 1.0}
+
+
+def test_gate_blocks_are_each_gates_own_quantization():
+    # Gate g's row block of every fused operand must be that gate's matrix
+    # quantized at its own alpha, so a swap or mix-up of gates shows here.
+    rng = np.random.default_rng(8)
+    model = _random_model(rng, [(5, 3), (3, 4)])
+    for g_index, gate in enumerate(model.layers[0].gates()):  # distinct alphas per gate
+        gate.w_x[0, 0] = gate.w_h[0, 0] = 0.6 + 0.1 * g_index
+    qmodel = quantize_model(model)
+    for layer, qlayer in zip(model.layers, qmodel.layers):
+        n = layer.cell_size
+        for g, gate in enumerate(layer.gates()):
+            rows = slice(g * n, (g + 1) * n)
+            for operand, w in ((qlayer.fwd, gate.w_x), (qlayer.rec, gate.w_h)):
+                alpha = float(np.max(np.abs(w)))
+                assert np.array_equal(operand.w8[rows], quantize_array(w, QuantParams(alpha, 8)))
+                assert np.array_equal(operand.w4[rows], quantize_array(w, QuantParams(alpha, 4)))
+                assert np.all(operand.step8[rows] == quant_step(alpha, 8))
+                assert np.all(operand.step4[rows] == quant_step(alpha, 4))
+            assert np.array_equal(qlayer.bias[rows], gate.b)
 
 
 def _arrays(obj):
@@ -105,10 +129,9 @@ def test_quantized_layer_holds_one_float32_copy_per_precision():
     assert not any(a.dtype == np.int64 for a in arrays)
     rows = GATES_PER_ELEMENT * layer.cell_size
     weights = rows * (layer.input_size + layer.cell_size)
-    packed_codes = 3 * weights  # sign, magnitude byte and offset bit, one byte each
     operands = 2 * 4 * weights  # float32 at 8 and at 4 bits
-    vectors = 6 * 8 * rows  # four row-step vectors, the stacked bias and the gate biases
-    assert sum(a.nbytes for a in arrays) <= operands + packed_codes + vectors
+    vectors = 5 * 8 * rows  # four row-step vectors and the stacked bias
+    assert sum(a.nbytes for a in arrays) <= operands + vectors
 
 
 def test_fan_in_guard_at_the_float64_integer_bound():
@@ -176,15 +199,15 @@ def test_neuron_eval_matches_dequantized_reference(precision):
     h_q = QuantizedVector.encode(h, 1.0)
     pre = neuron_eval(0, precision, qmodel.layers[0], x_q, h_q)
 
-    for got, gate, qgate in zip(pre, model.layers[0].gates(), qmodel.layers[0].gates()):
+    for got, gate, qgate in zip(pre, model.layers[0].gates(), gate_operands(qmodel.layers[0])):
         if precision is Precision.HIGH8:
-            w_f = qgate.fwd.high * qgate.fwd.params8.step
-            w_r = qgate.rec.high * qgate.rec.params8.step
+            w_f = qgate.fwd8 * qgate.fwd_step8
+            w_r = qgate.rec8 * qgate.rec_step8
             xd = x_q.high_values() * x_q.params8.step
             hd = h_q.high_values() * h_q.params8.step
         else:
-            w_f = qgate.fwd.low * qgate.fwd.params4.step
-            w_r = qgate.rec.low * qgate.rec.params4.step
+            w_f = qgate.fwd4 * qgate.fwd_step4
+            w_r = qgate.rec4 * qgate.rec_step4
             xd = x_q.low_values() * x_q.params4.step
             hd = h_q.low_values() * h_q.params4.step
         want = float(w_f[0] @ xd + w_r[0] @ hd + gate.b[0])

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from dynprec.pdu import (
     Phase,
     PduConfig,
-    Precision,
     TrackerState,
     classify_trace,
     pdu_observe,
     thresholds,
 )
-from pdu_oracle import ScalarTracker, scalar_observe
+from pdu_oracle import Precision, ScalarTracker, scalar_observe
 
 
 def _run(state, config, values):

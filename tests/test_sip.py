@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprec.quant import QIndex
-from dynprec.sip import SipConfig, sip_cycles, sip_dot, sip_dot_batch
-from quant_oracle import dot_int
+from dynprec.sip import SipConfig, sip_cycles
+from quant_oracle import QIndex, dot_int
+from sip_oracle import sip_dot, sip_dot_batch
 
 
 def test_worked_example():
