@@ -10,7 +10,7 @@ import hashlib
 import pytest
 
 from dynprec.cli import EXIT_OK, main
-from dynprec.harness import gen_toy, run_experiment
+from dynprec.harness import gen_toy, load_model, run_experiment, write_model
 from dynprec.lstm_quant import Mode
 
 ALL_MODES = [Mode.STATIC8, Mode.STATIC4, Mode.DYNAMIC, Mode.RANDOM]
@@ -72,3 +72,17 @@ def test_trace_csv_is_pinned(peaky_files, tmp_path):
     argv = ["trace", *peaky_files, "--mode", "dynamic", "--element", "0", "--out", str(csv)]
     assert main(argv) == EXIT_OK
     assert _sha(csv.read_bytes()) == "3cc0faf666d604bcfb87ed0149d8c6fc7b354f4b721c6d3c2503cc8ae17c56df"
+
+
+def test_model_files_are_pinned(tmp_path):
+    # The manifest names its blob, so both hashes hold for an output named "toy".
+    assert main(["gen", "--kind", "random", "--dims", "2,5,7,3", "--seed", "3", "--out", str(tmp_path / "toy")]) == EXIT_OK
+    manifest, blob = tmp_path / "toy.model", tmp_path / "toy.model.bin"
+    assert _sha(manifest.read_bytes()) == "cf1cf6c4e3f858722f495017ecf8b175cdd891551d8d31b82ea3aa68b4c3dc83"
+    assert _sha(blob.read_bytes()) == "544fb2f9c89835760638fcaf1db0cdeb4584790fd14fc114cc589709ee95b7eb"
+
+    copy = tmp_path / "copy" / "toy.model"
+    copy.parent.mkdir()
+    write_model(load_model(manifest), copy)
+    assert copy.read_bytes() == manifest.read_bytes()
+    assert copy.with_name("toy.model.bin").read_bytes() == blob.read_bytes()
