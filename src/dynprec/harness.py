@@ -31,14 +31,13 @@ from .lstm_quant import (
     relative_error_stats,
     sequence_fingerprint,
 )
-from .lstm_ref import GateWeights, InputSequence, LstmLayer, LstmModel, StateTrace, run_fp32
+from .lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, StateTrace, run_fp32
 from .pdu import PduConfig, Phase, classify_trace
 
 REPORT_SCHEMA_VERSION = 1
 SEQUENCE_MAGIC = b"LSTMSEQ1"
 MODEL_FORMAT = "lstm-model"
 MODEL_VERSION = 1
-GATE_KEYS = ("input", "forget", "updater", "output")
 _F32 = np.dtype("<f4")
 
 
@@ -62,15 +61,6 @@ class ConfigError(FormatError):
 # model files
 
 
-def _gate_tensors(layer: LstmLayer) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for key, gate in zip(GATE_KEYS, layer.gates()):
-        out.append((f"{key}.w_x", gate.w_x))
-        out.append((f"{key}.w_h", gate.w_h))
-        out.append((f"{key}.b", gate.b))
-    return out
-
-
 def write_model(model: LstmModel, path: str | Path) -> None:
     path = Path(path)
     blob_path = path.with_name(path.name + ".bin")
@@ -85,11 +75,12 @@ def write_model(model: LstmModel, path: str | Path) -> None:
     for L, layer in enumerate(model.layers):
         lines.append(f"layer{L}.input_size = {layer.input_size}")
         lines.append(f"layer{L}.cell_size = {layer.cell_size}")
-        for name, tensor in _gate_tensors(layer):
-            raw = np.ascontiguousarray(tensor, dtype=_F32).tobytes()
-            lines.append(f"tensor.layer{L}.{name} = {offset}:{len(raw)}")
-            chunks.append(raw)
-            offset += len(raw)
+        for key, gate in zip(GATES, layer.gates()):
+            for part, tensor in zip(("w_x", "w_h", "b"), gate):
+                raw = np.ascontiguousarray(tensor, dtype=_F32).tobytes()
+                lines.append(f"tensor.layer{L}.{key}.{part} = {offset}:{len(raw)}")
+                chunks.append(raw)
+                offset += len(raw)
     lines.append(f"blob_bytes = {offset}")
     path.write_text("\n".join(lines) + "\n")
     blob_path.write_bytes(b"".join(chunks))
@@ -186,16 +177,12 @@ def load_model(path: str | Path) -> LstmModel:
                 f"{path}: layer {L} input size {input_size} != layer {L - 1} cell size {prev_cell}"
             )
         prev_cell = cell_size
-        gates = []
-        for key in GATE_KEYS:
-            gates.append(
-                GateWeights(
-                    tensor(L, f"{key}.w_x", (cell_size, input_size)),
-                    tensor(L, f"{key}.w_h", (cell_size, cell_size)),
-                    tensor(L, f"{key}.b", (cell_size,)),
-                )
+        shapes = {"w_x": (cell_size, input_size), "w_h": (cell_size, cell_size), "b": (cell_size,)}
+        layers.append(
+            LstmLayer.from_gates(
+                [tuple(tensor(L, f"{key}.{part}", shape) for part, shape in shapes.items()) for key in GATES]
             )
-        layers.append(LstmLayer(*gates))
+        )
 
     spans.sort()
     cursor = 0
@@ -268,19 +255,18 @@ def peaky_spike_steps(n_steps: int) -> tuple[int, ...]:
 
 
 def _flat_layer(rng: np.random.Generator, input_size: int, cell_size: int) -> LstmLayer:
-    def gate(bias: np.ndarray) -> GateWeights:
-        return GateWeights(
-            rng.uniform(-0.05, 0.05, (cell_size, input_size)),
-            np.zeros((cell_size, cell_size)),
-            bias,
-        )
+    def gate(bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return rng.uniform(-0.05, 0.05, (cell_size, input_size)), np.zeros((cell_size, cell_size)), bias
 
-    return LstmLayer(
-        input_gate=gate(rng.uniform(-0.2, 0.2, cell_size)),
-        # strong forget-gate decay pins the cell state to its fixed point quickly
-        forget_gate=gate(np.full(cell_size, -2.0)),
-        updater_gate=gate(rng.uniform(-0.5, 0.5, cell_size)),
-        output_gate=gate(rng.uniform(-0.2, 0.2, cell_size)),
+    # input, forget, updater, output; each bias is drawn before its gate's weights.
+    # A strong forget-gate decay pins the cell state to its fixed point quickly.
+    return LstmLayer.from_gates(
+        [
+            gate(rng.uniform(-0.2, 0.2, cell_size)),
+            gate(np.full(cell_size, -2.0)),
+            gate(rng.uniform(-0.5, 0.5, cell_size)),
+            gate(rng.uniform(-0.2, 0.2, cell_size)),
+        ]
     )
 
 
@@ -302,23 +288,18 @@ def _peaky_layer(rng: np.random.Generator, input_size: int, cell_size: int) -> L
     b_g = np.full(cell_size, 0.55)
     b_o = np.zeros(cell_size)
     zeros = np.zeros((cell_size, cell_size))
-    return LstmLayer(
-        input_gate=GateWeights(w_i, zeros, b_i),
-        forget_gate=GateWeights(w_f, zeros, b_f),
-        updater_gate=GateWeights(w_g, zeros, b_g),
-        output_gate=GateWeights(w_o, zeros, b_o),
-    )
+    return LstmLayer.from_gates([(w_i, zeros, b_i), (w_f, zeros, b_f), (w_g, zeros, b_g), (w_o, zeros, b_o)])
 
 
 def _random_layer(rng: np.random.Generator, input_size: int, cell_size: int) -> LstmLayer:
-    def gate() -> GateWeights:
-        return GateWeights(
+    def gate() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (
             rng.uniform(-0.5, 0.5, (cell_size, input_size)),
             rng.uniform(-0.5, 0.5, (cell_size, cell_size)),
             rng.uniform(-0.5, 0.5, cell_size),
         )
 
-    return LstmLayer(gate(), gate(), gate(), gate())
+    return LstmLayer.from_gates([gate() for _ in GATES])
 
 
 def gen_toy(

@@ -1,15 +1,15 @@
 """Quantized LSTM evaluation with a per-element precision choice each step.
 
 Each gate matrix is quantized offline at 8 and at 4 bits with its own
-alpha, and a layer's four gates are stacked into one operand per
-connection. The run goes layer by layer: each layer's whole input
-sequence is quantized the same way in one batch, then the layer runs over
-every step, quantizing only its own previous output per step. The four
-gate neurons feeding one cell-state element always share that element's
-precision. Matrix-vector work runs on integer indices, held exactly in
-float32 so that it runs in BLAS, in column blocks whose sums stay exact
-float32 integers; the block sums are added and rescaled to reals in
-float64. The element-wise cell update and the activations stay in full
+alpha, as its row block of the layer's stacked gate-major weights, so each
+connection of a layer is one operand. The run goes layer by layer: each
+layer's whole input sequence is quantized the same way in one batch, then
+the layer runs over every step, quantizing only its own previous output per
+step. The four gate neurons feeding one cell-state element always share
+that element's precision. Matrix-vector work runs on integer indices, held
+exactly in float32 so that it runs in BLAS, in column blocks whose sums
+stay exact float32 integers; the block sums are added and rescaled to reals
+in float64. The element-wise cell update and the activations stay in full
 precision. Alongside the numeric traces the run counts the events
 (fetches, bit operations, scalar-unit operations, tracker updates) that
 the accelerator model converts to energy.
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lstm_ref import InputSequence, LstmModel, StateTrace, sigmoid
+from .lstm_ref import GATES, InputSequence, LstmModel, StateTrace, sigmoid
 from .pdu import PduConfig, Phase, TrackerState, pdu_observe
 from .quant import dual_index_arrays, packed_bytes, quant_step
 
@@ -36,8 +36,6 @@ EPS_DENOM = 1e-3
 MU_MULS_PER_ELEMENT = 12
 MU_ADDS_PER_ELEMENT = 9
 MU_EXPS_PER_ELEMENT = 5
-
-GATES_PER_ELEMENT = 4
 
 # Outputs live in (-1, 1) and are always quantized with alpha 1.
 H_STEP8, H_STEP4 = quant_step(1.0, 8), quant_step(1.0, 4)
@@ -94,19 +92,6 @@ class FusedOperand:
     step8: np.ndarray
     step4: np.ndarray
 
-    @classmethod
-    def stack(cls, gates: Sequence[tuple[np.ndarray, np.ndarray, float, float]]) -> "FusedOperand":
-        """Stack each gate's (8-bit indices, 4-bit indices, step8, step4) gate-major."""
-        highs, lows, steps8, steps4 = zip(*gates)
-        check_exact_fan_in(highs[0].shape[1])
-        rows = [high.shape[0] for high in highs]
-        return cls(
-            np.concatenate(highs, dtype=np.float32),
-            np.concatenate(lows, dtype=np.float32),
-            np.repeat(steps8, rows),
-            np.repeat(steps4, rows),
-        )
-
     def matvec(self, v8, v4, vstep8, vstep4, high: np.ndarray | None, rows_high: int) -> np.ndarray:
         """Rescaled products with a vector, row r at 8 bits where ``high[r]``, else at 4.
 
@@ -136,9 +121,14 @@ class QuantizedModel:
     fingerprint: str
 
 
-def _max_abs_alpha(values: np.ndarray) -> float:
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
-    return peak if peak > 0.0 else 1.0  # all-zero tensors quantize to zero indices
+def _block_steps(values: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-abs alpha of each block of ``rows`` rows, and every row's 8- and 4-bit step.
+
+    An all-zero block takes alpha 1 and quantizes to zero indices.
+    """
+    peaks = np.abs(values).reshape(-1, rows * values.shape[1]).max(axis=1)
+    alphas = np.where(peaks > 0.0, peaks, 1.0)
+    return alphas, np.repeat(quant_step(alphas, 8), rows), np.repeat(quant_step(alphas, 4), rows)
 
 
 def quantize_model(model: LstmModel) -> QuantizedModel:
@@ -150,25 +140,21 @@ def quantize_model(model: LstmModel) -> QuantizedModel:
     digest = hashlib.sha256()
     layers = []
     for layer in model.layers:
-        fwd, rec = [], []
-        for gate in layer.gates():
-            for encoded, w in ((fwd, gate.w_x), (rec, gate.w_h)):
-                alpha = _max_abs_alpha(w)
-                step8, step4 = quant_step(alpha, 8), quant_step(alpha, 4)
-                high, low, offsets = dual_index_arrays(w, step8, step4)
-                digest.update(packed_bytes(high, offsets))
-                digest.update(np.float64(alpha).tobytes())
-                encoded.append((high, low, step8, step4))
-            digest.update(gate.b.tobytes())
-        layers.append(
-            QuantizedLayer(
-                fwd=FusedOperand.stack(fwd),
-                rec=FusedOperand.stack(rec),
-                bias=np.concatenate([gate.b for gate in layer.gates()]),
-                cell_size=layer.cell_size,
-                input_size=layer.input_size,
-            )
-        )
+        n = layer.cell_size
+        operands, codes = [], []
+        for w in (layer.w_x, layer.w_h):
+            check_exact_fan_in(w.shape[1])
+            alphas, step8, step4 = _block_steps(w, n)
+            high, low, offsets = dual_index_arrays(w, step8[:, None], step4[:, None])
+            operands.append(FusedOperand(high.astype(np.float32), low.astype(np.float32), step8, step4))
+            codes.append((high, offsets, alphas))
+        for g, (_, _, b) in enumerate(layer.gates()):
+            rows = slice(g * n, (g + 1) * n)
+            for high, offsets, alphas in codes:
+                digest.update(packed_bytes(high[rows], offsets[rows]))
+                digest.update(alphas[g].tobytes())
+            digest.update(b.tobytes())
+        layers.append(QuantizedLayer(*operands, bias=layer.b, cell_size=n, input_size=layer.input_size))
     return QuantizedModel(tuple(layers), digest.hexdigest())
 
 
@@ -256,9 +242,7 @@ def run_quantized(
             high_rows = draws[:, ends[L] - n : ends[L]] >= random_p
         elif mode is not Mode.DYNAMIC:
             high_rows = np.broadcast_to(mode is Mode.STATIC8, (n_steps, n))
-        peaks = np.max(np.abs(inputs), axis=1)
-        alphas = np.where(peaks > 0.0, peaks, 1.0)  # _max_abs_alpha, row by row
-        xs8, xs4 = alphas / 128.0, alphas / 8.0  # quant_step(alpha, 8) and (alpha, 4), row by row
+        _, xs8, xs4 = _block_steps(inputs, 1)  # each step's input at its own alpha
         x8, x4, x_offsets = dual_index_arrays(inputs, xs8[:, None], xs4[:, None])
         x8, x4 = x8.astype(np.float32), x4.astype(np.float32)  # exact: |index| <= 127
         adjusted = np.count_nonzero(x_offsets, axis=1)
@@ -268,8 +252,8 @@ def run_quantized(
         c = h = np.zeros(n)
         for t in range(n_steps):
             high = trackers[L].high_precision() if mode is Mode.DYNAMIC else high_rows[t]
-            rows_high = GATES_PER_ELEMENT * int(np.count_nonzero(high))
-            high4 = np.concatenate((high,) * GATES_PER_ELEMENT) if 0 < rows_high < GATES_PER_ELEMENT * n else None
+            rows_high = len(GATES) * int(np.count_nonzero(high))
+            high4 = np.concatenate((high,) * len(GATES)) if 0 < rows_high < len(GATES) * n else None
             h8, h4, h_offsets = dual_index_arrays(h, H_STEP8, H_STEP4)
             h8, h4 = h8.astype(np.float32), h4.astype(np.float32)
             pre = (
@@ -294,7 +278,7 @@ def run_quantized(
         n_high = np.count_nonzero(high_hist, axis=1)
         n_low = n - n_high
         fan_in = layer.input_size + n
-        weights_per_element = GATES_PER_ELEMENT * fan_in
+        weights_per_element = len(GATES) * fan_in
         counts["weight_bytes"] += n_high * weights_per_element
         counts["weight_nibbles"] += n_low * weights_per_element
         counts["input_elems"] += fan_in

@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
+
+# Gate order of every stacked layer and of the model file: gate g owns rows
+# g*H:(g+1)*H of a layer's stacked weights.
+GATES = ("input", "forget", "updater", "output")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
-
-
-_ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-}
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -26,8 +24,11 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GateWeights:
-    """Forward weights, recurrent weights and bias of one gate."""
+class LstmLayer:
+    """One layer's four gates stacked gate-major in ``GATES`` order.
+
+    ``w_x`` is [4H, input_size], ``w_h`` is [4H, H] and ``b`` is [4H].
+    """
 
     w_x: np.ndarray
     w_h: np.ndarray
@@ -37,43 +38,36 @@ class GateWeights:
         object.__setattr__(self, "w_x", _as_matrix(self.w_x, "w_x"))
         object.__setattr__(self, "w_h", _as_matrix(self.w_h, "w_h"))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        cell = self.w_x.shape[0]
-        if self.w_h.shape != (cell, cell):
-            raise ValueError(f"w_h must be {cell}x{cell}, got {self.w_h.shape}")
-        if self.b.shape != (cell,):
-            raise ValueError(f"bias must have length {cell}, got {self.b.shape}")
+        rows, input_size = self.w_x.shape
+        if rows % len(GATES) or not rows or not input_size:
+            raise ValueError(f"w_x must be a non-empty [4H, input_size] matrix, got {self.w_x.shape}")
+        if self.w_h.shape != (rows, rows // len(GATES)):
+            raise ValueError(f"w_h must be {rows}x{rows // len(GATES)}, got {self.w_h.shape}")
+        if self.b.shape != (rows,):
+            raise ValueError(f"bias must have length {rows}, got {self.b.shape}")
+
+    @classmethod
+    def from_gates(cls, gates: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> "LstmLayer":
+        """Stack four per-gate ``(w_x, w_h, b)`` triples, given in ``GATES`` order."""
+        if len(gates) != len(GATES):
+            raise ValueError(f"a layer has {len(GATES)} gates, got {len(gates)}")
+        shapes = {tuple(np.shape(part) for part in gate) for gate in gates}
+        if len(shapes) != 1:
+            raise ValueError(f"gates disagree on dimensions: {sorted(shapes)}")
+        w_x, w_h, b = (np.concatenate(parts, dtype=np.float64) for parts in zip(*gates))
+        return cls(w_x, w_h, b)
+
+    def gates(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Each gate's ``(w_x, w_h, b)`` as row-block views, in ``GATES`` order."""
+        return tuple(zip(*(np.split(part, len(GATES)) for part in (self.w_x, self.w_h, self.b))))
 
     @property
     def cell_size(self) -> int:
-        return self.w_x.shape[0]
+        return self.w_h.shape[1]
 
     @property
     def input_size(self) -> int:
         return self.w_x.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class LstmLayer:
-    input_gate: GateWeights
-    forget_gate: GateWeights
-    updater_gate: GateWeights
-    output_gate: GateWeights
-
-    def __post_init__(self) -> None:
-        shapes = {(g.cell_size, g.input_size) for g in self.gates()}
-        if len(shapes) != 1:
-            raise ValueError(f"gates disagree on dimensions: {sorted(shapes)}")
-
-    def gates(self) -> tuple[GateWeights, GateWeights, GateWeights, GateWeights]:
-        return (self.input_gate, self.forget_gate, self.updater_gate, self.output_gate)
-
-    @property
-    def cell_size(self) -> int:
-        return self.input_gate.cell_size
-
-    @property
-    def input_size(self) -> int:
-        return self.input_gate.input_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,22 +91,6 @@ class LstmModel:
 
 
 @dataclass(frozen=True, eq=False)
-class LstmState:
-    c: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=np.float64))
-        if self.c.shape != self.h.shape or self.c.ndim != 1:
-            raise ValueError("c and h must be 1-D vectors of equal length")
-
-    @classmethod
-    def zeros(cls, cell_size: int) -> "LstmState":
-        return cls(np.zeros(cell_size), np.zeros(cell_size))
-
-
-@dataclass(frozen=True, eq=False)
 class InputSequence:
     """Step-major stack of input vectors, shape [steps, width]."""
 
@@ -129,27 +107,6 @@ class InputSequence:
     @property
     def width(self) -> int:
         return self.steps.shape[1]
-
-
-def gate_eval(g: GateWeights, x_t: np.ndarray, h_prev: np.ndarray, activation: str) -> np.ndarray:
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    if x_t.shape != (g.input_size,):
-        raise ValueError(f"input has shape {x_t.shape}, expected ({g.input_size},)")
-    if h_prev.shape != (g.cell_size,):
-        raise ValueError(f"recurrent input has shape {h_prev.shape}, expected ({g.cell_size},)")
-    return _ACTIVATIONS[activation](g.w_x @ x_t + g.w_h @ h_prev + g.b)
-
-
-def cell_step(layer: LstmLayer, x_t: np.ndarray, state: LstmState) -> LstmState:
-    i = gate_eval(layer.input_gate, x_t, state.h, "sigmoid")
-    f = gate_eval(layer.forget_gate, x_t, state.h, "sigmoid")
-    g = gate_eval(layer.updater_gate, x_t, state.h, "tanh")
-    o = gate_eval(layer.output_gate, x_t, state.h, "sigmoid")
-    c = f * state.c + i * g
-    return LstmState(c, o * np.tanh(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,29 +129,34 @@ class StateTrace:
 # the correct 0; the runs that call sigmoid silence that warning once per run.
 @np.errstate(over="ignore")
 def run_fp32(model: LstmModel, seq: InputSequence) -> StateTrace:
-    """Evaluate the whole network; layer k consumes layer k-1's outputs."""
+    """Evaluate the network layer by layer; layer k consumes layer k-1's whole output trace.
+
+    Each gate's products stay separate gemvs with their own bias add: one
+    fused [4H] gemv regroups the float64 sums and changes the bits.
+    """
     if seq.width != model.input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {model.input_size}")
-    states = [LstmState.zeros(layer.cell_size) for layer in model.layers]
-    c_hist: list[list[np.ndarray]] = [[] for _ in model.layers]
-    h_hist: list[list[np.ndarray]] = [[] for _ in model.layers]
-    for t in range(len(seq)):
-        x = seq.steps[t]
-        for k, layer in enumerate(model.layers):
-            states[k] = cell_step(layer, x, states[k])
-            c_hist[k].append(states[k].c)
-            h_hist[k].append(states[k].h)
-            x = states[k].h
-    return StateTrace(
-        c=tuple(np.stack(rows) for rows in c_hist),
-        h=tuple(np.stack(rows) for rows in h_hist),
-    )
+    c_hist, h_hist = [], []
+    inputs = seq.steps
+    for layer in model.layers:
+        gates = layer.gates()
+        c_trace, h_trace = np.empty((len(seq), layer.cell_size)), np.empty((len(seq), layer.cell_size))
+        c = h = np.zeros(layer.cell_size)
+        for t, x in enumerate(inputs):
+            i, f, g, o = (w_x @ x + w_h @ h + b for w_x, w_h, b in gates)
+            c = sigmoid(f) * c + sigmoid(i) * np.tanh(g)
+            h = sigmoid(o) * np.tanh(c)
+            c_trace[t], h_trace[t] = c, h
+        c_hist.append(c_trace)
+        h_hist.append(h_trace)
+        inputs = h_trace
+    return StateTrace(c=tuple(c_hist), h=tuple(h_hist))
 
 
 def zero_model(layer_dims: Iterable[tuple[int, int]]) -> LstmModel:
     """All-zero model for the given (input_size, cell_size) per layer."""
     layers = []
     for input_size, cell_size in layer_dims:
-        gate = GateWeights(np.zeros((cell_size, input_size)), np.zeros((cell_size, cell_size)), np.zeros(cell_size))
-        layers.append(LstmLayer(gate, gate, gate, gate))
+        rows = len(GATES) * cell_size
+        layers.append(LstmLayer(np.zeros((rows, input_size)), np.zeros((rows, cell_size)), np.zeros(rows)))
     return LstmModel(tuple(layers))

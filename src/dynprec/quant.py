@@ -10,7 +10,6 @@ for both signs, including at saturation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +26,14 @@ def _check_bits(bits: int) -> None:
         raise ValueError(f"bit width must be an integer in [1, {MAX_BITS}], got {bits!r}")
 
 
-def quant_step(alpha: float, bits: int) -> float:
-    """Real value of one integer index unit for a tensor with max-abs ``alpha``."""
+def quant_step(alpha, bits: int):
+    """Real value of one integer index unit for a tensor with max-abs ``alpha``.
+
+    ``alpha`` may be an array of alphas, which gives an array of steps.
+    """
     _check_bits(bits)
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not (np.isfinite(alpha) & (alpha > 0.0)).all():
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     return alpha / float(2 ** (bits - 1))
 

@@ -23,7 +23,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from dynprec.lstm_quant import (
-    GATES_PER_ELEMENT,
     MU_ADDS_PER_ELEMENT,
     MU_EXPS_PER_ELEMENT,
     MU_MULS_PER_ELEMENT,
@@ -33,7 +32,7 @@ from dynprec.lstm_quant import (
     QuantRunResult,
     StepActivity,
 )
-from dynprec.lstm_ref import InputSequence, StateTrace, sigmoid
+from dynprec.lstm_ref import GATES, InputSequence, StateTrace, sigmoid
 from dynprec.pdu import PduConfig, TrackerState, pdu_observe
 from dynprec.quant import QuantizedVector, QuantParams, _check_bits, _magnitude_limit
 from pdu_oracle import Precision
@@ -178,7 +177,7 @@ def gate_operands(layer: QuantizedLayer) -> tuple[GateOperands, ...]:
     """Gate ``g`` is the row block ``g*H:(g+1)*H`` of each fused operand, cast to int64."""
     n = layer.cell_size
     gates = []
-    for g in range(GATES_PER_ELEMENT):
+    for g in range(len(GATES)):
         rows = slice(g * n, (g + 1) * n)
         gates.append(
             GateOperands(
@@ -309,7 +308,7 @@ def run_quantized_reference(
             n_high = int(high.sum())
             n_low = layer.cell_size - n_high
             fan_in = layer.input_size + layer.cell_size
-            weights_per_element = GATES_PER_ELEMENT * fan_in
+            weights_per_element = len(GATES) * fan_in
             act.weight_bytes += n_high * weights_per_element
             act.weight_nibbles += n_low * weights_per_element
             act.input_elems += fan_in

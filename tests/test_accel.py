@@ -14,7 +14,7 @@ from dynprec.accel import (
     compare,
     simulate,
 )
-from dynprec.lstm_ref import GateWeights, InputSequence, LstmLayer, LstmModel
+from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
 from dynprec.lstm_quant import Mode, quantize_model
 from dynprec.pdu import PduConfig
 from dynprec.sip import SipConfig
@@ -25,14 +25,14 @@ def _random_model(rng, layer_dims, scale=0.5):
     layers = []
     for input_size, cell_size in layer_dims:
         gates = [
-            GateWeights(
+            (
                 rng.uniform(-scale, scale, (cell_size, input_size)),
                 rng.uniform(-scale, scale, (cell_size, cell_size)),
                 rng.uniform(-scale, scale, cell_size),
             )
             for _ in range(4)
         ]
-        layers.append(LstmLayer(*gates))
+        layers.append(LstmLayer.from_gates(gates))
     return LstmModel(tuple(layers))
 
 

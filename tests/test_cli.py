@@ -16,7 +16,7 @@ from dynprec.cli import (
     main,
 )
 from dynprec.harness import write_model, write_sequence
-from dynprec.lstm_ref import GateWeights, InputSequence, LstmLayer, LstmModel
+from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
 
 
 @pytest.fixture()
@@ -29,8 +29,8 @@ def toy_files(tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_saturated_sigmoid_runs_without_warnings(tmp_path, capsys):
     # every pre-activation is below -710, where exp(-x) overflows float64
-    gate = GateWeights(np.full((3, 2), 0.5), np.zeros((3, 3)), np.full(3, -1000.0))
-    write_model(LstmModel((LstmLayer(gate, gate, gate, gate),)), tmp_path / "m.model")
+    gate = (np.full((3, 2), 0.5), np.zeros((3, 3)), np.full(3, -1000.0))
+    write_model(LstmModel((LstmLayer.from_gates([gate, gate, gate, gate]),)), tmp_path / "m.model")
     write_sequence(InputSequence(np.ones((20, 2))), tmp_path / "m.seq")
     report = tmp_path / "r.json"
     argv = ["run", "--model", str(tmp_path / "m.model"), "--input", str(tmp_path / "m.seq"), "--report", str(report)]

@@ -43,9 +43,8 @@ def test_model_round_trip(tmp_path):
     for orig, back in zip(model.layers, loaded.layers):
         for g_orig, g_back in zip(orig.gates(), back.gates()):
             # float32 storage: loaded tensors equal the float32 cast of the originals
-            assert np.array_equal(g_back.w_x, g_orig.w_x.astype(np.float32).astype(np.float64))
-            assert np.array_equal(g_back.w_h, g_orig.w_h.astype(np.float32).astype(np.float64))
-            assert np.array_equal(g_back.b, g_orig.b.astype(np.float32).astype(np.float64))
+            for t_orig, t_back in zip(g_orig, g_back, strict=True):  # w_x, w_h, b
+                assert np.array_equal(t_back, t_orig.astype(np.float32).astype(np.float64))
 
 
 def test_model_write_load_write_is_identical(tmp_path):
@@ -159,7 +158,8 @@ def test_sequence_rejects_non_finite_values(tmp_path, bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_model_rejects_non_finite_values(tmp_path, bad):
     model, _ = gen_toy("random", (1, 3, 4, 5), 2)
-    model.layers[0].forget_gate.w_h[1, 2] = bad
+    _, forget_w_h, _ = model.layers[0].gates()[1]
+    forget_w_h[1, 2] = bad  # a view into the layer's stacked w_h
     path = tmp_path / "toy.model"
     write_model(model, path)
     with pytest.raises(ModelFormatError, match="forget.w_h holds NaN or infinite"):
@@ -180,7 +180,7 @@ def test_gen_toy_deterministic(tmp_path):
         assert np.array_equal(s1.steps, s2.steps)
         for l1, l2 in zip(m1.layers, m2.layers):
             for g1, g2 in zip(l1.gates(), l2.gates()):
-                assert np.array_equal(g1.w_x, g2.w_x)
+                assert np.array_equal(g1[0], g2[0])  # w_x
     with pytest.raises(ValueError):
         gen_toy("bogus", (1, 4, 8, 50), 0)
 

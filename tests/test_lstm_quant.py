@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprec.lstm_ref import GateWeights, InputSequence, LstmLayer, LstmModel, run_fp32
+from dynprec.lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, run_fp32
 from dynprec.lstm_quant import (
     EPS_DENOM,
     FLOAT32_EXACT_COLUMNS,
-    GATES_PER_ELEMENT,
     Mode,
     check_exact_fan_in,
     peak_flags_from_phases,
@@ -30,14 +29,14 @@ def _random_model(rng, layer_dims, scale=0.5):
     layers = []
     for input_size, cell_size in layer_dims:
         gates = [
-            GateWeights(
+            (
                 rng.uniform(-scale, scale, (cell_size, input_size)),
                 rng.uniform(-scale, scale, (cell_size, cell_size)),
                 rng.uniform(-scale, scale, cell_size),
             )
             for _ in range(4)
         ]
-        layers.append(LstmLayer(*gates))
+        layers.append(LstmLayer.from_gates(gates))
     return LstmModel(tuple(layers))
 
 
@@ -52,9 +51,9 @@ def toy():
 def test_quantize_model_alphas(toy):
     model, qmodel, _ = toy
     for layer, qlayer in zip(model.layers, qmodel.layers):
-        for gate, qgate in zip(layer.gates(), gate_operands(qlayer)):
-            assert qgate.fwd_step8 == quant_step(np.max(np.abs(gate.w_x)), 8)
-            assert qgate.rec_step8 == quant_step(np.max(np.abs(gate.w_h)), 8)
+        for (w_x, w_h, _), qgate in zip(layer.gates(), gate_operands(qlayer)):
+            assert qgate.fwd_step8 == quant_step(np.max(np.abs(w_x)), 8)
+            assert qgate.rec_step8 == quant_step(np.max(np.abs(w_h)), 8)
 
 
 def test_quantize_model_round_trip_bound(toy):
@@ -62,18 +61,18 @@ def test_quantize_model_round_trip_bound(toy):
     # symmetric clamp and can be off by a full step
     model, qmodel, _ = toy
     for layer, qlayer in zip(model.layers, qmodel.layers):
-        for gate, qgate in zip(layer.gates(), gate_operands(qlayer)):
+        for (w_x, _, _), qgate in zip(layer.gates(), gate_operands(qlayer)):
             step = qgate.fwd_step8
-            err = np.abs(qgate.fwd8 * step - gate.w_x)
+            err = np.abs(qgate.fwd8 * step - w_x)
             assert np.max(err) <= step + 1e-12
             alpha = 128 * step  # quant_step(alpha, 8) is alpha / 128, exactly
-            interior = np.abs(gate.w_x) <= alpha * (1 - 2.0 ** (1 - 8))
+            interior = np.abs(w_x) <= alpha * (1 - 2.0 ** (1 - 8))
             assert np.max(err[interior], initial=0.0) <= step / 2 + 1e-12
 
 
 def test_quantize_model_zero_gate_defaults_alpha():
-    zero = GateWeights(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
-    model = LstmModel((LstmLayer(zero, zero, zero, zero),))
+    zero = (np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
+    model = LstmModel((LstmLayer.from_gates([zero, zero, zero, zero]),))
     qmodel = quantize_model(model)
     gate = gate_operands(qmodel.layers[0])[0]
     assert gate.fwd_step8 == quant_step(1.0, 8)
@@ -97,20 +96,20 @@ def test_gate_blocks_are_each_gates_own_quantization():
     # quantized at its own alpha, so a swap or mix-up of gates shows here.
     rng = np.random.default_rng(8)
     model = _random_model(rng, [(5, 3), (3, 4)])
-    for g_index, gate in enumerate(model.layers[0].gates()):  # distinct alphas per gate
-        gate.w_x[0, 0] = gate.w_h[0, 0] = 0.6 + 0.1 * g_index
+    for g_index, (w_x, w_h, _) in enumerate(model.layers[0].gates()):  # distinct alphas per gate
+        w_x[0, 0] = w_h[0, 0] = 0.6 + 0.1 * g_index
     qmodel = quantize_model(model)
     for layer, qlayer in zip(model.layers, qmodel.layers):
         n = layer.cell_size
-        for g, gate in enumerate(layer.gates()):
+        for g, (w_x, w_h, b) in enumerate(layer.gates()):
             rows = slice(g * n, (g + 1) * n)
-            for operand, w in ((qlayer.fwd, gate.w_x), (qlayer.rec, gate.w_h)):
+            for operand, w in ((qlayer.fwd, w_x), (qlayer.rec, w_h)):
                 alpha = float(np.max(np.abs(w)))
                 assert np.array_equal(operand.w8[rows], quantize_array(w, QuantParams(alpha, 8)))
                 assert np.array_equal(operand.w4[rows], quantize_array(w, QuantParams(alpha, 4)))
                 assert np.all(operand.step8[rows] == quant_step(alpha, 8))
                 assert np.all(operand.step4[rows] == quant_step(alpha, 4))
-            assert np.array_equal(qlayer.bias[rows], gate.b)
+            assert np.array_equal(qlayer.bias[rows], b)
 
 
 def _arrays(obj):
@@ -127,7 +126,7 @@ def test_quantized_layer_holds_one_float32_copy_per_precision():
     layer = quantize_model(_random_model(np.random.default_rng(4), [(24, 32)])).layers[0]
     arrays = list(_arrays(layer))
     assert not any(a.dtype == np.int64 for a in arrays)
-    rows = GATES_PER_ELEMENT * layer.cell_size
+    rows = len(GATES) * layer.cell_size
     weights = rows * (layer.input_size + layer.cell_size)
     operands = 2 * 4 * weights  # float32 at 8 and at 4 bits
     vectors = 5 * 8 * rows  # four row-step vectors and the stacked bias
@@ -160,10 +159,10 @@ def test_multi_block_fan_in_matches_step_major_oracle():
     fan_in, cell, steps = 2 * FLOAT32_EXACT_COLUMNS + 1, 3, 6
     signs = np.where(rng.random((4, cell, fan_in)) < 0.9, 1.0, -1.0)
     gates = [
-        GateWeights(0.02 * signs[g], rng.uniform(-0.5, 0.5, (cell, cell)), rng.uniform(-0.1, 0.1, cell))
+        (0.02 * signs[g], rng.uniform(-0.5, 0.5, (cell, cell)), rng.uniform(-0.1, 0.1, cell))
         for g in range(4)
     ]
-    model = LstmModel((LstmLayer(*gates),))
+    model = LstmModel((LstmLayer.from_gates(gates),))
     x = 0.02 * np.where(rng.random(steps) < 0.5, 1.0, -1.0)[:, None] * np.ones((steps, fan_in))
     qmodel, seq = quantize_model(model), InputSequence(x)
     assert np.abs(qmodel.layers[0].fwd.w8).min() == 127
@@ -177,8 +176,8 @@ def test_multi_block_fan_in_matches_step_major_oracle():
 
 
 def test_neuron_eval_zero_weights_returns_biases():
-    zero = GateWeights(np.zeros((3, 2)), np.zeros((3, 3)), np.arange(3.0).reshape(3))
-    model = LstmModel((LstmLayer(zero, zero, zero, zero),))
+    zero = (np.zeros((3, 2)), np.zeros((3, 3)), np.arange(3.0).reshape(3))
+    model = LstmModel((LstmLayer.from_gates([zero, zero, zero, zero]),))
     qmodel = quantize_model(model)
     x_q = QuantizedVector.encode(np.array([0.4, -0.2]), 1.0)
     h_q = QuantizedVector.encode(np.zeros(3), 1.0)
@@ -199,7 +198,7 @@ def test_neuron_eval_matches_dequantized_reference(precision):
     h_q = QuantizedVector.encode(h, 1.0)
     pre = neuron_eval(0, precision, qmodel.layers[0], x_q, h_q)
 
-    for got, gate, qgate in zip(pre, model.layers[0].gates(), gate_operands(qmodel.layers[0])):
+    for got, (_, _, b), qgate in zip(pre, model.layers[0].gates(), gate_operands(qmodel.layers[0])):
         if precision is Precision.HIGH8:
             w_f = qgate.fwd8 * qgate.fwd_step8
             w_r = qgate.rec8 * qgate.rec_step8
@@ -210,7 +209,7 @@ def test_neuron_eval_matches_dequantized_reference(precision):
             w_r = qgate.rec4 * qgate.rec_step4
             xd = x_q.low_values() * x_q.params4.step
             hd = h_q.low_values() * h_q.params4.step
-        want = float(w_f[0] @ xd + w_r[0] @ hd + gate.b[0])
+        want = float(w_f[0] @ xd + w_r[0] @ hd + b[0])
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -301,9 +300,9 @@ def test_activity_accounting(toy):
     out = run_quantized(qmodel, seq, Mode.RANDOM, random_p=0.5, random_seed=1)
     for act in out.activity:
         assert act.neurons_low + act.neurons_high == layer.cell_size
-        assert act.weight_nibbles == act.neurons_low * GATES_PER_ELEMENT * fan_in
-        assert act.weight_bytes == act.neurons_high * GATES_PER_ELEMENT * fan_in
-        assert act.sip_bit_ops == GATES_PER_ELEMENT * fan_in * (
+        assert act.weight_nibbles == act.neurons_low * len(GATES) * fan_in
+        assert act.weight_bytes == act.neurons_high * len(GATES) * fan_in
+        assert act.sip_bit_ops == len(GATES) * fan_in * (
             8 * act.neurons_high + 4 * act.neurons_low
         )
         assert act.input_elems == fan_in

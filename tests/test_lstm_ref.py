@@ -3,31 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from dynprec.lstm_ref import (
-    GateWeights,
-    InputSequence,
-    LstmLayer,
-    LstmModel,
-    LstmState,
-    cell_step,
-    gate_eval,
-    run_fp32,
-    zero_model,
-)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dynprec.harness import gen_toy
+from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel, run_fp32, zero_model
+from lstm_ref_oracle import LstmState, cell_step, gate_eval, run_fp32_reference
 
 
 def _random_model(rng, layer_dims, scale=0.5):
     layers = []
     for input_size, cell_size in layer_dims:
         gates = [
-            GateWeights(
+            (
                 rng.uniform(-scale, scale, (cell_size, input_size)),
                 rng.uniform(-scale, scale, (cell_size, cell_size)),
                 rng.uniform(-scale, scale, cell_size),
             )
             for _ in range(4)
         ]
-        layers.append(LstmLayer(*gates))
+        layers.append(LstmLayer.from_gates(gates))
     return LstmModel(tuple(layers))
 
 
@@ -48,8 +43,8 @@ def _straight_line_reference(model, seq):
             new_c, new_h = [], []
             for k in range(layer.cell_size):
                 pre = {}
-                for name, gate in zip("ifgo", layer.gates()):
-                    pre[name] = dot(gate.w_x[k], x) + dot(gate.w_h[k], h[L]) + gate.b[k]
+                for name, (w_x, w_h, b) in zip("ifgo", layer.gates()):
+                    pre[name] = dot(w_x[k], x) + dot(w_h[k], h[L]) + b[k]
                 i = 1.0 / (1.0 + math.exp(-pre["i"]))
                 f = 1.0 / (1.0 + math.exp(-pre["f"]))
                 g = math.tanh(pre["g"])
@@ -65,7 +60,7 @@ def _straight_line_reference(model, seq):
 
 
 def test_gate_eval_zero_weights():
-    g = GateWeights(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3))
+    g = (np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3))
     out = gate_eval(g, np.zeros(2), np.zeros(3), "sigmoid")
     assert np.allclose(out, 0.5)
     out = gate_eval(g, np.zeros(2), np.zeros(3), "tanh")
@@ -73,13 +68,13 @@ def test_gate_eval_zero_weights():
 
 
 def test_gate_eval_identity_forward():
-    g = GateWeights(np.eye(2), np.zeros((2, 2)), np.zeros(2))
+    g = (np.eye(2), np.zeros((2, 2)), np.zeros(2))
     out = gate_eval(g, np.zeros(2), np.zeros(2), "sigmoid")
     assert np.allclose(out, [0.5, 0.5])
 
 
 def test_gate_eval_rejects_bad_inputs():
-    g = GateWeights(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3))
+    g = (np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3))
     with pytest.raises(ValueError):
         gate_eval(g, np.zeros(3), np.zeros(3), "sigmoid")
     with pytest.raises(ValueError):
@@ -169,15 +164,44 @@ def test_run_fp32_deterministic():
 def test_model_validation():
     with pytest.raises(ValueError):
         LstmModel(())
-    g_a = GateWeights(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3))
-    g_b = GateWeights(np.zeros((4, 3)), np.zeros((4, 4)), np.zeros(4))
-    layer_a = LstmLayer(g_a, g_a, g_a, g_a)
-    layer_b = LstmLayer(g_b, g_b, g_b, g_b)
+    g_a = (np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3))
+    g_b = (np.zeros((4, 3)), np.zeros((4, 4)), np.zeros(4))
+    layer_a = LstmLayer.from_gates([g_a, g_a, g_a, g_a])
+    layer_b = LstmLayer.from_gates([g_b, g_b, g_b, g_b])
     LstmModel((layer_a, layer_b))  # 3 -> 3 feeds 4x3: consistent
     with pytest.raises(ValueError):
         LstmModel((layer_b, layer_b))
-    with pytest.raises(ValueError):
-        LstmLayer(g_a, g_a, g_a, g_b)
+    with pytest.raises(ValueError, match="disagree"):
+        LstmLayer.from_gates([g_a, g_a, g_a, g_b])
+
+
+def test_stacked_layer_validation():
+    rows, cell = 12, 3
+    LstmLayer(np.zeros((rows, 2)), np.zeros((rows, cell)), np.zeros(rows))
+    with pytest.raises(ValueError, match="4H"):
+        LstmLayer(np.zeros((rows + 1, 2)), np.zeros((rows + 1, cell)), np.zeros(rows + 1))
+    with pytest.raises(ValueError, match="w_h"):
+        LstmLayer(np.zeros((rows, 2)), np.zeros((rows, cell + 1)), np.zeros(rows))
+    with pytest.raises(ValueError, match="bias"):
+        LstmLayer(np.zeros((rows, 2)), np.zeros((rows, cell)), np.zeros(rows - 1))
+    with pytest.raises(ValueError, match="4 gates"):
+        LstmLayer.from_gates([(np.zeros((4, 2)), np.zeros((4, 4)), np.zeros(4))] * 3)
+    # Gates whose stack would pass the layer's own checks still have to agree.
+    narrow = (np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(2))
+    wide = (np.zeros((6, 2)), np.zeros((6, 4)), np.zeros(6))
+    with pytest.raises(ValueError, match="disagree"):
+        LstmLayer.from_gates([narrow, narrow, wide, wide])
+
+
+def test_gates_are_row_blocks_of_the_stack():
+    rng = np.random.default_rng(3)
+    gates = [(rng.random((3, 2)), rng.random((3, 3)), rng.random(3)) for _ in range(4)]
+    layer = LstmLayer.from_gates(gates)
+    assert (layer.cell_size, layer.input_size) == (3, 2)
+    for got, want in zip(layer.gates(), gates):
+        for got_part, want_part, stacked in zip(got, want, (layer.w_x, layer.w_h, layer.b)):
+            assert np.array_equal(got_part, want_part)
+            assert np.shares_memory(got_part, stacked)  # a view, not a copy
 
 
 def test_sequence_validation():
@@ -187,3 +211,31 @@ def test_sequence_validation():
         InputSequence(np.zeros(3))
     with pytest.raises(ValueError):
         run_fp32(zero_model([(2, 2)]), InputSequence(np.zeros((4, 3))))
+
+
+@st.composite
+def _fp_cases(draw):
+    n_layers = draw(st.integers(1, 3))
+    # 3, 33, 37 and 51 rows per gate leave row tails in the BLAS kernels
+    sizes = draw(st.lists(st.sampled_from((1, 3, 4, 8, 33, 37, 51)), min_size=n_layers + 1, max_size=n_layers + 1))
+    n_steps = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = _random_model(rng, list(zip(sizes[:-1], sizes[1:])), scale=draw(st.sampled_from((0.5, 4.0))))
+    if draw(st.booleans()):  # saturate some gates: exp(-x) overflows, sigmoid returns exactly 0
+        layer = model.layers[draw(st.integers(0, n_layers - 1))]
+        layer.b[rng.random(layer.b.shape) < 0.5] = -1000.0
+    return model, InputSequence(rng.uniform(-1, 1, (n_steps, sizes[0])))
+
+
+@given(_fp_cases())
+@example(gen_toy("random", (3, 37, 51, 40), 0))
+@example(gen_toy("random", (1, 13, 33, 40), 1))
+@settings(max_examples=60, deadline=None)
+def test_layer_major_run_is_bit_identical_to_step_major_oracle(case):
+    # Each gate's products must keep their own gemv: a fused [4H] gemv regroups
+    # the float64 sums and changes the low bits, which the golden hashes can miss.
+    model, seq = case
+    got, want = run_fp32(model, seq), run_fp32_reference(model, seq)
+    for L in range(len(model.layers)):
+        assert np.array_equal(got.c[L], want.c[L])
+        assert np.array_equal(got.h[L], want.h[L])
