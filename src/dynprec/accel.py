@@ -24,7 +24,7 @@ reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,17 +110,6 @@ class AccelConfig:
             + MU_EXPS_PER_ELEMENT * self.mu_exp_cycles
         )
 
-    def without_overheads(self) -> "AccelConfig":
-        """Dot-product-only timing: no scalar-unit or tracker latency."""
-        return replace(
-            self,
-            mu_add_cycles=0,
-            mu_mul_cycles=0,
-            mu_exp_cycles=0,
-            mu_comm_cycles=0,
-            pdu_update_cycles=0,
-        )
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -143,10 +132,6 @@ class EnergyModel:
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.weight_nibble_read > self.weight_byte_read:
             raise ValueError("a nibble read cannot cost more than a byte read")
-
-    @classmethod
-    def zero_dynamic(cls, static_power: float = 5.0) -> "EnergyModel":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, static_power)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -151,12 +151,3 @@ def run_fp32(model: LstmModel, seq: InputSequence) -> StateTrace:
         h_hist.append(h_trace)
         inputs = h_trace
     return StateTrace(c=tuple(c_hist), h=tuple(h_hist))
-
-
-def zero_model(layer_dims: Iterable[tuple[int, int]]) -> LstmModel:
-    """All-zero model for the given (input_size, cell_size) per layer."""
-    layers = []
-    for input_size, cell_size in layer_dims:
-        rows = len(GATES) * cell_size
-        layers.append(LstmLayer(np.zeros((rows, input_size)), np.zeros((rows, cell_size)), np.zeros(rows)))
-    return LstmModel(tuple(layers))

@@ -26,7 +26,7 @@ def _check_bits(bits: int) -> None:
         raise ValueError(f"bit width must be an integer in [1, {MAX_BITS}], got {bits!r}")
 
 
-def quant_step(alpha, bits: int):
+def quant_step(alpha: float | np.ndarray, bits: int) -> float | np.ndarray:
     """Real value of one integer index unit for a tensor with max-abs ``alpha``.
 
     ``alpha`` may be an array of alphas, which gives an array of steps.
@@ -48,10 +48,6 @@ class QuantParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "step", quant_step(self.alpha, self.bits))
-
-    @property
-    def magnitude_limit(self) -> int:
-        return _magnitude_limit(self.bits)
 
 
 def dual_index_arrays(values: np.ndarray, step8, step4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

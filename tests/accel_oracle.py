@@ -6,15 +6,35 @@ and applies the cycle rules with Python integers. The vectorized
 It also names each step's regime: ``"bandwidth"`` when the step was
 stretched to the bandwidth bound, else ``"drain"`` when some layer was
 floored by a drain, else ``"dot"`` (dot-product bound).
+
+``without_overheads`` and ``zero_dynamic`` build the stripped-down
+configurations that the closed-form timing and energy checks use.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from dynprec.accel import STATE_ENTRY_BYTES, AccelConfig
+from dynprec.accel import STATE_ENTRY_BYTES, AccelConfig, EnergyModel
 from dynprec.lstm_quant import QuantizedModel, QuantRunResult
 from dynprec.sip import sip_cycles
+
+
+def without_overheads(config: AccelConfig) -> AccelConfig:
+    """Dot-product-only timing: no scalar-unit or tracker latency."""
+    return replace(
+        config,
+        mu_add_cycles=0,
+        mu_mul_cycles=0,
+        mu_exp_cycles=0,
+        mu_comm_cycles=0,
+        pdu_update_cycles=0,
+    )
+
+
+def zero_dynamic(static_power: float = 5.0) -> EnergyModel:
+    return EnergyModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, static_power)
 
 
 def step_cycles_reference(

@@ -5,17 +5,18 @@ block, ``cell_step`` advances one layer by one step, and
 ``run_fp32_reference`` walks every layer at every step. This is the
 evaluation order ``run_fp32`` had before it became layer-major. Each gate's
 products are the same BLAS calls on the same rows, so the layer-major run
-must reproduce this one bit for bit.
+must reproduce this one bit for bit. ``zero_model`` builds an all-zero
+model of any shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel, StateTrace, sigmoid
+from dynprec.lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, StateTrace, sigmoid
 
 _ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sigmoid": sigmoid,
@@ -83,3 +84,12 @@ def run_fp32_reference(model: LstmModel, seq: InputSequence) -> StateTrace:
         c=tuple(np.stack(rows) for rows in c_hist),
         h=tuple(np.stack(rows) for rows in h_hist),
     )
+
+
+def zero_model(layer_dims: Iterable[tuple[int, int]]) -> LstmModel:
+    """All-zero model for the given (input_size, cell_size) per layer."""
+    layers = []
+    for input_size, cell_size in layer_dims:
+        rows = len(GATES) * cell_size
+        layers.append(LstmLayer(np.zeros((rows, input_size)), np.zeros((rows, cell_size)), np.zeros(rows)))
+    return LstmModel(tuple(layers))

@@ -57,7 +57,7 @@ def quantize(y: float, params: QuantParams) -> QIndex:
     y = float(y)
     if not math.isfinite(y):
         raise ValueError(f"cannot quantize non-finite value {y!r}")
-    limit = params.magnitude_limit
+    limit = _magnitude_limit(params.bits)
     ratio = abs(y) / params.step
     if ratio >= limit:
         magnitude = limit
@@ -125,7 +125,7 @@ def quantize_array(values: np.ndarray, params: QuantParams) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("cannot quantize non-finite values")
     magnitudes = np.floor(np.abs(arr) / params.step + 0.5)
-    magnitudes = np.minimum(magnitudes, params.magnitude_limit).astype(np.int64)
+    magnitudes = np.minimum(magnitudes, _magnitude_limit(params.bits)).astype(np.int64)
     return np.where(arr < 0, -magnitudes, magnitudes)
 
 

@@ -18,7 +18,7 @@ from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
 from dynprec.lstm_quant import Mode, quantize_model
 from dynprec.pdu import PduConfig
 from dynprec.sip import SipConfig
-from accel_oracle import step_cycles_reference
+from accel_oracle import step_cycles_reference, without_overheads, zero_dynamic
 
 
 def _random_model(rng, layer_dims, scale=0.5):
@@ -46,7 +46,7 @@ def toy():
 
 def test_cycle_ratio_exactly_two_without_overheads(toy):
     qmodel, seq = toy
-    cfg = AccelConfig().without_overheads()
+    cfg = without_overheads(AccelConfig())
     low = simulate(qmodel, seq, Mode.STATIC4, cfg)
     high = simulate(qmodel, seq, Mode.STATIC8, cfg)
     assert high.stats.total_cycles == 2 * low.stats.total_cycles
@@ -90,14 +90,14 @@ def test_weight_fetch_energy_ratio_half(toy):
 
 def test_zero_coefficients_leave_only_static_energy(toy):
     qmodel, seq = toy
-    em = EnergyModel.zero_dynamic(static_power=2.5)
+    em = zero_dynamic(static_power=2.5)
     out = simulate(qmodel, seq, Mode.STATIC8, energy_model=em)
     assert out.stats.energy_total == 2.5 * out.stats.total_cycles
 
 
 def test_cycles_monotone_in_low_precision_usage(toy):
     qmodel, seq = toy
-    cfg = AccelConfig().without_overheads()
+    cfg = without_overheads(AccelConfig())
     prev = None
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         out = simulate(qmodel, seq, Mode.RANDOM, cfg, random_p=p, random_seed=11)

@@ -24,6 +24,7 @@ from dynprec.lstm_ref import run_fp32
 from dynprec.pdu import PduConfig, Phase, TrackerState, classify_trace
 from dynprec.quant import QuantParams
 from dynprec.sip import SipConfig, sip_cycles
+from accel_oracle import zero_dynamic
 from quant_oracle import dot_int, encode_dual, extract_low, quantize
 from sip_oracle import sip_dot, sip_dot_batch
 
@@ -222,7 +223,7 @@ def test_criterion_08_energy_accounting(peaky_toy):
         for sim in (low, high, dyn)
     )
     fetch_ratio = low.stats.energy_breakdown["weight_fetch"] / high.stats.energy_breakdown["weight_fetch"]
-    em = EnergyModel.zero_dynamic(static_power=3.0)
+    em = zero_dynamic(static_power=3.0)
     zeroed = simulate(qmodel, seq, Mode.STATIC8, energy_model=em)
     static_only = zeroed.stats.energy_total == 3.0 * zeroed.stats.total_cycles
     _verdict(

@@ -1,8 +1,16 @@
-"""Pinned sha256 of report and trace bytes for fixed toys, seeds and modes.
+"""Pinned sha256 of report, trace and model file bytes for fixed toys, seeds and modes.
 
 Reports are byte-reproducible for fixed seeds; these hashes extend that from
 "repeatable within one process" to "unchanged across revisions". A change
 that alters report bytes on purpose updates the hash it moves and says why.
+
+The hashes are pinned to this host's numpy and OpenBLAS. The quantized
+products are exact integer sums, so their bits do not depend on the BLAS
+kernel. The full-precision reference sums are not exact: a regrouped fp
+product (one fused [4H] gemv in place of four per-gate gemvs, say) can keep
+these hashes on these shapes and still change the bits on others. That is
+why ``test_lstm_ref`` checks ``run_fp32`` bit for bit against its
+step-major oracle on many shapes.
 """
 
 import hashlib
@@ -76,7 +84,8 @@ def test_trace_csv_is_pinned(peaky_files, tmp_path):
 
 def test_model_files_are_pinned(tmp_path):
     # The manifest names its blob, so both hashes hold for an output named "toy".
-    assert main(["gen", "--kind", "random", "--dims", "2,5,7,3", "--seed", "3", "--out", str(tmp_path / "toy")]) == EXIT_OK
+    argv = ["gen", "--kind", "random", "--dims", "2,5,7,3", "--seed", "3", "--out", str(tmp_path / "toy")]
+    assert main(argv) == EXIT_OK
     manifest, blob = tmp_path / "toy.model", tmp_path / "toy.model.bin"
     assert _sha(manifest.read_bytes()) == "cf1cf6c4e3f858722f495017ecf8b175cdd891551d8d31b82ea3aa68b4c3dc83"
     assert _sha(blob.read_bytes()) == "544fb2f9c89835760638fcaf1db0cdeb4584790fd14fc114cc589709ee95b7eb"

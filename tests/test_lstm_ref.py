@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynprec.harness import gen_toy
-from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel, run_fp32, zero_model
-from lstm_ref_oracle import LstmState, cell_step, gate_eval, run_fp32_reference
+from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel, run_fp32
+from lstm_ref_oracle import LstmState, cell_step, gate_eval, run_fp32_reference, zero_model
 
 
 def _random_model(rng, layer_dims, scale=0.5):
@@ -180,6 +180,8 @@ def test_stacked_layer_validation():
     LstmLayer(np.zeros((rows, 2)), np.zeros((rows, cell)), np.zeros(rows))
     with pytest.raises(ValueError, match="4H"):
         LstmLayer(np.zeros((rows + 1, 2)), np.zeros((rows + 1, cell)), np.zeros(rows + 1))
+    with pytest.raises(ValueError, match="non-empty"):
+        LstmLayer(np.zeros((0, 2)), np.zeros((0, 0)), np.zeros(0))
     with pytest.raises(ValueError, match="w_h"):
         LstmLayer(np.zeros((rows, 2)), np.zeros((rows, cell + 1)), np.zeros(rows))
     with pytest.raises(ValueError, match="bias"):
@@ -213,11 +215,14 @@ def test_sequence_validation():
         run_fp32(zero_model([(2, 2)]), InputSequence(np.zeros((4, 3))))
 
 
+# 3, 33, 37 and 51 rows per gate leave row tails in the BLAS kernels
+_SIZES = (1, 3, 4, 8, 33, 37, 51)
+
+
 @st.composite
 def _fp_cases(draw):
     n_layers = draw(st.integers(1, 3))
-    # 3, 33, 37 and 51 rows per gate leave row tails in the BLAS kernels
-    sizes = draw(st.lists(st.sampled_from((1, 3, 4, 8, 33, 37, 51)), min_size=n_layers + 1, max_size=n_layers + 1))
+    sizes = draw(st.lists(st.sampled_from(_SIZES), min_size=n_layers + 1, max_size=n_layers + 1))
     n_steps = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = _random_model(rng, list(zip(sizes[:-1], sizes[1:])), scale=draw(st.sampled_from((0.5, 4.0))))

@@ -26,9 +26,13 @@ def test_quant_step_values():
     assert quant_step(1.0, 8) == 0.0078125
     assert quant_step(1.0, 4) == 0.125
     assert quant_step(2.0, 1) == 2.0
+    assert np.array_equal(quant_step(np.array([1.0, 2.0]), 8), [0.0078125, 0.015625])  # one step per alpha
 
 
-@pytest.mark.parametrize("alpha,bits", [(0.0, 8), (-1.0, 4), (float("nan"), 8), (1.0, 0), (1.0, 9), (1.0, 2.5)])
+@pytest.mark.parametrize(
+    "alpha,bits",
+    [(0.0, 8), (-1.0, 4), (float("nan"), 8), (1.0, 0), (1.0, 9), (1.0, 2.5), (np.array([1.0, 0.0]), 8)],
+)
 def test_quant_step_rejects_bad_arguments(alpha, bits):
     with pytest.raises(ValueError):
         quant_step(alpha, bits)
