@@ -15,32 +15,38 @@ Timing assumptions:
    streamed input and final output, checked against a flat peak
    bandwidth. Steps that would exceed it are stretched proportionally.
 
-Energy is activity counts times per-event coefficients plus leakage per
-cycle. The shipped coefficients are normalized units, not measurements;
-the one deliberately fixed ratio is nibble reads costing half of byte
-reads.
+Energy is event counts times per-event coefficients plus leakage per
+cycle. The run supplies each layer's weight bytes and nibbles read and
+input offsets adjusted; every other event follows from the model's sizes,
+the step count and the mode. The shipped coefficients are normalized
+units, not measurements; the one deliberately fixed ratio is nibble reads
+costing half of byte reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lstm_ref import InputSequence
 from .lstm_quant import (
-    MU_ADDS_PER_ELEMENT,
-    MU_EXPS_PER_ELEMENT,
-    MU_MULS_PER_ELEMENT,
+    DEFAULT_RANDOM_P,
     Mode,
     QuantRunResult,
     QuantizedModel,
     run_quantized,
     sequence_fingerprint,
 )
-from .pdu import PduConfig, TrackerState
+from .pdu import PduConfig
 from .sip import SipConfig, sip_cycles
+
+# Scalar-unit work per element and step: four gate activations plus the cell
+# update, output and requantization chain.
+MU_MULS_PER_ELEMENT = 12
+MU_ADDS_PER_ELEMENT = 9
+MU_EXPS_PER_ELEMENT = 5
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -134,24 +140,17 @@ class EnergyModel:
             raise ValueError("a nibble read cannot cost more than a byte read")
 
 
-@dataclass
-class RunStats:
-    mode: str
-    total_cycles: int
-    wall_time_s: float
-    energy_total: float
-    energy_breakdown: dict[str, float]
-    low_precision_usage: float
-    model_hash: str
-    sequence_hash: str
-    speedup_vs: dict[str, float] = field(default_factory=dict)
-    energy_savings_vs: dict[str, float] = field(default_factory=dict)
-
-
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    stats: RunStats
+    """A quantized run and its cost; the hashes say what ``compare`` may pair it with."""
+
     run: QuantRunResult
+    total_cycles: int
+    wall_time_s: float
+    energy_breakdown: dict[str, float]
+    energy_total: float
+    model_hash: str
+    sequence_hash: str
 
 
 def check_capacity(
@@ -222,23 +221,29 @@ def _step_cycles(
 
 
 def _energy(
-    run: QuantRunResult, total_cycles: int, em: EnergyModel
+    qmodel: QuantizedModel, run: QuantRunResult, total_cycles: int, em: EnergyModel
 ) -> tuple[float, dict[str, float]]:
+    """Energy per component, from exact int counts.
+
+    A byte weight takes 8 bit-serial passes and a nibble 4. Each step fetches
+    every layer's fan-in and runs every cell element through the scalar unit
+    and, in dynamic mode, its tracker.
+    """
     bytes_read = sum(a.weight_bytes for a in run.activity)
     nibbles_read = sum(a.weight_nibbles for a in run.activity)
-    input_elems = sum(a.input_elems for a in run.activity)
     adjusted = sum(a.input_adjusted for a in run.activity)
-    bit_ops = sum(a.sip_bit_ops for a in run.activity)
-    adds = sum(a.mu_adds for a in run.activity)
-    muls = sum(a.mu_muls for a in run.activity)
-    exps = sum(a.mu_exps for a in run.activity)
-    pdu_updates = sum(a.pdu_updates for a in run.activity)
+    steps = run.trace.n_steps
+    input_elems = steps * sum(layer.input_size + layer.cell_size for layer in qmodel.layers)
+    cells = steps * sum(layer.cell_size for layer in qmodel.layers)
+    pdu_updates = cells if run.mode is Mode.DYNAMIC else 0
 
     breakdown = {
         "weight_fetch": bytes_read * em.weight_byte_read + nibbles_read * em.weight_nibble_read,
         "input_fetch": input_elems * em.input_elem_read + adjusted * em.offset_adjust,
-        "dot_product": bit_ops * em.sip_bit_op,
-        "mu": adds * em.mu_add + muls * em.mu_mul + exps * em.mu_exp,
+        "dot_product": (8 * bytes_read + 4 * nibbles_read) * em.sip_bit_op,
+        "mu": MU_ADDS_PER_ELEMENT * cells * em.mu_add
+        + MU_MULS_PER_ELEMENT * cells * em.mu_mul
+        + MU_EXPS_PER_ELEMENT * cells * em.mu_exp,
         "pdu": pdu_updates * em.pdu_update,
         "static": total_cycles * em.static_power,
     }
@@ -253,9 +258,8 @@ def simulate(
     energy_model: EnergyModel | None = None,
     pdu_config: PduConfig | None = None,
     *,
-    random_p: float = 0.33,
+    random_p: float = DEFAULT_RANDOM_P,
     random_seed: int = 0,
-    trackers: list[TrackerState] | None = None,
 ) -> SimResult:
     """Run the quantized network and account its cycles and energy."""
     config = accel_config if accel_config is not None else AccelConfig()
@@ -263,35 +267,24 @@ def simulate(
     dynamic = mode is Mode.DYNAMIC
     check_capacity(qmodel, seq, config, dynamic)
 
-    run = run_quantized(
-        qmodel,
-        seq,
-        mode,
-        pdu_config,
-        random_p=random_p,
-        random_seed=random_seed,
-        trackers=trackers,
-    )
+    run = run_quantized(qmodel, seq, mode, pdu_config, random_p=random_p, random_seed=random_seed)
     total_cycles, _ = _step_cycles(qmodel, run, config, dynamic)
-    energy_total, breakdown = _energy(run, total_cycles, em)
-
-    stats = RunStats(
-        mode=mode.value,
+    energy_total, breakdown = _energy(qmodel, run, total_cycles, em)
+    return SimResult(
+        run=run,
         total_cycles=total_cycles,
         wall_time_s=total_cycles / config.frequency_hz,
-        energy_total=energy_total,
         energy_breakdown=breakdown,
-        low_precision_usage=run.low_precision_usage,
+        energy_total=energy_total,
         model_hash=qmodel.fingerprint,
         sequence_hash=sequence_fingerprint(seq),
     )
-    return SimResult(stats=stats, run=run)
 
 
-def compare(stats_a: RunStats, stats_b: RunStats) -> tuple[float, float]:
+def compare(a: SimResult, b: SimResult) -> tuple[float, float]:
     """Speedup and energy savings of run ``a`` measured against baseline ``b``."""
-    if stats_a.model_hash != stats_b.model_hash or stats_a.sequence_hash != stats_b.sequence_hash:
+    if a.model_hash != b.model_hash or a.sequence_hash != b.sequence_hash:
         raise ValueError("runs cover different models or sequences and cannot be compared")
-    speedup = stats_b.total_cycles / stats_a.total_cycles
-    energy_savings = 1.0 - stats_a.energy_total / stats_b.energy_total
+    speedup = b.total_cycles / a.total_cycles
+    energy_savings = 1.0 - a.energy_total / b.energy_total
     return speedup, energy_savings

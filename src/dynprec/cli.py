@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import typing
 from pathlib import Path
 
 from .accel import AccelConfig, CapacityError, EnergyModel
@@ -33,7 +34,7 @@ from .harness import (
     write_model,
     write_sequence,
 )
-from .lstm_quant import Mode
+from .lstm_quant import DEFAULT_RANDOM_P, Mode
 from .lstm_ref import InputSequence, LstmModel
 from .pdu import PduConfig
 from .sip import SipConfig
@@ -44,22 +45,17 @@ EXIT_FORMAT = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 
-_PDU_INT_KEYS = ("t_profile", "m_max_peak", "n_max_stable")
-_PDU_FLOAT_KEYS = ("beta", "epsilon_range")
-_SIP_KEYS = ("lanes", "lane_width", "reduction_latency")
-_ACCEL_INT_KEYS = (
-    "mu_add_cycles",
-    "mu_mul_cycles",
-    "mu_exp_cycles",
-    "mu_comm_cycles",
-    "pdu_update_cycles",
-    "weight_buffer_bytes",
-    "input_buffer_bytes",
-    "intermediate_bytes",
-    "pdu_buffer_bytes",
-)
-_ACCEL_FLOAT_KEYS = ("frequency_hz", "peak_bandwidth")
-_ENERGY_KEYS = tuple(f.name for f in dataclasses.fields(EnergyModel))
+
+def _keys(config_type: type, kind: type) -> tuple[str, ...]:
+    """Names of the fields of ``config_type`` annotated as ``kind``, in field order."""
+    hints = typing.get_type_hints(config_type)
+    return tuple(f.name for f in dataclasses.fields(config_type) if hints[f.name] is kind)
+
+
+_PDU_INT_KEYS, _PDU_FLOAT_KEYS = _keys(PduConfig, int), _keys(PduConfig, float)
+_SIP_KEYS = _keys(SipConfig, int)
+_ACCEL_INT_KEYS, _ACCEL_FLOAT_KEYS = _keys(AccelConfig, int), _keys(AccelConfig, float)
+_ENERGY_KEYS = _keys(EnergyModel, float)
 _EXTRA_FLOAT_KEYS = ("random_p",)
 
 
@@ -117,7 +113,7 @@ def build_configs(
             **{k: values[k] for k in _ACCEL_INT_KEYS + _ACCEL_FLOAT_KEYS if k in values},
         )
         energy = EnergyModel(**{k: values[k] for k in _ENERGY_KEYS if k in values})
-        random_p = float(values.get("random_p", 0.33))
+        random_p = float(values.get("random_p", DEFAULT_RANDOM_P))
         if not 0.0 <= random_p <= 1.0:
             raise ValueError(f"random_p must be in [0, 1], got {random_p!r}")
     except ValueError as exc:

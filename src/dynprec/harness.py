@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .accel import AccelConfig, EnergyModel, RunStats, SimResult, compare, simulate
+from .accel import AccelConfig, EnergyModel, SimResult, compare, simulate
 from .lstm_quant import (
+    DEFAULT_RANDOM_P,
     Mode,
-    QuantizedModel,
     peak_flags_from_phases,
     quantize_model,
     relative_error_stats,
@@ -363,19 +363,20 @@ def _mean_abs_cell_error(fp: StateTrace, q: StateTrace) -> float:
     return float(np.concatenate([d.ravel() for d in diffs]).mean())
 
 
-def _run_entry(stats: RunStats, fp: StateTrace, sim: SimResult, flags) -> dict:
+def _run_entry(sim: SimResult, baseline: SimResult, fp: StateTrace, flags) -> dict:
     peak_err, stable_err = relative_error_stats(fp, sim.run.trace, flags)
+    speedup, savings = compare(sim, baseline)
     return {
-        "total_cycles": int(stats.total_cycles),
-        "wall_time_s": float(stats.wall_time_s),
-        "energy_total": float(stats.energy_total),
-        "energy_breakdown": {k: float(v) for k, v in stats.energy_breakdown.items()},
-        "low_precision_usage": float(stats.low_precision_usage),
+        "total_cycles": int(sim.total_cycles),
+        "wall_time_s": float(sim.wall_time_s),
+        "energy_total": float(sim.energy_total),
+        "energy_breakdown": {k: float(v) for k, v in sim.energy_breakdown.items()},
+        "low_precision_usage": float(sim.run.low_precision_usage),
         "mean_abs_cell_error": _mean_abs_cell_error(fp, sim.run.trace),
         "peak_relative_error": peak_err,
         "stable_relative_error": stable_err,
-        "speedup_vs_static8": stats.speedup_vs.get("static8"),
-        "energy_savings_vs_static8": stats.energy_savings_vs.get("static8"),
+        "speedup_vs_static8": speedup,
+        "energy_savings_vs_static8": savings,
     }
 
 
@@ -387,7 +388,7 @@ def run_experiment(
     accel_config: AccelConfig | None = None,
     energy_model: EnergyModel | None = None,
     pdu_config: PduConfig | None = None,
-    random_p: float = 0.33,
+    random_p: float = DEFAULT_RANDOM_P,
     seed: int = 0,
 ) -> ExperimentResult:
     """Run the full-precision reference plus each requested mode and report.
@@ -424,15 +425,8 @@ def run_experiment(
             random_p=random_p,
             random_seed=seed,
         )
-    baseline = sims[BASELINE_MODE.value].stats
-    for sim in sims.values():
-        speedup, savings = compare(sim.stats, baseline)
-        sim.stats.speedup_vs["static8"] = speedup
-        sim.stats.energy_savings_vs["static8"] = savings
-
-    runs = {
-        name: _run_entry(sim.stats, fp_trace, sim, fp_flags) for name, sim in sims.items()
-    }
+    baseline = sims[BASELINE_MODE.value]
+    runs = {name: _run_entry(sim, baseline, fp_trace, fp_flags) for name, sim in sims.items()}
     histogram = {
         name: [
             [int(n) for n in (bits == 4).sum(axis=0)] for bits in sim.run.precision_bits

@@ -10,9 +10,10 @@ that element's precision. Matrix-vector work runs on integer indices, held
 exactly in float32 so that it runs in BLAS, in column blocks whose sums
 stay exact float32 integers; the block sums are added and rescaled to reals
 in float64. The element-wise cell update and the activations stay in full
-precision. Alongside the numeric traces the run counts the events
-(fetches, bit operations, scalar-unit operations, tracker updates) that
-the accelerator model converts to energy.
+precision. Alongside the numeric traces the run counts, per layer, the
+only events that depend on its precision choices: the weight bytes and
+nibbles read and the input offsets adjusted. The accelerator model
+derives every other event from the model's sizes.
 """
 
 from __future__ import annotations
@@ -31,11 +32,8 @@ from .quant import dual_index_arrays, packed_bytes, quant_step
 # Relative-error denominators are floored to avoid dividing by a near-zero cell state.
 EPS_DENOM = 1e-3
 
-# Scalar-unit work per element and step: four gate activations plus the cell
-# update, output and requantization chain.
-MU_MULS_PER_ELEMENT = 12
-MU_ADDS_PER_ELEMENT = 9
-MU_EXPS_PER_ELEMENT = 5
+# Share of elements random mode runs at 4 bits unless told otherwise.
+DEFAULT_RANDOM_P = 0.33
 
 # Outputs live in (-1, 1) and are always quantized with alpha 1.
 H_STEP8, H_STEP4 = quant_step(1.0, 8), quant_step(1.0, 4)
@@ -163,21 +161,13 @@ def sequence_fingerprint(seq: InputSequence) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class StepActivity:
-    """Event counts for one time step, summed over layers."""
+@dataclass(frozen=True)
+class LayerActivity:
+    """One layer's weight reads, and its input offsets adjusted on steps with a 4-bit element."""
 
-    weight_bytes: int = 0
-    weight_nibbles: int = 0
-    input_elems: int = 0
-    input_adjusted: int = 0
-    sip_bit_ops: int = 0
-    mu_adds: int = 0
-    mu_muls: int = 0
-    mu_exps: int = 0
-    pdu_updates: int = 0
-    neurons_low: int = 0
-    neurons_high: int = 0
+    weight_bytes: int
+    weight_nibbles: int
+    input_adjusted: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,14 +175,13 @@ class QuantRunResult:
     trace: StateTrace
     precision_bits: tuple[np.ndarray, ...]  # per layer, [steps, cell]; bits used that step
     phases: tuple[np.ndarray, ...] | None  # per layer, tracker phase after each step (dynamic only)
-    activity: tuple[StepActivity, ...]
+    activity: tuple[LayerActivity, ...]
     mode: Mode
 
     @property
     def low_precision_usage(self) -> float:
-        low = sum(a.neurons_low for a in self.activity)
-        total = low + sum(a.neurons_high for a in self.activity)
-        return low / total if total else 0.0
+        low = sum(int(np.count_nonzero(bits == 4)) for bits in self.precision_bits)
+        return low / sum(bits.size for bits in self.precision_bits)
 
 
 @np.errstate(over="ignore")  # see lstm_ref.run_fp32
@@ -202,7 +191,7 @@ def run_quantized(
     mode: Mode,
     pdu_config: PduConfig | None = None,
     *,
-    random_p: float = 0.33,
+    random_p: float = DEFAULT_RANDOM_P,
     random_seed: int = 0,
     trackers: list[TrackerState] | None = None,
 ) -> QuantRunResult:
@@ -211,13 +200,15 @@ def run_quantized(
     Dynamic mode feeds each layer's freshly computed cell state to its
     trackers (one ``TrackerState`` per layer) and runs an element at 8 bits
     on the next step exactly when its tracker is in a peak. Random mode
-    picks 4 bits with probability ``random_p`` from a seeded generator.
+    picks 4 bits with probability ``random_p`` in [0, 1] from a seeded generator.
 
     Layer L at step t needs only layer L-1 at step t and layer L at step
     t-1, so each layer runs over all steps before the next one starts.
     """
     if seq.width != qmodel.layers[0].input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {qmodel.layers[0].input_size}")
+    if not 0.0 <= random_p <= 1.0:
+        raise ValueError(f"random_p must be in [0, 1], got {random_p!r}")
     n_steps = len(seq)
     layers = qmodel.layers
 
@@ -233,8 +224,7 @@ def run_quantized(
         draws = np.random.default_rng(random_seed).random((n_steps, sum(layer.cell_size for layer in layers)))
         ends = np.cumsum([layer.cell_size for layer in layers])
 
-    counts = {name: np.zeros(n_steps, dtype=np.int64) for name in StepActivity.__dataclass_fields__}
-    c_hist, h_hist, bits_hist, phase_hist = [], [], [], []
+    c_hist, h_hist, bits_hist, phase_hist, activity = [], [], [], [], []
     inputs = seq.steps
     for L, layer in enumerate(layers):
         n = layer.cell_size
@@ -276,29 +266,22 @@ def run_quantized(
         phase_hist.append(phases)
 
         n_high = np.count_nonzero(high_hist, axis=1)
-        n_low = n - n_high
-        fan_in = layer.input_size + n
-        weights_per_element = len(GATES) * fan_in
-        counts["weight_bytes"] += n_high * weights_per_element
-        counts["weight_nibbles"] += n_low * weights_per_element
-        counts["input_elems"] += fan_in
-        counts["input_adjusted"] += np.where(n_low > 0, adjusted, 0)
-        counts["sip_bit_ops"] += weights_per_element * (n_high * 8 + n_low * 4)
-        counts["mu_adds"] += MU_ADDS_PER_ELEMENT * n
-        counts["mu_muls"] += MU_MULS_PER_ELEMENT * n
-        counts["mu_exps"] += MU_EXPS_PER_ELEMENT * n
-        counts["neurons_low"] += n_low
-        counts["neurons_high"] += n_high
-        if mode is Mode.DYNAMIC:
-            counts["pdu_updates"] += n
+        high_total = int(n_high.sum())
+        weights_per_element = len(GATES) * (layer.input_size + n)
+        activity.append(
+            LayerActivity(
+                weight_bytes=high_total * weights_per_element,
+                weight_nibbles=(n_steps * n - high_total) * weights_per_element,
+                input_adjusted=int(adjusted[n_high < n].sum()),
+            )
+        )
         inputs = h_trace
 
-    columns = [column.tolist() for column in counts.values()]
     return QuantRunResult(
         trace=StateTrace(c=tuple(c_hist), h=tuple(h_hist)),
         precision_bits=tuple(bits_hist),
         phases=tuple(phase_hist) if mode is Mode.DYNAMIC else None,
-        activity=tuple(StepActivity(*row) for row in zip(*columns)),
+        activity=tuple(activity),
         mode=mode,
     )
 

@@ -7,6 +7,11 @@ It also names each step's regime: ``"bandwidth"`` when the step was
 stretched to the bandwidth bound, else ``"drain"`` when some layer was
 floored by a drain, else ``"dot"`` (dot-product bound).
 
+``energy_reference`` costs a run from the per-step event records of
+``quant_oracle.run_quantized_reference``, summing each event over the
+steps. ``accel._energy`` derives most counts from the model's sizes and
+must give the same breakdown, float for float.
+
 ``without_overheads`` and ``zero_dynamic`` build the stripped-down
 configurations that the closed-form timing and energy checks use.
 """
@@ -15,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Sequence
 
 from dynprec.accel import STATE_ENTRY_BYTES, AccelConfig, EnergyModel
 from dynprec.lstm_quant import QuantizedModel, QuantRunResult
 from dynprec.sip import sip_cycles
+from quant_oracle import StepActivity
 
 
 def without_overheads(config: AccelConfig) -> AccelConfig:
@@ -75,3 +82,27 @@ def step_cycles_reference(
 
     fill = mu_drain + pdu_drain
     return fill + sum(step_cycles), step_cycles, regimes
+
+
+def energy_reference(
+    activity: Sequence[StepActivity], total_cycles: int, em: EnergyModel
+) -> tuple[float, dict[str, float]]:
+    bytes_read = sum(a.weight_bytes for a in activity)
+    nibbles_read = sum(a.weight_nibbles for a in activity)
+    input_elems = sum(a.input_elems for a in activity)
+    adjusted = sum(a.input_adjusted for a in activity)
+    bit_ops = sum(a.sip_bit_ops for a in activity)
+    adds = sum(a.mu_adds for a in activity)
+    muls = sum(a.mu_muls for a in activity)
+    exps = sum(a.mu_exps for a in activity)
+    pdu_updates = sum(a.pdu_updates for a in activity)
+
+    breakdown = {
+        "weight_fetch": bytes_read * em.weight_byte_read + nibbles_read * em.weight_nibble_read,
+        "input_fetch": input_elems * em.input_elem_read + adjusted * em.offset_adjust,
+        "dot_product": bit_ops * em.sip_bit_op,
+        "mu": adds * em.mu_add + muls * em.mu_mul + exps * em.mu_exp,
+        "pdu": pdu_updates * em.pdu_update,
+        "static": total_cycles * em.static_power,
+    }
+    return sum(breakdown.values()), breakdown

@@ -12,6 +12,11 @@ the layers in order, encodes each layer's input and previous output as
 matrix-vector products at both precisions. Both read each gate as its row
 block of the layer's fused operands (``gate_operands``). The layer-major,
 fused float32 run must reproduce the step-major run bit for bit.
+
+The reference also counts every accelerator event step by step, as one
+``StepActivity`` record per step summed over layers, and sums the
+precision-dependent counts per layer into ``LayerActivity`` records;
+``accel_oracle.energy_reference`` costs the per-step records.
 """
 
 from __future__ import annotations
@@ -22,15 +27,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from dynprec.accel import MU_ADDS_PER_ELEMENT, MU_EXPS_PER_ELEMENT, MU_MULS_PER_ELEMENT
 from dynprec.lstm_quant import (
-    MU_ADDS_PER_ELEMENT,
-    MU_EXPS_PER_ELEMENT,
-    MU_MULS_PER_ELEMENT,
+    DEFAULT_RANDOM_P,
+    LayerActivity,
     Mode,
     QuantizedLayer,
     QuantizedModel,
     QuantRunResult,
-    StepActivity,
 )
 from dynprec.lstm_ref import GATES, InputSequence, StateTrace, sigmoid
 from dynprec.pdu import PduConfig, TrackerState, pdu_observe
@@ -240,17 +244,38 @@ def gate_pre_activations(
     return fwd + rec + gate.bias
 
 
+@dataclass
+class StepActivity:
+    """Event counts for one time step, summed over layers."""
+
+    weight_bytes: int = 0
+    weight_nibbles: int = 0
+    input_elems: int = 0
+    input_adjusted: int = 0
+    sip_bit_ops: int = 0
+    mu_adds: int = 0
+    mu_muls: int = 0
+    mu_exps: int = 0
+    pdu_updates: int = 0
+    neurons_low: int = 0
+    neurons_high: int = 0
+
+
 def run_quantized_reference(
     qmodel: QuantizedModel,
     seq: InputSequence,
     mode: Mode,
     pdu_config: PduConfig | None = None,
     *,
-    random_p: float = 0.33,
+    random_p: float = DEFAULT_RANDOM_P,
     random_seed: int = 0,
     trackers: list[TrackerState] | None = None,
-) -> QuantRunResult:
-    """Step-major, per-gate int64 evaluation with the signature of ``run_quantized``."""
+) -> tuple[QuantRunResult, tuple[StepActivity, ...]]:
+    """Step-major, per-gate int64 evaluation with the signature of ``run_quantized``.
+
+    Returns the run, whose ``activity`` holds each layer's sums, and the
+    per-step event records.
+    """
     if seq.width != qmodel.layers[0].input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {qmodel.layers[0].input_size}")
     n_steps = len(seq)
@@ -277,6 +302,7 @@ def run_quantized_reference(
         else None
     )
     activity: list[StepActivity] = []
+    layer_counts = [[0, 0, 0] for _ in layers]  # weight bytes, weight nibbles, input adjusted
 
     for t in range(n_steps):
         act = StepActivity()
@@ -309,11 +335,15 @@ def run_quantized_reference(
             n_low = layer.cell_size - n_high
             fan_in = layer.input_size + layer.cell_size
             weights_per_element = len(GATES) * fan_in
+            adjusted = x_q.offset_count() + h_q.offset_count() if n_low else 0
             act.weight_bytes += n_high * weights_per_element
             act.weight_nibbles += n_low * weights_per_element
             act.input_elems += fan_in
-            if n_low:
-                act.input_adjusted += x_q.offset_count() + h_q.offset_count()
+            act.input_adjusted += adjusted
+            counts = layer_counts[L]
+            counts[0] += n_high * weights_per_element
+            counts[1] += n_low * weights_per_element
+            counts[2] += adjusted
             act.sip_bit_ops += weights_per_element * (n_high * 8 + n_low * 4)
             act.mu_adds += MU_ADDS_PER_ELEMENT * layer.cell_size
             act.mu_muls += MU_MULS_PER_ELEMENT * layer.cell_size
@@ -333,10 +363,11 @@ def run_quantized_reference(
         c=tuple(np.stack(rows) for rows in c_hist),
         h=tuple(np.stack(rows) for rows in h_hist),
     )
-    return QuantRunResult(
+    result = QuantRunResult(
         trace=trace,
         precision_bits=tuple(bits_hist),
         phases=tuple(phase_hist) if phase_hist is not None else None,
-        activity=tuple(activity),
+        activity=tuple(LayerActivity(*counts) for counts in layer_counts),
         mode=mode,
     )
+    return result, tuple(activity)

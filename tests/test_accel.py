@@ -18,7 +18,8 @@ from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
 from dynprec.lstm_quant import Mode, quantize_model
 from dynprec.pdu import PduConfig
 from dynprec.sip import SipConfig
-from accel_oracle import step_cycles_reference, without_overheads, zero_dynamic
+from accel_oracle import energy_reference, step_cycles_reference, without_overheads, zero_dynamic
+from quant_oracle import run_quantized_reference
 
 
 def _random_model(rng, layer_dims, scale=0.5):
@@ -49,8 +50,8 @@ def test_cycle_ratio_exactly_two_without_overheads(toy):
     cfg = without_overheads(AccelConfig())
     low = simulate(qmodel, seq, Mode.STATIC4, cfg)
     high = simulate(qmodel, seq, Mode.STATIC8, cfg)
-    assert high.stats.total_cycles == 2 * low.stats.total_cycles
-    speedup, savings = compare(low.stats, high.stats)
+    assert high.total_cycles == 2 * low.total_cycles
+    speedup, savings = compare(low, high)
     assert speedup == 2.0
     assert savings > 0.0
 
@@ -59,40 +60,40 @@ def test_cycle_ratio_near_two_with_default_overheads(toy):
     qmodel, seq = toy
     low = simulate(qmodel, seq, Mode.STATIC4)
     high = simulate(qmodel, seq, Mode.STATIC8)
-    speedup, _ = compare(low.stats, high.stats)
+    speedup, _ = compare(low, high)
     assert speedup == pytest.approx(2.0, abs=0.05)
 
 
 def test_mixed_run_matches_closed_form(toy):
     qmodel, seq = toy
     cfg = AccelConfig()
-    total8 = simulate(qmodel, seq, Mode.STATIC8, cfg).stats.total_cycles
+    total8 = simulate(qmodel, seq, Mode.STATIC8, cfg).total_cycles
     for seed in (1, 2, 3):
         mixed = simulate(qmodel, seq, Mode.RANDOM, cfg, random_p=0.4, random_seed=seed)
-        u = mixed.stats.low_precision_usage
+        u = mixed.run.low_precision_usage
         predicted = total8 * (1 - u / 2)
-        assert mixed.stats.total_cycles == pytest.approx(predicted, rel=0.02)
+        assert mixed.total_cycles == pytest.approx(predicted, rel=0.02)
 
 
 def test_energy_breakdown_sums_to_total(toy):
     qmodel, seq = toy
     for mode in (Mode.STATIC8, Mode.STATIC4, Mode.DYNAMIC):
         out = simulate(qmodel, seq, mode)
-        assert out.stats.energy_total == sum(out.stats.energy_breakdown.values())
+        assert out.energy_total == sum(out.energy_breakdown.values())
 
 
 def test_weight_fetch_energy_ratio_half(toy):
     qmodel, seq = toy
     low = simulate(qmodel, seq, Mode.STATIC4)
     high = simulate(qmodel, seq, Mode.STATIC8)
-    assert low.stats.energy_breakdown["weight_fetch"] == 0.5 * high.stats.energy_breakdown["weight_fetch"]
+    assert low.energy_breakdown["weight_fetch"] == 0.5 * high.energy_breakdown["weight_fetch"]
 
 
 def test_zero_coefficients_leave_only_static_energy(toy):
     qmodel, seq = toy
     em = zero_dynamic(static_power=2.5)
     out = simulate(qmodel, seq, Mode.STATIC8, energy_model=em)
-    assert out.stats.energy_total == 2.5 * out.stats.total_cycles
+    assert out.energy_total == 2.5 * out.total_cycles
 
 
 def test_cycles_monotone_in_low_precision_usage(toy):
@@ -102,15 +103,15 @@ def test_cycles_monotone_in_low_precision_usage(toy):
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         out = simulate(qmodel, seq, Mode.RANDOM, cfg, random_p=p, random_seed=11)
         if prev is not None:
-            assert out.stats.total_cycles <= prev
-        prev = out.stats.total_cycles
+            assert out.total_cycles <= prev
+        prev = out.total_cycles
 
 
 def test_compare_identity(toy):
     qmodel, seq = toy
     a = simulate(qmodel, seq, Mode.STATIC8)
     b = simulate(qmodel, seq, Mode.STATIC8)
-    assert compare(a.stats, b.stats) == (1.0, 0.0)
+    assert compare(a, b) == (1.0, 0.0)
 
 
 def test_compare_rejects_different_inputs(toy):
@@ -119,7 +120,7 @@ def test_compare_rejects_different_inputs(toy):
     a = simulate(qmodel, seq, Mode.STATIC8)
     b = simulate(qmodel, other_seq, Mode.STATIC8)
     with pytest.raises(ValueError):
-        compare(a.stats, b.stats)
+        compare(a, b)
 
 
 def test_mu_drain_floors_small_layers():
@@ -132,7 +133,7 @@ def test_mu_drain_floors_small_layers():
     # dot products cost 2*(4) = 8 cycles per element * 2 elements = 16 per step,
     # below the scalar-unit drain, so the drain dominates every step
     drain = cfg.mu_drain_cycles()
-    assert out.stats.total_cycles == drain + 10 * drain
+    assert out.total_cycles == drain + 10 * drain
 
 
 def test_bandwidth_ceiling_stretches_steps(toy):
@@ -140,10 +141,10 @@ def test_bandwidth_ceiling_stretches_steps(toy):
     fast = simulate(qmodel, seq, Mode.STATIC4)
     slow_cfg = dataclasses.replace(AccelConfig(), peak_bandwidth=1e3)
     slow = simulate(qmodel, seq, Mode.STATIC4, slow_cfg)
-    assert slow.stats.total_cycles > fast.stats.total_cycles
+    assert slow.total_cycles > fast.total_cycles
     dram_bytes = (16 + 16) * 4
     min_step = math.ceil(dram_bytes * slow_cfg.frequency_hz / slow_cfg.peak_bandwidth)
-    assert slow.stats.total_cycles >= 60 * min_step
+    assert slow.total_cycles >= 60 * min_step
 
 
 def test_capacity_errors_name_the_buffer(toy):
@@ -169,15 +170,37 @@ def test_simulate_propagates_capacity_error(toy):
 def test_wall_time_follows_frequency(toy):
     qmodel, seq = toy
     out = simulate(qmodel, seq, Mode.STATIC8)
-    assert out.stats.wall_time_s == out.stats.total_cycles / 500e6
+    assert out.wall_time_s == out.total_cycles / 500e6
 
 
 def test_dynamic_run_charges_pdu_energy(toy):
     qmodel, seq = toy
     dyn = simulate(qmodel, seq, Mode.DYNAMIC, pdu_config=PduConfig.for_sequence(len(seq)))
     st = simulate(qmodel, seq, Mode.STATIC4)
-    assert dyn.stats.energy_breakdown["pdu"] > 0.0
-    assert st.stats.energy_breakdown["pdu"] == 0.0
+    assert dyn.energy_breakdown["pdu"] > 0.0
+    assert st.energy_breakdown["pdu"] == 0.0
+
+
+# coefficients with no short binary form, so a reordered sum shows in the last bits
+_ODD_ENERGY = EnergyModel(0.7, 0.3, 0.9, 0.013, 0.17, 0.41, 1.3, 0.23, 0.11, 4.7)
+
+
+@pytest.mark.parametrize("dims", [[(6, 8)], [(5, 7), (7, 3)], [(4, 9), (9, 2), (2, 5)]])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_energy_matches_per_step_oracle(mode, dims):
+    rng = np.random.default_rng(33)
+    qmodel = quantize_model(_random_model(rng, dims))
+    seq = InputSequence(rng.uniform(-1, 1, (30, dims[0][0])))
+    want_run, steps = run_quantized_reference(qmodel, seq, mode, random_p=0.5, random_seed=4)
+    for em in (EnergyModel(), _ODD_ENERGY):
+        sim = simulate(qmodel, seq, mode, energy_model=em, random_p=0.5, random_seed=4)
+        assert sim.run.activity == want_run.activity
+        assert all(type(v) is int for a in sim.run.activity for v in dataclasses.astuple(a))
+        want_total, want_breakdown = energy_reference(steps, sim.total_cycles, em)
+        assert list(sim.energy_breakdown) == list(want_breakdown)
+        for key, value in want_breakdown.items():
+            assert sim.energy_breakdown[key] == value, key
+        assert sim.energy_total == want_total
 
 
 def test_energy_model_validation():

@@ -122,7 +122,7 @@ def test_criterion_03_cycle_halving(flat_toy):
     )
     low = simulate(qmodel, seq, Mode.STATIC4)
     high = simulate(qmodel, seq, Mode.STATIC8)
-    speedup, _ = compare(low.stats, high.stats)
+    speedup, _ = compare(low, high)
     _verdict(
         3,
         "4-bit serial operands halve cycles; end-to-end static speedup is 2.00 +/- 0.05",
@@ -134,9 +134,8 @@ def test_criterion_03_cycle_halving(flat_toy):
 def test_criterion_04_flat_input_dynamic_behavior(flat_toy):
     model, _, seq = flat_toy
     result = run_experiment(model, seq, [Mode.DYNAMIC])
-    stats = result.sims["dynamic"].stats
-    usage = stats.low_precision_usage
-    speedup = stats.speedup_vs["static8"]
+    usage = result.sims["dynamic"].run.low_precision_usage
+    speedup = result.report["runs"]["dynamic"]["speedup_vs_static8"]
     _verdict(
         4,
         "flat input runs >=95% at low precision with >=1.9x speedup over static 8-bit",
@@ -219,13 +218,13 @@ def test_criterion_08_energy_accounting(peaky_toy):
     high = simulate(qmodel, seq, Mode.STATIC8)
     dyn = simulate(qmodel, seq, Mode.DYNAMIC)
     sums_exact = all(
-        sim.stats.energy_total == sum(sim.stats.energy_breakdown.values())
+        sim.energy_total == sum(sim.energy_breakdown.values())
         for sim in (low, high, dyn)
     )
-    fetch_ratio = low.stats.energy_breakdown["weight_fetch"] / high.stats.energy_breakdown["weight_fetch"]
+    fetch_ratio = low.energy_breakdown["weight_fetch"] / high.energy_breakdown["weight_fetch"]
     em = zero_dynamic(static_power=3.0)
     zeroed = simulate(qmodel, seq, Mode.STATIC8, energy_model=em)
-    static_only = zeroed.stats.energy_total == 3.0 * zeroed.stats.total_cycles
+    static_only = zeroed.energy_total == 3.0 * zeroed.total_cycles
     _verdict(
         8,
         "energy breakdown sums exactly; nibble fetches cost exactly half; zero profile is static-only",
@@ -237,7 +236,7 @@ def test_criterion_08_energy_accounting(peaky_toy):
 def test_criterion_09_closed_form_timing(peaky_toy):
     _, qmodel, seq = peaky_toy
     cfg = AccelConfig()
-    total8 = simulate(qmodel, seq, Mode.STATIC8, cfg).stats.total_cycles
+    total8 = simulate(qmodel, seq, Mode.STATIC8, cfg).total_cycles
     worst = 0.0
     runs = [
         simulate(qmodel, seq, Mode.DYNAMIC, cfg),
@@ -245,9 +244,9 @@ def test_criterion_09_closed_form_timing(peaky_toy):
         simulate(qmodel, seq, Mode.RANDOM, cfg, random_p=0.66, random_seed=2),
     ]
     for sim in runs:
-        u = sim.stats.low_precision_usage
+        u = sim.run.low_precision_usage
         predicted = total8 * (1 - u / 2)
-        worst = max(worst, abs(sim.stats.total_cycles - predicted) / predicted)
+        worst = max(worst, abs(sim.total_cycles - predicted) / predicted)
     _verdict(
         9,
         "simulated cycles match total8 * (1 - usage/2) within 2% at uniform fan-in",

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from dynprec.cli import (
     load_config_file,
     main,
 )
+from dynprec.accel import AccelConfig, EnergyModel
 from dynprec.harness import write_model, write_sequence
 from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
+from dynprec.pdu import PduConfig
+from dynprec.sip import SipConfig
 
 
 @pytest.fixture()
@@ -279,6 +284,29 @@ def test_config_file_parsing(tmp_path):
     assert accel.frequency_hz == 1e9
     assert energy.weight_nibble_read == 0.25
     assert random_p == 0.5
+
+
+def _numeric_config_fields() -> dict[str, type]:
+    fields = {}
+    for config_type in (PduConfig, SipConfig, AccelConfig, EnergyModel):
+        hints = typing.get_type_hints(config_type)
+        fields.update({f.name: hints[f.name] for f in dataclasses.fields(config_type) if hints[f.name] in (int, float)})
+    return fields
+
+
+def test_config_file_takes_every_numeric_config_field(toy_files, tmp_path, capsys):
+    fields = _numeric_config_fields()
+    assert len(fields) == 5 + 3 + 11 + 10
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{name} = 2\n" for name in fields))
+    assert {name: type(value) for name, value in load_config_file(cfg).items()} == fields
+
+    model, seq = toy_files
+    argv = ["run", "--model", str(model), "--input", str(seq), "--config", str(cfg)]
+    for name in [name for name, kind in fields.items() if kind is int]:
+        cfg.write_text(f"{name} = 1.5\n")
+        assert main(argv) == EXIT_FORMAT, name
+        assert name in capsys.readouterr().err
 
 
 def test_config_rejects_invalid_values(tmp_path):

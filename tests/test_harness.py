@@ -187,8 +187,8 @@ def test_gen_toy_deterministic(tmp_path):
 
 def test_flat_toy_dynamic_behavior(flat_experiment):
     dyn = flat_experiment.sims["dynamic"]
-    assert dyn.stats.low_precision_usage >= 0.95
-    assert 1.9 <= dyn.stats.speedup_vs["static8"] <= 2.0
+    assert dyn.run.low_precision_usage >= 0.95
+    assert 1.9 <= flat_experiment.report["runs"]["dynamic"]["speedup_vs_static8"] <= 2.0
     for phases in dyn.run.phases:
         assert not np.any(phases == Phase.IN_PEAK)
 
@@ -199,6 +199,13 @@ def test_peaky_toy_flags_spikes(peaky_experiment):
     assert len(spikes) == 10
     flagged = sum(1 for s in spikes if phases[s, 0] == Phase.IN_PEAK)
     assert flagged >= 8
+
+
+@pytest.mark.parametrize("random_p", [math.nan, 1.5, -0.5])
+def test_run_experiment_rejects_random_p_outside_unit_interval(random_p):
+    model, seq = gen_toy("random", (1, 3, 4, 10), 0)
+    with pytest.raises(ValueError, match="random_p"):
+        run_experiment(model, seq, [Mode.RANDOM], random_p=random_p)
 
 
 def test_report_contains_self_comparison(flat_experiment):

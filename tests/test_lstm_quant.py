@@ -168,7 +168,7 @@ def test_multi_block_fan_in_matches_step_major_oracle():
     assert np.abs(qmodel.layers[0].fwd.w8).min() == 127
     for mode in Mode:
         got = run_quantized(qmodel, seq, mode, random_p=0.5)
-        want = run_quantized_reference(qmodel, seq, mode, random_p=0.5)
+        want, _ = run_quantized_reference(qmodel, seq, mode, random_p=0.5)
         assert np.array_equal(got.trace.c[0], want.trace.c[0])
         assert np.array_equal(got.trace.h[0], want.trace.h[0])
         assert np.array_equal(got.precision_bits[0], want.precision_bits[0])
@@ -298,14 +298,13 @@ def test_activity_accounting(toy):
     layer = qmodel.layers[0]
     fan_in = layer.input_size + layer.cell_size
     out = run_quantized(qmodel, seq, Mode.RANDOM, random_p=0.5, random_seed=1)
-    for act in out.activity:
-        assert act.neurons_low + act.neurons_high == layer.cell_size
-        assert act.weight_nibbles == act.neurons_low * len(GATES) * fan_in
-        assert act.weight_bytes == act.neurons_high * len(GATES) * fan_in
-        assert act.sip_bit_ops == len(GATES) * fan_in * (
-            8 * act.neurons_high + 4 * act.neurons_low
-        )
-        assert act.input_elems == fan_in
+    (act,) = out.activity
+    bits = out.precision_bits[0]
+    n_low, n_high = (bits == 4).sum(axis=1), (bits == 8).sum(axis=1)
+    assert np.all(n_low + n_high == layer.cell_size)
+    assert act.weight_nibbles == int(n_low.sum()) * len(GATES) * fan_in
+    assert act.weight_bytes == int(n_high.sum()) * len(GATES) * fan_in
+    assert 0 < n_low.sum() < bits.size
 
 
 def test_dynamic_phase_trace_matches_precision_lag(toy):
@@ -379,14 +378,25 @@ def test_multilayer_quantized_run():
     for L in range(2):
         assert out.trace.c[L].shape == fp.c[L].shape
         assert np.mean(np.abs(out.trace.c[L] - fp.c[L])) < 0.1
-    for act in out.activity:
-        assert act.neurons_low + act.neurons_high == 6 + 5
+    assert sum(bits.shape[1] for bits in out.precision_bits) == 6 + 5
+    for bits, act, fan_in in zip(out.precision_bits, out.activity, (4 + 6, 6 + 5), strict=True):
+        assert np.all(bits == 8)
+        assert act.weight_bytes == len(GATES) * fan_in * bits.size
+        assert act.weight_nibbles == 0
 
 
 def test_peak_flags_from_phases_roundtrip():
     phases = (np.array([[0, 1], [2, 1]], dtype=np.int8),)
     flags = peak_flags_from_phases(phases)
     assert flags[0].tolist() == [[False, False], [True, False]]
+
+
+@pytest.mark.parametrize("random_p", [math.nan, 1.5, -0.5, math.inf])
+def test_random_p_outside_unit_interval_is_rejected(toy, random_p):
+    _, qmodel, seq = toy
+    for mode in Mode:
+        with pytest.raises(ValueError, match="random_p"):
+            run_quantized(qmodel, seq, mode, random_p=random_p)
 
 
 def test_dynamic_rejects_mismatched_tracker_states(toy):
@@ -448,7 +458,7 @@ def test_run_quantized_matches_step_major_oracle(case):
     mine = _copy_states(trackers) if trackers is not None else None
     theirs = _copy_states(trackers) if trackers is not None else None
     got = run_quantized(qmodel, seq, mode, config, trackers=mine, **kwargs)
-    want = run_quantized_reference(qmodel, seq, mode, config, trackers=theirs, **kwargs)
+    want, _ = run_quantized_reference(qmodel, seq, mode, config, trackers=theirs, **kwargs)
     for L in range(len(qmodel.layers)):
         assert np.array_equal(got.trace.c[L], want.trace.c[L])
         assert np.array_equal(got.trace.h[L], want.trace.h[L])
