@@ -264,11 +264,20 @@ def simulate(
     """Run the quantized network and account its cycles and energy."""
     config = accel_config if accel_config is not None else AccelConfig()
     em = energy_model if energy_model is not None else EnergyModel()
-    dynamic = mode is Mode.DYNAMIC
-    check_capacity(qmodel, seq, config, dynamic)
-
+    check_capacity(qmodel, seq, config, mode is Mode.DYNAMIC)
     run = run_quantized(qmodel, seq, mode, pdu_config, random_p=random_p, random_seed=random_seed)
-    total_cycles, _ = _step_cycles(qmodel, run, config, dynamic)
+    return cost_run(qmodel, seq, run, config, em)
+
+
+def cost_run(
+    qmodel: QuantizedModel, seq: InputSequence, run: QuantRunResult, config: AccelConfig, em: EnergyModel
+) -> SimResult:
+    """Cycles and energy of a finished run; the caller has checked capacity.
+
+    This is the only stage that reads ``AccelConfig`` and ``EnergyModel``,
+    so one run can be costed on many accelerator configurations.
+    """
+    total_cycles, _ = _step_cycles(qmodel, run, config, run.mode is Mode.DYNAMIC)
     energy_total, breakdown = _energy(qmodel, run, total_cycles, em)
     return SimResult(
         run=run,

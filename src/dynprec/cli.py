@@ -2,7 +2,8 @@
 
 Verbs: ``gen`` writes toy model/sequence files, ``run`` produces a JSON
 report over one or more modes, ``trace`` exports one element's per-step
-history as CSV, ``sweep`` re-runs an experiment across parameter values.
+history as CSV, ``sweep`` runs one experiment across parameter values,
+computing each stage once for all the points that leave its inputs alone.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error, 3 capacity
 error (an on-chip buffer, or the 64-bit cycle counter), 4 a file could
@@ -21,6 +22,7 @@ from pathlib import Path
 from .accel import AccelConfig, CapacityError, EnergyModel
 from .harness import (
     ConfigError,
+    Experiment,
     ExperimentResult,
     FormatError,
     SequenceFormatError,
@@ -56,7 +58,9 @@ _PDU_INT_KEYS, _PDU_FLOAT_KEYS = _keys(PduConfig, int), _keys(PduConfig, float)
 _SIP_KEYS = _keys(SipConfig, int)
 _ACCEL_INT_KEYS, _ACCEL_FLOAT_KEYS = _keys(AccelConfig, int), _keys(AccelConfig, float)
 _ENERGY_KEYS = _keys(EnergyModel, float)
-_EXTRA_FLOAT_KEYS = ("random_p",)
+_INT_KEYS = _PDU_INT_KEYS + _SIP_KEYS + _ACCEL_INT_KEYS
+# every key a config file or a sweep may set
+_KEYS = _INT_KEYS + _PDU_FLOAT_KEYS + _ACCEL_FLOAT_KEYS + _ENERGY_KEYS + ("random_p",)
 
 
 class UsageError(Exception):
@@ -73,9 +77,6 @@ def load_config_file(path: str | Path) -> dict[str, float | int]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    known = set(
-        _PDU_INT_KEYS + _PDU_FLOAT_KEYS + _SIP_KEYS + _ACCEL_INT_KEYS + _ACCEL_FLOAT_KEYS
-    ) | set(_ENERGY_KEYS) | set(_EXTRA_FLOAT_KEYS)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -89,10 +90,10 @@ def load_config_file(path: str | Path) -> dict[str, float | int]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in known:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            value = int(raw) if key in _PDU_INT_KEYS + _SIP_KEYS + _ACCEL_INT_KEYS else float(raw)
+            value = int(raw) if key in _INT_KEYS else float(raw)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad numeric value {raw!r} for {key!r}") from None
         values[key] = value
@@ -119,6 +120,12 @@ def build_configs(
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
     return pdu, accel, energy, random_p
+
+
+def _point(values: dict[str, float | int], n_steps: int, seed: int) -> dict:
+    """One configuration of an experiment, as keyword arguments of ``Experiment.run``."""
+    pdu, accel, energy, random_p = build_configs(values, n_steps)
+    return dict(accel_config=accel, energy_model=energy, pdu_config=pdu, random_p=random_p, seed=seed)
 
 
 def _seed(raw: str) -> int:
@@ -171,21 +178,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[LstmModel, InputSequence]:
 def _experiment_from_args(args: argparse.Namespace, modes: list[Mode]) -> ExperimentResult:
     model, seq = _load_inputs(args)
     values = load_config_file(args.config) if args.config else {}
-    return _experiment(model, seq, modes, values, args.seed)
-
-
-def _experiment(model: LstmModel, seq: InputSequence, modes: list[Mode], values: dict, seed: int) -> ExperimentResult:
-    pdu, accel, energy, random_p = build_configs(values, len(seq))
-    return run_experiment(
-        model,
-        seq,
-        modes,
-        accel_config=accel,
-        energy_model=energy,
-        pdu_config=pdu,
-        random_p=random_p,
-        seed=seed,
-    )
+    return run_experiment(model, seq, modes, **_point(values, len(seq), args.seed))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -232,9 +225,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     modes = _parse_modes(args.mode)
-    sweepable = set(_PDU_INT_KEYS + _PDU_FLOAT_KEYS + _EXTRA_FLOAT_KEYS)
-    if args.param not in sweepable:
-        raise UsageError(f"--param must be one of {sorted(sweepable)}")
+    if args.param not in _KEYS:
+        raise UsageError(f"--param must be one of {sorted(_KEYS)}")
     try:
         raw_values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -243,17 +235,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--values is empty")
     if any(math.isnan(value) for value in raw_values):
         raise UsageError("--values holds NaN")
-    if args.param in _PDU_INT_KEYS and not all(value.is_integer() for value in raw_values):
+    if args.param in _INT_KEYS and not all(value.is_integer() for value in raw_values):
         raise UsageError(f"--values for {args.param} must be integers, got {args.values!r}")
 
     model, seq = _load_inputs(args)
     base = load_config_file(args.config) if args.config else {}
+    experiment = Experiment(model, seq)
     points = []
     for value in raw_values:
-        values = dict(base)
-        values[args.param] = int(value) if args.param in _PDU_INT_KEYS else value
-        result = _experiment(model, seq, modes, values, args.seed)
-        points.append({"value": value, "report": result.report})
+        values = {**base, args.param: int(value) if args.param in _INT_KEYS else value}
+        report = experiment.run(modes, **_point(values, len(seq), args.seed)).report
+        points.append({"value": value, "report": report})
     sweep_report = {
         "schema_version": 1,
         "sweep": {"param": args.param, "points": points},
@@ -298,7 +290,7 @@ def build_parser() -> _Parser:
     trace.add_argument("--seed", type=_seed, default=0)
     trace.set_defaults(func=_cmd_trace)
 
-    sweep = sub.add_parser("sweep", help="re-run an experiment across parameter values")
+    sweep = sub.add_parser("sweep", help="run one experiment across parameter values")
     sweep.add_argument("--model", required=True)
     sweep.add_argument("--input", required=True)
     sweep.add_argument("--param", required=True)

@@ -18,14 +18,17 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .accel import AccelConfig, EnergyModel, SimResult, compare, simulate
+from .accel import AccelConfig, EnergyModel, SimResult, check_capacity, compare, cost_run, simulate
 from .lstm_quant import (
     DEFAULT_RANDOM_P,
     Mode,
+    QuantizedModel,
+    QuantRunResult,
     peak_flags_from_phases,
     quantize_model,
     relative_error_stats,
@@ -380,6 +383,151 @@ def _run_entry(sim: SimResult, baseline: SimResult, fp: StateTrace, flags) -> di
     }
 
 
+class Experiment:
+    """One model on one input sequence, run in stages that later points reuse.
+
+    Each stage result is kept with the fields it read, and a point whose
+    fields match reuses it:
+
+    - the quantized model and the full-precision reference read only the
+      model and the sequence, so they are computed once;
+    - the reference tracker phases read the ``PduConfig``;
+    - a quantized run reads its mode, plus the ``PduConfig`` in dynamic
+      mode and ``random_p`` and the seed in random mode.
+
+    Only the latest result of each stage is kept (one run per mode), so a
+    value that returns after another one is run again. The cycle and energy
+    cost alone reads ``AccelConfig`` and ``EnergyModel``, and every point
+    pays it, after its capacity check.
+    """
+
+    def __init__(self, model: LstmModel, seq: InputSequence) -> None:
+        self.model = model
+        self.seq = seq
+        self._fp_phases: tuple[PduConfig, tuple[np.ndarray, ...]] | None = None
+        self._runs: dict[Mode, tuple[tuple, QuantRunResult]] = {}
+
+    @cached_property
+    def qmodel(self) -> QuantizedModel:
+        return quantize_model(self.model)
+
+    @cached_property
+    def fp_trace(self) -> StateTrace:
+        return run_fp32(self.model, self.seq)
+
+    def fp_phases(self, pdu_config: PduConfig) -> tuple[np.ndarray, ...]:
+        if self._fp_phases is None or self._fp_phases[0] != pdu_config:
+            phases = tuple(classify_trace(layer_c, pdu_config) for layer_c in self.fp_trace.c)
+            self._fp_phases = pdu_config, phases
+        return self._fp_phases[1]
+
+    def _simulate(
+        self,
+        mode: Mode,
+        accel_config: AccelConfig,
+        energy_model: EnergyModel,
+        pdu_config: PduConfig,
+        random_p: float,
+        seed: int,
+    ) -> SimResult:
+        key = (
+            pdu_config if mode is Mode.DYNAMIC else None,
+            (random_p, seed) if mode is Mode.RANDOM else None,
+        )
+        held = self._runs.get(mode)
+        if held is not None and held[0] == key:
+            check_capacity(self.qmodel, self.seq, accel_config, mode is Mode.DYNAMIC)
+            return cost_run(self.qmodel, self.seq, held[1], accel_config, energy_model)
+        sim = simulate(
+            self.qmodel,
+            self.seq,
+            mode,
+            accel_config,
+            energy_model,
+            pdu_config,
+            random_p=random_p,
+            random_seed=seed,
+        )
+        self._runs[mode] = key, sim.run
+        return sim
+
+    def run(
+        self,
+        modes: list[Mode],
+        *,
+        accel_config: AccelConfig | None = None,
+        energy_model: EnergyModel | None = None,
+        pdu_config: PduConfig | None = None,
+        random_p: float = DEFAULT_RANDOM_P,
+        seed: int = 0,
+    ) -> ExperimentResult:
+        """The reference plus each requested mode at one configuration, and its report.
+
+        The 8-bit static run is always simulated as the comparison baseline,
+        even when not requested. Peak/stable error partitions come from
+        running the trackers over the reference cell-state trace, so every
+        mode is measured against the same peak structure.
+        """
+        accel_config = accel_config if accel_config is not None else AccelConfig()
+        energy_model = energy_model if energy_model is not None else EnergyModel()
+        if pdu_config is None:
+            pdu_config = PduConfig.for_sequence(len(self.seq))
+        if not 0.0 <= random_p <= 1.0:  # a reused run would not check it again
+            raise ValueError(f"random_p must be in [0, 1], got {random_p!r}")
+
+        qmodel = self.qmodel
+        fp_trace = self.fp_trace
+        fp_phases = self.fp_phases(pdu_config)
+        fp_flags = peak_flags_from_phases(fp_phases)
+
+        ordered: list[Mode] = []
+        for mode in [BASELINE_MODE, *modes]:
+            if mode not in ordered:
+                ordered.append(mode)
+
+        sims = {
+            mode.value: self._simulate(mode, accel_config, energy_model, pdu_config, random_p, seed)
+            for mode in ordered
+        }
+        baseline = sims[BASELINE_MODE.value]
+        runs = {name: _run_entry(sim, baseline, fp_trace, fp_flags) for name, sim in sims.items()}
+        histogram = {
+            name: [
+                [int(n) for n in (bits == 4).sum(axis=0)] for bits in sim.run.precision_bits
+            ]
+            for name, sim in sims.items()
+        }
+        report = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "model": {
+                "hash": qmodel.fingerprint,
+                "layers": [
+                    {"input_size": layer.input_size, "cell_size": layer.cell_size}
+                    for layer in self.model.layers
+                ],
+            },
+            "sequence": {
+                "hash": sequence_fingerprint(self.seq),
+                "steps": len(self.seq),
+                "width": self.seq.width,
+            },
+            "pdu_config": asdict(pdu_config),
+            "accel_config": asdict(accel_config),
+            "energy_model": asdict(energy_model),
+            "random_p": random_p,
+            "seed": seed,
+            "runs": runs,
+            "precision_histogram": histogram,
+        }
+        return ExperimentResult(
+            fp_trace=fp_trace,
+            fp_phases=fp_phases,
+            sims=sims,
+            report=report,
+            report_text=render_report(report),
+        )
+
+
 def run_experiment(
     model: LstmModel,
     seq: InputSequence,
@@ -391,76 +539,14 @@ def run_experiment(
     random_p: float = DEFAULT_RANDOM_P,
     seed: int = 0,
 ) -> ExperimentResult:
-    """Run the full-precision reference plus each requested mode and report.
-
-    The 8-bit static run is always simulated as the comparison baseline, even
-    when not requested. Peak/stable error partitions come from running the
-    trackers over the reference cell-state trace, so every mode is measured
-    against the same peak structure.
-    """
-    accel_config = accel_config if accel_config is not None else AccelConfig()
-    energy_model = energy_model if energy_model is not None else EnergyModel()
-    if pdu_config is None:
-        pdu_config = PduConfig.for_sequence(len(seq))
-
-    qmodel = quantize_model(model)
-    fp_trace = run_fp32(model, seq)
-    fp_phases = tuple(classify_trace(layer_c, pdu_config) for layer_c in fp_trace.c)
-    fp_flags = peak_flags_from_phases(fp_phases)
-
-    ordered: list[Mode] = []
-    for mode in [BASELINE_MODE, *modes]:
-        if mode not in ordered:
-            ordered.append(mode)
-
-    sims: dict[str, SimResult] = {}
-    for mode in ordered:
-        sims[mode.value] = simulate(
-            qmodel,
-            seq,
-            mode,
-            accel_config,
-            energy_model,
-            pdu_config,
-            random_p=random_p,
-            random_seed=seed,
-        )
-    baseline = sims[BASELINE_MODE.value]
-    runs = {name: _run_entry(sim, baseline, fp_trace, fp_flags) for name, sim in sims.items()}
-    histogram = {
-        name: [
-            [int(n) for n in (bits == 4).sum(axis=0)] for bits in sim.run.precision_bits
-        ]
-        for name, sim in sims.items()
-    }
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "model": {
-            "hash": qmodel.fingerprint,
-            "layers": [
-                {"input_size": layer.input_size, "cell_size": layer.cell_size}
-                for layer in model.layers
-            ],
-        },
-        "sequence": {
-            "hash": sequence_fingerprint(seq),
-            "steps": len(seq),
-            "width": seq.width,
-        },
-        "pdu_config": asdict(pdu_config),
-        "accel_config": asdict(accel_config),
-        "energy_model": asdict(energy_model),
-        "random_p": random_p,
-        "seed": seed,
-        "runs": runs,
-        "precision_histogram": histogram,
-    }
-    return ExperimentResult(
-        fp_trace=fp_trace,
-        fp_phases=fp_phases,
-        sims=sims,
-        report=report,
-        report_text=render_report(report),
+    """One point of an ``Experiment``: every stage computed for this call alone."""
+    return Experiment(model, seq).run(
+        modes,
+        accel_config=accel_config,
+        energy_model=energy_model,
+        pdu_config=pdu_config,
+        random_p=random_p,
+        seed=seed,
     )
 
 

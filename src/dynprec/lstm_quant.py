@@ -90,18 +90,20 @@ class FusedOperand:
     step8: np.ndarray
     step4: np.ndarray
 
-    def matvec(self, v8, v4, vstep8, vstep4, high: np.ndarray | None, rows_high: int) -> np.ndarray:
+    def matvec(self, v8, v4, scale8, scale4, high: np.ndarray | None, rows_high: int) -> np.ndarray:
         """Rescaled products with a vector, row r at 8 bits where ``high[r]``, else at 4.
 
-        ``v8`` and ``v4`` are float32 indices. ``rows_high`` counts the 8-bit
-        rows; a precision no row uses is skipped. The rescale runs in float64.
+        ``v8`` and ``v4`` are float32 indices. ``scale8`` and ``scale4`` are
+        each row's weight step times the vector's step at that precision.
+        ``rows_high`` counts the 8-bit rows; a precision no row uses is
+        skipped. The rescale runs in float64.
         """
         if rows_high == self.w8.shape[0]:
-            return exact_index_products(self.w8, v8) * (self.step8 * vstep8)
-        low = exact_index_products(self.w4, v4) * (self.step4 * vstep4)
+            return exact_index_products(self.w8, v8) * scale8
+        low = exact_index_products(self.w4, v4) * scale4
         if not rows_high:
             return low
-        return np.where(high, exact_index_products(self.w8, v8) * (self.step8 * vstep8), low)
+        return np.where(high, exact_index_products(self.w8, v8) * scale8, low)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +237,7 @@ def run_quantized(
         _, xs8, xs4 = _block_steps(inputs, 1)  # each step's input at its own alpha
         x8, x4, x_offsets = dual_index_arrays(inputs, xs8[:, None], xs4[:, None])
         x8, x4 = x8.astype(np.float32), x4.astype(np.float32)  # exact: |index| <= 127
+        rec_scale8, rec_scale4 = layer.rec.step8 * H_STEP8, layer.rec.step4 * H_STEP4
         adjusted = np.count_nonzero(x_offsets, axis=1)
         c_trace, h_trace = np.empty((n_steps, n)), np.empty((n_steps, n))
         high_hist = np.empty((n_steps, n), dtype=bool)
@@ -247,8 +250,8 @@ def run_quantized(
             h8, h4, h_offsets = dual_index_arrays(h, H_STEP8, H_STEP4)
             h8, h4 = h8.astype(np.float32), h4.astype(np.float32)
             pre = (
-                layer.fwd.matvec(x8[t], x4[t], xs8[t], xs4[t], high4, rows_high)
-                + layer.rec.matvec(h8, h4, H_STEP8, H_STEP4, high4, rows_high)
+                layer.fwd.matvec(x8[t], x4[t], layer.fwd.step8 * xs8[t], layer.fwd.step4 * xs4[t], high4, rows_high)
+                + layer.rec.matvec(h8, h4, rec_scale8, rec_scale4, high4, rows_high)
                 + layer.bias
             )
             i_t, f_t, o_t = sigmoid(pre[:n]), sigmoid(pre[n : 2 * n]), sigmoid(pre[3 * n :])

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from dynprec.accel import AccelConfig, EnergyModel, compare, simulate
-from dynprec.harness import gen_toy, peaky_spike_steps, run_experiment
+from dynprec.accel import AccelConfig, compare, simulate
+from dynprec.harness import gen_toy, run_experiment
 from dynprec.lstm_quant import (
     Mode,
     peak_flags_from_phases,

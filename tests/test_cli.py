@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import subprocess
@@ -17,8 +18,10 @@ from dynprec.cli import (
     load_config_file,
     main,
 )
+from dynprec import accel, harness
 from dynprec.accel import AccelConfig, EnergyModel
-from dynprec.harness import write_model, write_sequence
+from dynprec.harness import load_model, load_sequence, render_report, run_experiment, write_model, write_sequence
+from dynprec.lstm_quant import Mode
 from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
 from dynprec.pdu import PduConfig
 from dynprec.sip import SipConfig
@@ -186,7 +189,16 @@ def test_random_p_outside_unit_interval_exit_2(toy_files, tmp_path, capsys, rand
 
 @pytest.mark.parametrize(
     "param, values",
-    [("t_profile", "2.7"), ("t_profile", "nan"), ("m_max_peak", "inf"), ("n_max_stable", "4,5.5"), ("beta", "nan")],
+    [
+        ("t_profile", "2.7"),
+        ("t_profile", "nan"),
+        ("m_max_peak", "inf"),
+        ("n_max_stable", "4,5.5"),
+        ("beta", "nan"),
+        ("lanes", "4,2.5"),
+        ("weight_buffer_bytes", "1e9,0.5"),
+        ("pdu_update_cycles", "inf"),
+    ],
 )
 def test_sweep_rejects_invalid_values_exit_1(toy_files, capsys, param, values):
     model, seq = toy_files
@@ -336,3 +348,123 @@ def test_run_writes_report_to_stdout(toy_files, capsys):
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert doc["runs"]["static8"]["speedup_vs_static8"] == 1.0
+
+
+ALL_MODES = "static8,static4,dynamic,random"
+
+
+@pytest.fixture()
+def sweep_files(tmp_path):
+    out = tmp_path / "sweep_toy"
+    assert main(["gen", "--kind", "peaky", "--dims", "2,8,16,150", "--seed", "7", "--out", str(out)]) == EXIT_OK
+    return tmp_path / "sweep_toy.model", tmp_path / "sweep_toy.seq"
+
+
+def _sweep(files, tmp_path, param, values, modes=ALL_MODES) -> list[dict]:
+    model, seq = files
+    report = tmp_path / "sweep.json"
+    argv = ["sweep", "--model", str(model), "--input", str(seq), "--param", param, "--values", values,
+            "--mode", modes, "--seed", "3", "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    return json.loads(report.read_text())["sweep"]["points"]
+
+
+@pytest.mark.parametrize(
+    "param, values",
+    [
+        ("beta", "0.05,0.2,0.05"),
+        ("t_profile", "4,12,12"),
+        ("random_p", "0.2,0.7,0.2"),
+        ("peak_bandwidth", "1e6,30e9,1e6"),
+    ],
+)
+def test_sweep_points_match_fresh_experiments(sweep_files, tmp_path, param, values):
+    # every point, whatever it reused from earlier points, renders the bytes of
+    # an experiment run from scratch at that point's configuration
+    points = _sweep(sweep_files, tmp_path, param, values)
+    model, seq = load_model(sweep_files[0]), load_sequence(sweep_files[1])
+    modes = [Mode(name) for name in ALL_MODES.split(",")]
+    for point in points:
+        value = int(point["value"]) if param == "t_profile" else point["value"]
+        pdu, accel_config, energy, random_p = build_configs({param: value}, len(seq))
+        fresh = run_experiment(model, seq, modes, accel_config=accel_config, energy_model=energy,
+                               pdu_config=pdu, random_p=random_p, seed=3)
+        assert render_report(point["report"]) == fresh.report_text
+    first_runs, second_runs = (points[i]["report"]["runs"] for i in (0, 1))
+    assert first_runs != second_runs  # the swept value reaches the numbers
+
+
+@pytest.mark.parametrize(
+    "param, values, modes, runs, distinct_pdu",
+    [
+        ("beta", "0.05,0.05,0.2", "static8,dynamic", {"static8": 1, "dynamic": 2}, 2),
+        ("t_profile", "4,12", "static4,dynamic", {"static8": 1, "static4": 1, "dynamic": 2}, 2),
+        ("random_p", "0.2,0.7,0.7", "dynamic,random", {"static8": 1, "dynamic": 1, "random": 2}, 1),
+        ("peak_bandwidth", "1e6,30e9,1e9", ALL_MODES, {"static8": 1, "static4": 1, "dynamic": 1, "random": 1}, 1),
+        ("lanes", "2,8", ALL_MODES, {"static8": 1, "static4": 1, "dynamic": 1, "random": 1}, 1),
+        ("sip_bit_op", "0.01,0.04", ALL_MODES, {"static8": 1, "static4": 1, "dynamic": 1, "random": 1}, 1),
+    ],
+)
+def test_sweep_computes_each_stage_once(sweep_files, tmp_path, monkeypatch, param, values, modes, runs, distinct_pdu):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "quantize_model", counted("quantize_model", harness.quantize_model))
+    monkeypatch.setattr(harness, "run_fp32", counted("run_fp32", harness.run_fp32))
+    monkeypatch.setattr(harness, "classify_trace", counted("classify_trace", harness.classify_trace))
+    run_quantized = accel.run_quantized
+
+    def counted_run(qmodel, seq, mode, *args, **kwargs):
+        calls[mode.value] += 1
+        return run_quantized(qmodel, seq, mode, *args, **kwargs)
+
+    monkeypatch.setattr(accel, "run_quantized", counted_run)
+    _sweep(sweep_files, tmp_path, param, values, modes)
+    layers = 2
+    assert calls == {"quantize_model": 1, "run_fp32": 1, "classify_trace": layers * distinct_pdu, **runs}
+
+
+def test_sweep_takes_every_numeric_config_field(tmp_path):
+    # each field swept at its default gives the report of a run without a config
+    out = tmp_path / "tiny"
+    assert main(["gen", "--kind", "peaky", "--dims", "1,3,4,20", "--seed", "1", "--out", str(out)]) == EXIT_OK
+    files = ["--model", f"{out}.model", "--input", f"{out}.seq", "--mode", ALL_MODES]
+    report = tmp_path / "r.json"
+    assert main(["run", *files, "--report", str(report)]) == EXIT_OK
+    plain = json.loads(report.read_text())
+    defaults = {
+        **dataclasses.asdict(PduConfig.for_sequence(20)),
+        **dataclasses.asdict(SipConfig()),
+        **{k: v for k, v in dataclasses.asdict(AccelConfig()).items() if k != "sip"},
+        **dataclasses.asdict(EnergyModel()),
+    }
+    assert defaults.keys() == _numeric_config_fields().keys()
+    for name, value in [*defaults.items(), ("random_p", plain["random_p"])]:
+        argv = ["sweep", *files, "--param", name, "--values", repr(value), "--report", str(report)]
+        assert main(argv) == EXIT_OK, name
+        (point,) = json.loads(report.read_text())["sweep"]["points"]
+        assert point["report"] == plain, name
+
+
+@pytest.mark.parametrize(
+    "param, values, code",
+    [
+        ("lanes", "0", EXIT_FORMAT),
+        ("frequency_hz", "-1", EXIT_FORMAT),
+        ("peak_bandwidth", "inf", EXIT_FORMAT),
+        ("weight_nibble_read", "0.25,2", EXIT_FORMAT),
+        ("weight_buffer_bytes", "1", EXIT_CAPACITY),
+        ("pdu_buffer_bytes", "8192,1", EXIT_CAPACITY),
+    ],
+)
+def test_sweep_over_accelerator_fields_exits_as_run_does(toy_files, capsys, param, values, code):
+    model, seq = toy_files
+    argv = ["sweep", "--model", str(model), "--input", str(seq), "--param", param, "--values", values]
+    assert main(argv) == code
+    assert "error:" in capsys.readouterr().err
