@@ -108,6 +108,8 @@ def build_configs(
             n_steps,
             **{k: values[k] for k in _PDU_INT_KEYS + _PDU_FLOAT_KEYS if k in values},
         )
+        if not math.isfinite(pdu.beta):  # the tracker takes it; a JSON report cannot hold it
+            raise ValueError(f"beta must be finite, got {pdu.beta!r}")
         sip = SipConfig(**{k: values[k] for k in _SIP_KEYS if k in values})
         accel = AccelConfig(
             sip=sip,

@@ -3,17 +3,23 @@
 Each gate matrix is quantized offline at 8 and at 4 bits with its own
 alpha, as its row block of the layer's stacked gate-major weights, so each
 connection of a layer is one operand. The run goes layer by layer: each
-layer's whole input sequence is quantized the same way in one batch, then
-the layer runs over every step, quantizing only its own previous output per
-step. The four gate neurons feeding one cell-state element always share
-that element's precision. Matrix-vector work runs on integer indices, held
-exactly in float32 so that it runs in BLAS, in column blocks whose sums
-stay exact float32 integers; the block sums are added and rescaled to reals
-in float64. The element-wise cell update and the activations stay in full
-precision. Alongside the numeric traces the run counts, per layer, the
-only events that depend on its precision choices: the weight bytes and
-nibbles read and the input offsets adjusted. The accelerator model
-derives every other event from the model's sizes.
+layer's whole input sequence is quantized the same way in one batch, and
+since those inputs are all known before the layer starts, its forward
+products run as one GEMM per chunk of ``FORWARD_CHUNK`` steps and precision
+the mode can pick. Each step then does only what depends on the step
+before: it picks its precision mix, encodes its previous output at both
+precisions in one pass, takes its forward products from the chunk, computes
+the recurrent products, and updates the cell. The four gate neurons feeding
+one cell-state element always share that element's precision. Matrix
+products run on integer indices, held exactly in float32 so that they run
+in BLAS, in column blocks whose sums stay exact float32 integers in any
+summation order; the block sums are added and rescaled to reals in float64,
+so a GEMM gives the bits of the per-step products. The element-wise cell
+update and the activations stay in full precision. Alongside the numeric
+traces the run counts, per layer, the only events that depend on its
+precision choices: the weight bytes and nibbles read and the input offsets
+adjusted. The accelerator model derives every other event from the model's
+sizes.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .lstm_ref import GATES, InputSequence, LstmModel, StateTrace, sigmoid
 from .pdu import PduConfig, Phase, TrackerState, pdu_observe
-from .quant import dual_index_arrays, packed_bytes, quant_step
+from .quant import check_finite, check_offset_range, dual_index_arrays, magnitude_limit, packed_bytes, quant_step
 
 # Relative-error denominators are floored to avoid dividing by a near-zero cell state.
 EPS_DENOM = 1e-3
@@ -37,6 +43,14 @@ DEFAULT_RANDOM_P = 0.33
 
 # Outputs live in (-1, 1) and are always quantized with alpha 1.
 H_STEP8, H_STEP4 = quant_step(1.0, 8), quant_step(1.0, 4)
+# Both rows of a step's h encode: the steps are powers of two, so scaling by
+# their inverses equals dividing by them; then each precision's magnitude limit.
+H_SCALES = np.array([[1.0 / H_STEP8], [1.0 / H_STEP4]])
+H_LIMITS = np.array([[magnitude_limit(8)], [magnitude_limit(4)]], dtype=np.float64)
+
+# Steps per forward GEMM. It bounds each precision's [steps, 4H] float64
+# products buffer; 128 steps already cost peak memory on wide layers.
+FORWARD_CHUNK = 64
 
 
 class Mode(enum.Enum):
@@ -104,6 +118,21 @@ class FusedOperand:
         if not rows_high:
             return low
         return np.where(high, exact_index_products(self.w8, v8) * scale8, low)
+
+
+def _forward_products(
+    w: np.ndarray, v: np.ndarray, v_steps: np.ndarray, row_steps: np.ndarray, out: np.ndarray
+) -> None:
+    """Rescaled products of ``w`` with each of ``v``'s rows, one per step, into ``out[:steps]``.
+
+    The steps' index vectors form one [fan_in, steps] operand, so
+    ``exact_index_products`` keeps its column blocks exact in one GEMM. The
+    rescale groups as ``FusedOperand.matvec`` does:
+    ``products * (row_step * vector_step)``.
+    """
+    chunk = out[: len(v)]
+    np.multiply.outer(v_steps, row_steps, out=chunk)
+    chunk *= exact_index_products(w, v.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,54 +259,18 @@ def run_quantized(
     inputs = seq.steps
     for L, layer in enumerate(layers):
         n = layer.cell_size
-        if mode is Mode.RANDOM:
-            high_rows = draws[:, ends[L] - n : ends[L]] >= random_p
-        elif mode is not Mode.DYNAMIC:
-            high_rows = np.broadcast_to(mode is Mode.STATIC8, (n_steps, n))
-        _, xs8, xs4 = _block_steps(inputs, 1)  # each step's input at its own alpha
-        x8, x4, x_offsets = dual_index_arrays(inputs, xs8[:, None], xs4[:, None])
-        x8, x4 = x8.astype(np.float32), x4.astype(np.float32)  # exact: |index| <= 127
-        rec_scale8, rec_scale4 = layer.rec.step8 * H_STEP8, layer.rec.step4 * H_STEP4
-        adjusted = np.count_nonzero(x_offsets, axis=1)
-        c_trace, h_trace = np.empty((n_steps, n)), np.empty((n_steps, n))
-        high_hist = np.empty((n_steps, n), dtype=bool)
-        phases = np.empty((n_steps, n), dtype=np.int8)
-        c = h = np.zeros(n)
-        for t in range(n_steps):
-            high = trackers[L].high_precision() if mode is Mode.DYNAMIC else high_rows[t]
-            rows_high = len(GATES) * int(np.count_nonzero(high))
-            high4 = np.concatenate((high,) * len(GATES)) if 0 < rows_high < len(GATES) * n else None
-            h8, h4, h_offsets = dual_index_arrays(h, H_STEP8, H_STEP4)
-            h8, h4 = h8.astype(np.float32), h4.astype(np.float32)
-            pre = (
-                layer.fwd.matvec(x8[t], x4[t], layer.fwd.step8 * xs8[t], layer.fwd.step4 * xs4[t], high4, rows_high)
-                + layer.rec.matvec(h8, h4, rec_scale8, rec_scale4, high4, rows_high)
-                + layer.bias
-            )
-            i_t, f_t, o_t = sigmoid(pre[:n]), sigmoid(pre[n : 2 * n]), sigmoid(pre[3 * n :])
-            g_t = np.tanh(pre[2 * n : 3 * n])
-            c = f_t * c + i_t * g_t
-            h = o_t * np.tanh(c)
-            c_trace[t], h_trace[t], high_hist[t] = c, h, high
-            adjusted[t] += np.count_nonzero(h_offsets)
-            if mode is Mode.DYNAMIC:
-                pdu_observe(trackers[L], pdu_config, c)
-                phases[t] = trackers[L].phase
+        if mode is Mode.DYNAMIC:
+            picks = trackers[L]
+        elif mode is Mode.RANDOM:
+            picks = draws[:, ends[L] - n : ends[L]] >= random_p
+        else:
+            picks = np.broadcast_to(mode is Mode.STATIC8, (n_steps, n))
+        c_trace, h_trace, high_hist, phases, counts = _run_layer(layer, inputs, mode, picks, pdu_config)
         c_hist.append(c_trace)
         h_hist.append(h_trace)
         bits_hist.append(np.where(high_hist, np.uint8(8), np.uint8(4)))
         phase_hist.append(phases)
-
-        n_high = np.count_nonzero(high_hist, axis=1)
-        high_total = int(n_high.sum())
-        weights_per_element = len(GATES) * (layer.input_size + n)
-        activity.append(
-            LayerActivity(
-                weight_bytes=high_total * weights_per_element,
-                weight_nibbles=(n_steps * n - high_total) * weights_per_element,
-                input_adjusted=int(adjusted[n_high < n].sum()),
-            )
-        )
+        activity.append(counts)
         inputs = h_trace
 
     return QuantRunResult(
@@ -287,6 +280,92 @@ def run_quantized(
         activity=tuple(activity),
         mode=mode,
     )
+
+
+def _run_layer(
+    layer: QuantizedLayer,
+    inputs: np.ndarray,
+    mode: Mode,
+    picks: TrackerState | np.ndarray,
+    pdu_config: PduConfig | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, LayerActivity]:
+    """One layer over every step, given its whole input sequence.
+
+    ``picks`` is the layer's tracker in dynamic mode, else each step's
+    8-bit elements. Returns the cell and output traces, each step's 8-bit
+    elements, the tracker phase after each step (dynamic only) and the
+    layer's activity.
+    """
+    n_steps, n = len(inputs), layer.cell_size
+    rows = len(GATES) * n
+    _, xs8, xs4 = _block_steps(inputs, 1)  # each step's input at its own alpha
+    x8, x4, x_offsets = dual_index_arrays(inputs, xs8[:, None], xs4[:, None])
+    adjusted = np.count_nonzero(x_offsets, axis=1)
+    del x_offsets  # the steps' counts are all the run needs of it
+    x8, x4 = x8.astype(np.float32), x4.astype(np.float32)  # exact: |index| <= 127
+    rec_scale8, rec_scale4 = layer.rec.step8 * H_STEP8, layer.rec.step4 * H_STEP4
+    c_trace, h_trace = np.empty((n_steps, n)), np.empty((n_steps, n))
+    high_hist = np.empty((n_steps, n), dtype=bool)
+    phases = np.empty((n_steps, n), dtype=np.int8) if mode is Mode.DYNAMIC else None
+    # only the precisions the mode can pick, one chunk of steps at a time
+    f8 = np.empty((FORWARD_CHUNK, rows)) if mode is not Mode.STATIC4 else None
+    f4 = np.empty((FORWARD_CHUNK, rows)) if mode is not Mode.STATIC8 else None
+    h_idx = np.empty((2, n))
+    h_codes = np.empty((FORWARD_CHUNK, 2, n), dtype=np.float32)  # each step's h at 8 and at 4 bits
+    lowest = highest = 0.0  # range of the h offset bits
+    c = h = np.zeros(n)
+    for t0 in range(0, n_steps, FORWARD_CHUNK):
+        t1 = min(t0 + FORWARD_CHUNK, n_steps)
+        if f8 is not None:
+            _forward_products(layer.fwd.w8, x8[t0:t1], xs8[t0:t1], layer.fwd.step8, f8)
+        if f4 is not None:
+            _forward_products(layer.fwd.w4, x4[t0:t1], xs4[t0:t1], layer.fwd.step4, f4)
+        for j, t in enumerate(range(t0, t1)):
+            high = picks.high_precision() if phases is not None else picks[t]
+            rows_high = len(GATES) * int(np.count_nonzero(high))
+            high4 = np.concatenate((high,) * len(GATES)) if 0 < rows_high < rows else None
+            if rows_high == rows:
+                fwd = f8[j]
+            elif not rows_high:
+                fwd = f4[j]
+            else:
+                fwd = np.where(high4, f8[j], f4[j])
+            # dual_index_arrays(h, H_STEP8, H_STEP4), both rows in one pass
+            np.multiply(np.abs(h), H_SCALES, out=h_idx)
+            h_idx += 0.5
+            np.floor(h_idx, out=h_idx)
+            np.minimum(h_idx, H_LIMITS, out=h_idx)
+            np.subtract(0.0, h_idx, out=h_idx, where=(h < 0) & (h_idx[0] > 0))  # a zero index stays +0.0
+            h_codes[j] = h_idx  # exact: |index| <= 127
+            pre = (
+                fwd
+                + layer.rec.matvec(h_codes[j, 0], h_codes[j, 1], rec_scale8, rec_scale4, high4, rows_high)
+                + layer.bias
+            )
+            i_t, f_t, o_t = sigmoid(pre[:n]), sigmoid(pre[n : 2 * n]), sigmoid(pre[3 * n :])
+            g_t = np.tanh(pre[2 * n : 3 * n])
+            c = f_t * c + i_t * g_t
+            h = o_t * np.tanh(c)
+            c_trace[t], h_trace[t], high_hist[t] = c, h, high
+            if phases is not None:
+                pdu_observe(picks, pdu_config, c)
+                phases[t] = picks.phase
+        magnitudes = np.abs(h_codes[: t1 - t0])
+        offsets = magnitudes[:, 1] - np.floor(magnitudes[:, 0] / 16)
+        adjusted[t0:t1] += np.count_nonzero(offsets, axis=1)
+        lowest, highest = min(lowest, offsets.min()), max(highest, offsets.max())
+    check_finite(h_trace[:-1])  # every h a step encoded, after the zero start
+    check_offset_range(lowest, highest)
+
+    n_high = np.count_nonzero(high_hist, axis=1)
+    high_total = int(n_high.sum())
+    weights_per_element = len(GATES) * (layer.input_size + n)
+    activity = LayerActivity(
+        weight_bytes=high_total * weights_per_element,
+        weight_nibbles=(n_steps * n - high_total) * weights_per_element,
+        input_adjusted=int(adjusted[n_high < n].sum()),
+    )
+    return c_trace, h_trace, high_hist, phases, activity
 
 
 def peak_flags_from_phases(phases: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:

@@ -17,7 +17,7 @@ import numpy as np
 MAX_BITS = 8
 
 
-def _magnitude_limit(bits: int) -> int:
+def magnitude_limit(bits: int) -> int:
     return (1 << (bits - 1)) - 1
 
 
@@ -50,6 +50,17 @@ class QuantParams:
         object.__setattr__(self, "step", quant_step(self.alpha, self.bits))
 
 
+def check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("cannot quantize non-finite values")
+
+
+def check_offset_range(lowest: float, highest: float) -> None:
+    """Every offset bit, from ``lowest`` to ``highest``, must be 0 or 1."""
+    if lowest < 0 or highest > 1:
+        raise AssertionError("4-bit index deviates from the high nibble by more than one")
+
+
 def dual_index_arrays(values: np.ndarray, step8, step4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantize ``values`` at 8 and at 4 bits, unpacked for arithmetic.
 
@@ -57,14 +68,13 @@ def dual_index_arrays(values: np.ndarray, step8, step4) -> tuple[np.ndarray, np.
     exact integers in float64. The steps may be scalars or broadcast per row.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("cannot quantize non-finite values")
+    check_finite(arr)
     mag = np.abs(arr)
-    high = np.minimum(np.floor(mag / step8 + 0.5), float(_magnitude_limit(8)))
-    low = np.minimum(np.floor(mag / step4 + 0.5), float(_magnitude_limit(4)))
+    high = np.minimum(np.floor(mag / step8 + 0.5), float(magnitude_limit(8)))
+    low = np.minimum(np.floor(mag / step4 + 0.5), float(magnitude_limit(4)))
     offsets = low - np.floor(high / 16)
-    if offsets.size and (offsets.min() < 0 or offsets.max() > 1):
-        raise AssertionError("4-bit index deviates from the high nibble by more than one")
+    if offsets.size:
+        check_offset_range(offsets.min(), offsets.max())
     negatives = (arr < 0) & (high > 0)
     for m in (high, low):
         np.subtract(0.0, m, out=m, where=negatives)  # 0.0 - m, so a zero index stays +0.0

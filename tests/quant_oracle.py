@@ -38,7 +38,7 @@ from dynprec.lstm_quant import (
 )
 from dynprec.lstm_ref import GATES, InputSequence, StateTrace, sigmoid
 from dynprec.pdu import PduConfig, TrackerState, pdu_observe
-from dynprec.quant import QuantizedVector, QuantParams, _check_bits, _magnitude_limit
+from dynprec.quant import QuantizedVector, QuantParams, _check_bits, magnitude_limit
 from pdu_oracle import Precision
 
 
@@ -51,7 +51,7 @@ class QIndex:
 
     def __post_init__(self) -> None:
         _check_bits(self.bits)
-        limit = _magnitude_limit(self.bits)
+        limit = magnitude_limit(self.bits)
         if abs(self.value) > limit:
             raise ValueError(f"index {self.value} outside +/-{limit} for {self.bits} bits")
 
@@ -61,7 +61,7 @@ def quantize(y: float, params: QuantParams) -> QIndex:
     y = float(y)
     if not math.isfinite(y):
         raise ValueError(f"cannot quantize non-finite value {y!r}")
-    limit = _magnitude_limit(params.bits)
+    limit = magnitude_limit(params.bits)
     ratio = abs(y) / params.step
     if ratio >= limit:
         magnitude = limit
@@ -129,7 +129,7 @@ def quantize_array(values: np.ndarray, params: QuantParams) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("cannot quantize non-finite values")
     magnitudes = np.floor(np.abs(arr) / params.step + 0.5)
-    magnitudes = np.minimum(magnitudes, _magnitude_limit(params.bits)).astype(np.int64)
+    magnitudes = np.minimum(magnitudes, magnitude_limit(params.bits)).astype(np.int64)
     return np.where(arr < 0, -magnitudes, magnitudes)
 
 

@@ -273,6 +273,23 @@ def test_extreme_config_values_exit_documented(toy_files, tmp_path, capsys, text
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_infinite_beta_is_a_config_error(toy_files, tmp_path, capsys, verb):
+    # PduConfig takes beta = inf, but the report would hold "Infinity", which is not JSON
+    model, seq = toy_files
+    report = tmp_path / "report.json"
+    argv = [verb, "--model", str(model), "--input", str(seq), "--report", str(report)]
+    if verb == "run":
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("beta = inf\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--param", "beta", "--values", "0.1,inf"]
+    assert main(argv) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith("error: invalid configuration: beta must be finite")
+    assert not report.exists()
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -171,7 +171,14 @@ _CONFIG_LINES = st.one_of(
 @FUZZ
 def test_fuzzed_config(toy, lines, garble):
     config = "\n".join(lines).encode() + (garble or b"")
-    _assert_documented(*_run(toy, config))
+    code, out, err = _run(toy, config)
+    _assert_documented(code, out, err)
+    if code == EXIT_OK:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+def _reject_constant(name: str) -> None:
+    raise AssertionError(f"the report holds {name}, which RFC 8259 JSON cannot")
 
 
 @given(

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynprec.lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, run_fp32
+from dynprec import lstm_quant
 from dynprec.lstm_quant import (
     EPS_DENOM,
     FLOAT32_EXACT_COLUMNS,
+    FORWARD_CHUNK,
     Mode,
     check_exact_fan_in,
     peak_flags_from_phases,
@@ -156,7 +160,7 @@ def test_multi_block_fan_in_matches_step_major_oracle():
     # float32 block over the whole fan-in cannot be exact. The small alphas
     # keep the gates out of saturation, so a rounded sum shows in the trace.
     rng = np.random.default_rng(12)
-    fan_in, cell, steps = 2 * FLOAT32_EXACT_COLUMNS + 1, 3, 6
+    fan_in, cell, steps = 2 * FLOAT32_EXACT_COLUMNS + 1, 3, FORWARD_CHUNK + 3
     signs = np.where(rng.random((4, cell, fan_in)) < 0.9, 1.0, -1.0)
     gates = [
         (0.02 * signs[g], rng.uniform(-0.5, 0.5, (cell, cell)), rng.uniform(-0.1, 0.1, cell))
@@ -164,15 +168,17 @@ def test_multi_block_fan_in_matches_step_major_oracle():
     ]
     model = LstmModel((LstmLayer.from_gates(gates),))
     x = 0.02 * np.where(rng.random(steps) < 0.5, 1.0, -1.0)[:, None] * np.ones((steps, fan_in))
-    qmodel, seq = quantize_model(model), InputSequence(x)
+    qmodel = quantize_model(model)
     assert np.abs(qmodel.layers[0].fwd.w8).min() == 127
-    for mode in Mode:
-        got = run_quantized(qmodel, seq, mode, random_p=0.5)
-        want, _ = run_quantized_reference(qmodel, seq, mode, random_p=0.5)
-        assert np.array_equal(got.trace.c[0], want.trace.c[0])
-        assert np.array_equal(got.trace.h[0], want.trace.h[0])
-        assert np.array_equal(got.precision_bits[0], want.precision_bits[0])
-        assert got.activity == want.activity
+    # the second length crosses a chunk boundary, so the blocks run inside chunked GEMMs
+    for seq in (InputSequence(x[:6]), InputSequence(x)):
+        for mode in Mode:
+            got = run_quantized(qmodel, seq, mode, random_p=0.5)
+            want, _ = run_quantized_reference(qmodel, seq, mode, random_p=0.5)
+            assert np.array_equal(got.trace.c[0], want.trace.c[0])
+            assert np.array_equal(got.trace.h[0], want.trace.h[0])
+            assert np.array_equal(got.precision_bits[0], want.precision_bits[0])
+            assert got.activity == want.activity
 
 
 def test_neuron_eval_zero_weights_returns_biases():
@@ -361,6 +367,42 @@ def test_fingerprints_are_stable(toy):
     assert sequence_fingerprint(other) != sequence_fingerprint(seq)
 
 
+def test_run_encodes_once_per_layer_and_keeps_no_whole_sequence_products():
+    rng = np.random.default_rng(21)
+    # each layer encodes its whole input sequence once; its own h is encoded inline
+    qmodel = quantize_model(_random_model(rng, [(3, 5), (5, 4)]))
+    seq = InputSequence(rng.uniform(-1, 1, (2 * FORWARD_CHUNK + 1, 3)))
+    for mode in Mode:
+        with mock.patch.object(lstm_quant, "dual_index_arrays", wraps=lstm_quant.dual_index_arrays) as encode:
+            run_quantized(qmodel, seq, mode)
+        assert encode.call_count == len(qmodel.layers), mode
+
+    # What the run holds beyond its results may grow with the steps only by
+    # the encoded inputs with their encode temporaries (64 B per input
+    # element) and per-element bookkeeping: random mode's float64 draws and
+    # the precision flags (12 B per cell element). The forward products of
+    # the whole sequence, [steps, 4H] in float64, would be 32 B per cell element.
+    input_size, cell = 1, 64
+    qmodel = quantize_model(_random_model(rng, [(input_size, cell)]))
+    budget = 64 * input_size + 12 * cell
+
+    def held(n_steps, mode):
+        seq = InputSequence(rng.uniform(-1, 1, (n_steps, input_size)))
+        tracemalloc.start()
+        try:
+            result = run_quantized(qmodel, seq, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (*result.trace.c, *result.trace.h, *result.precision_bits, *(result.phases or ()))
+        return peak - sum(a.nbytes for a in arrays)
+
+    short, long = 2 * FORWARD_CHUNK, 10 * FORWARD_CHUNK
+    for mode in Mode:
+        growth = (held(long, mode) - held(short, mode)) / (long - short)
+        assert growth <= budget, (mode, growth)
+
+
 def test_run_rejects_wrong_width(toy):
     _, qmodel, _ = toy
     with pytest.raises(ValueError):
@@ -431,7 +473,11 @@ def _pinned_states(rng, qmodel):
 def _differential_cases(draw):
     n_layers = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, 9), min_size=n_layers + 1, max_size=n_layers + 1))
-    n_steps = draw(st.integers(1, 24))
+    # short runs, and runs that end just before, on and after a chunk boundary
+    n_steps = draw(st.one_of(
+        st.integers(1, 24),
+        st.sampled_from((FORWARD_CHUNK - 1, FORWARD_CHUNK, FORWARD_CHUNK + 1, 2 * FORWARD_CHUNK + 1)),
+    ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     saturating = draw(st.booleans())  # large weights and inputs drive |h| to the clamp
     scale = 4.0 if saturating else 0.5
@@ -462,6 +508,7 @@ def test_run_quantized_matches_step_major_oracle(case):
     for L in range(len(qmodel.layers)):
         assert np.array_equal(got.trace.c[L], want.trace.c[L])
         assert np.array_equal(got.trace.h[L], want.trace.h[L])
+        assert np.array_equal(np.signbit(got.trace.h[L]), np.signbit(want.trace.h[L]))  # array_equal misses -0.0
         assert np.array_equal(got.precision_bits[L], want.precision_bits[L])
         assert got.precision_bits[L].dtype == want.precision_bits[L].dtype
     if mode is Mode.DYNAMIC:
