@@ -156,7 +156,7 @@ class SimResult:
 def check_capacity(
     qmodel: QuantizedModel, seq: InputSequence, config: AccelConfig, dynamic: bool
 ) -> None:
-    """Working-set checks; each buffer holds one layer's data at a time."""
+    """Working-set checks, each buffer holding one layer's data at a time, then the cycle counter."""
     max_gate_weights = max(
         layer.cell_size * (layer.input_size + layer.cell_size) for layer in qmodel.layers
     )
@@ -175,17 +175,13 @@ def check_capacity(
     if dynamic and max_cell * PDU_ENTRY_BYTES > config.pdu_buffer_bytes:
         raise CapacityError("peak detector buffer", max_cell * PDU_ENTRY_BYTES, config.pdu_buffer_bytes)
 
+    _timing(qmodel, len(seq), config, dynamic)
 
-def _step_cycles(
-    qmodel: QuantizedModel,
-    run: QuantRunResult,
-    config: AccelConfig,
-    dynamic: bool,
-) -> tuple[int, np.ndarray]:
-    """Total cycles of a run, and the int64 cycles of each step.
 
-    Each layer costs the larger of its dot-product cycles and the drain
-    floor; a step is stretched to the input/output bandwidth bound.
+def _timing(qmodel: QuantizedModel, n_steps: int, config: AccelConfig, dynamic: bool) -> tuple[list, int, int, float]:
+    """Each layer's 8- and 4-bit element cycles, the drain floor, the fill and the bandwidth bound.
+
+    A run of ``n_steps`` steps whose worst case could pass ``MAX_CYCLES`` is refused.
     """
     per_layer_cost = []
     for layer in qmodel.layers:
@@ -203,14 +199,28 @@ def _step_cycles(
     dram_bytes = (in0 + out_cell) * STATE_ENTRY_BYTES
     stretch = dram_bytes * config.frequency_hz / config.peak_bandwidth
 
-    n_steps = run.trace.n_steps
     widest_step = sum(
         max(layer.cell_size * c8, floor) for layer, (c8, _) in zip(qmodel.layers, per_layer_cost)
     )
     bound = fill + n_steps * max(stretch, widest_step)
     if not bound <= MAX_CYCLES:
         raise CapacityError("cycle counter", bound, MAX_CYCLES, unit="cycles")
+    return per_layer_cost, floor, fill, stretch
 
+
+def _step_cycles(
+    qmodel: QuantizedModel,
+    run: QuantRunResult,
+    config: AccelConfig,
+    dynamic: bool,
+) -> tuple[int, np.ndarray]:
+    """Total cycles of a run, and the int64 cycles of each step.
+
+    Each layer costs the larger of its dot-product cycles and the drain
+    floor; a step is stretched to the input/output bandwidth bound.
+    """
+    n_steps = run.trace.n_steps
+    per_layer_cost, floor, fill, stretch = _timing(qmodel, n_steps, config, dynamic)
     cycles = np.zeros(n_steps, dtype=np.int64)
     for (c8, c4), bits in zip(per_layer_cost, run.precision_bits):
         n_high = (bits == 8).sum(axis=1)

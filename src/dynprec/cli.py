@@ -3,7 +3,7 @@
 Verbs: ``gen`` writes toy model/sequence files, ``run`` produces a JSON
 report over one or more modes, ``trace`` exports one element's per-step
 history as CSV, ``sweep`` runs one experiment across parameter values,
-computing each stage once for all the points that leave its inputs alone.
+with every point's quantized runs as lanes of one pass.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error, 3 capacity
 error (an on-chip buffer, or the 64-bit cycle counter), 4 a file could
@@ -125,7 +125,7 @@ def build_configs(
 
 
 def _point(values: dict[str, float | int], n_steps: int, seed: int) -> dict:
-    """One configuration of an experiment, as keyword arguments of ``Experiment.run``."""
+    """One configuration of an experiment, as keyword arguments of ``run_experiment``."""
     pdu, accel, energy, random_p = build_configs(values, n_steps)
     return dict(accel_config=accel, energy_model=energy, pdu_config=pdu, random_p=random_p, seed=seed)
 
@@ -242,15 +242,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     model, seq = _load_inputs(args)
     base = load_config_file(args.config) if args.config else {}
-    experiment = Experiment(model, seq)
-    points = []
-    for value in raw_values:
-        values = {**base, args.param: int(value) if args.param in _INT_KEYS else value}
-        report = experiment.run(modes, **_point(values, len(seq), args.seed)).report
-        points.append({"value": value, "report": report})
+    # built one at a time as the experiment checks them, so the first bad point in value order fails
+    points = (
+        _point({**base, args.param: int(value) if args.param in _INT_KEYS else value}, len(seq), args.seed)
+        for value in raw_values
+    )
+    results = Experiment(model, seq).run(modes, points)
     sweep_report = {
         "schema_version": 1,
-        "sweep": {"param": args.param, "points": points},
+        "sweep": {
+            "param": args.param,
+            "points": [{"value": value, "report": result.report} for value, result in zip(raw_values, results)],
+        },
     }
     text = render_report(sweep_report)
     if args.report:

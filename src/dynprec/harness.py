@@ -20,18 +20,24 @@ import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .accel import AccelConfig, EnergyModel, SimResult, check_capacity, compare, cost_run, simulate
+from .accel import AccelConfig, EnergyModel, SimResult, check_capacity, compare, cost_run
+
+# Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
+from .accel import simulate
 from .lstm_quant import (
     DEFAULT_RANDOM_P,
+    Lane,
     Mode,
     QuantizedModel,
     QuantRunResult,
     peak_flags_from_phases,
     quantize_model,
     relative_error_stats,
+    run_lanes,
     sequence_fingerprint,
 )
 from .lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, StateTrace, run_fp32
@@ -362,8 +368,8 @@ class ExperimentResult:
 
 
 def _mean_abs_cell_error(fp: StateTrace, q: StateTrace) -> float:
-    diffs = [np.abs(qc - fc) for qc, fc in zip(q.c, fp.c)]
-    return float(np.concatenate([d.ravel() for d in diffs]).mean())
+    diffs = [np.abs(qc - fc).ravel() for qc, fc in zip(q.c, fp.c)]
+    return float((diffs[0] if len(diffs) == 1 else np.concatenate(diffs)).mean())
 
 
 def _run_entry(sim: SimResult, baseline: SimResult, fp: StateTrace, flags) -> dict:
@@ -383,29 +389,39 @@ def _run_entry(sim: SimResult, baseline: SimResult, fp: StateTrace, flags) -> di
     }
 
 
+class _Point(NamedTuple):
+    """One point of an experiment: ``run_experiment``'s keyword arguments."""
+
+    accel_config: AccelConfig = AccelConfig()
+    energy_model: EnergyModel = EnergyModel()
+    pdu_config: PduConfig | None = None  # None: PduConfig.for_sequence
+    random_p: float = DEFAULT_RANDOM_P
+    seed: int = 0
+
+    def lane(self, mode: Mode) -> Lane:
+        """The quantized run of ``mode`` at this point: only the fields the mode reads."""
+        if mode is Mode.RANDOM:
+            return Lane(mode, random_p=self.random_p, random_seed=self.seed)
+        return Lane(mode, self.pdu_config if mode is Mode.DYNAMIC else None)
+
+
 class Experiment:
-    """One model on one input sequence, run in stages that later points reuse.
+    """One model on one input sequence, run at every point of a sweep at once.
 
-    Each stage result is kept with the fields it read, and a point whose
-    fields match reuses it:
-
-    - the quantized model and the full-precision reference read only the
-      model and the sequence, so they are computed once;
-    - the reference tracker phases read the ``PduConfig``;
-    - a quantized run reads its mode, plus the ``PduConfig`` in dynamic
-      mode and ``random_p`` and the seed in random mode.
-
-    Only the latest result of each stage is kept (one run per mode), so a
-    value that returns after another one is run again. The cycle and energy
-    cost alone reads ``AccelConfig`` and ``EnergyModel``, and every point
-    pays it, after its capacity check.
+    ``run`` checks every point, in order, before it runs anything. Then it
+    computes each stage once for all points: the quantized model and the
+    reference read only the model and the sequence; a quantized run reads its
+    mode, plus the ``PduConfig`` in dynamic mode and ``random_p`` and the seed
+    in random mode, and each distinct run is a lane of one ``run_lanes``
+    pass; the reference phases read only the ``PduConfig``, and each distinct
+    one takes part in one ``classify_trace`` pass. Each point then costs its
+    runs with its ``AccelConfig`` and ``EnergyModel``. The runs keep no ``h``
+    traces: the reports read only ``c``.
     """
 
     def __init__(self, model: LstmModel, seq: InputSequence) -> None:
         self.model = model
         self.seq = seq
-        self._fp_phases: tuple[PduConfig, tuple[np.ndarray, ...]] | None = None
-        self._runs: dict[Mode, tuple[tuple, QuantRunResult]] = {}
 
     @cached_property
     def qmodel(self) -> QuantizedModel:
@@ -415,92 +431,59 @@ class Experiment:
     def fp_trace(self) -> StateTrace:
         return run_fp32(self.model, self.seq)
 
-    def fp_phases(self, pdu_config: PduConfig) -> tuple[np.ndarray, ...]:
-        if self._fp_phases is None or self._fp_phases[0] != pdu_config:
-            phases = tuple(classify_trace(layer_c, pdu_config) for layer_c in self.fp_trace.c)
-            self._fp_phases = pdu_config, phases
-        return self._fp_phases[1]
+    def _check(self, modes: list[Mode], **given) -> _Point:
+        """One point, with its defaults filled in, once it passes every check that needs no run."""
+        point = _Point(**{key: value for key, value in given.items() if value is not None})
+        if point.pdu_config is None:
+            point = point._replace(pdu_config=PduConfig.for_sequence(len(self.seq)))
+        if not 0.0 <= point.random_p <= 1.0:
+            raise ValueError(f"random_p must be in [0, 1], got {point.random_p!r}")
+        for mode in modes:
+            check_capacity(self.qmodel, self.seq, point.accel_config, mode is Mode.DYNAMIC)
+        return point
 
-    def _simulate(
-        self,
-        mode: Mode,
-        accel_config: AccelConfig,
-        energy_model: EnergyModel,
-        pdu_config: PduConfig,
-        random_p: float,
-        seed: int,
-    ) -> SimResult:
-        key = (
-            pdu_config if mode is Mode.DYNAMIC else None,
-            (random_p, seed) if mode is Mode.RANDOM else None,
-        )
-        held = self._runs.get(mode)
-        if held is not None and held[0] == key:
-            check_capacity(self.qmodel, self.seq, accel_config, mode is Mode.DYNAMIC)
-            return cost_run(self.qmodel, self.seq, held[1], accel_config, energy_model)
-        sim = simulate(
-            self.qmodel,
-            self.seq,
-            mode,
-            accel_config,
-            energy_model,
-            pdu_config,
-            random_p=random_p,
-            random_seed=seed,
-        )
-        self._runs[mode] = key, sim.run
-        return sim
+    def run(self, modes: list[Mode], points: Iterable[dict]) -> list[ExperimentResult]:
+        """The reference plus each requested mode at every point, and each point's report.
 
-    def run(
-        self,
-        modes: list[Mode],
-        *,
-        accel_config: AccelConfig | None = None,
-        energy_model: EnergyModel | None = None,
-        pdu_config: PduConfig | None = None,
-        random_p: float = DEFAULT_RANDOM_P,
-        seed: int = 0,
-    ) -> ExperimentResult:
-        """The reference plus each requested mode at one configuration, and its report.
-
-        The 8-bit static run is always simulated as the comparison baseline,
-        even when not requested. Peak/stable error partitions come from
-        running the trackers over the reference cell-state trace, so every
-        mode is measured against the same peak structure.
+        Each point is a dict of ``run_experiment``'s keyword arguments; they
+        are read and checked one at a time, in order. The 8-bit static run
+        is always simulated as the comparison baseline, even when not
+        requested. Peak/stable error partitions come from running the
+        trackers over the reference cell-state trace, so every mode is
+        measured against the same peak structure.
         """
-        accel_config = accel_config if accel_config is not None else AccelConfig()
-        energy_model = energy_model if energy_model is not None else EnergyModel()
-        if pdu_config is None:
-            pdu_config = PduConfig.for_sequence(len(self.seq))
-        if not 0.0 <= random_p <= 1.0:  # a reused run would not check it again
-            raise ValueError(f"random_p must be in [0, 1], got {random_p!r}")
-
-        qmodel = self.qmodel
+        ordered = list(dict.fromkeys([BASELINE_MODE, *modes]))
+        checked = [self._check(ordered, **point) for point in points]
+        configs = list(dict.fromkeys(point.pdu_config for point in checked))
         fp_trace = self.fp_trace
-        fp_phases = self.fp_phases(pdu_config)
+        ends = np.cumsum([c.shape[1] for c in fp_trace.c])[:-1]
+        fp_phases = {
+            config: tuple(np.split(phases, ends, axis=1))
+            for config, phases in zip(configs, classify_trace(np.concatenate(fp_trace.c, axis=1), configs))
+        }
+        lanes = list(dict.fromkeys(point.lane(mode) for point in checked for mode in ordered))
+        runs = dict(zip(lanes, run_lanes(self.qmodel, self.seq, lanes, keep_h=False)))
+        return [self._result(point, ordered, runs, fp_phases[point.pdu_config]) for point in checked]
+
+    def _result(
+        self, point: _Point, modes: list[Mode], runs: dict[Lane, QuantRunResult], fp_phases: tuple[np.ndarray, ...]
+    ) -> ExperimentResult:
+        fp_trace = self.fp_trace
         fp_flags = peak_flags_from_phases(fp_phases)
-
-        ordered: list[Mode] = []
-        for mode in [BASELINE_MODE, *modes]:
-            if mode not in ordered:
-                ordered.append(mode)
-
         sims = {
-            mode.value: self._simulate(mode, accel_config, energy_model, pdu_config, random_p, seed)
-            for mode in ordered
+            mode.value: cost_run(self.qmodel, self.seq, runs[point.lane(mode)], point.accel_config, point.energy_model)
+            for mode in modes
         }
         baseline = sims[BASELINE_MODE.value]
-        runs = {name: _run_entry(sim, baseline, fp_trace, fp_flags) for name, sim in sims.items()}
+        runs_report = {name: _run_entry(sim, baseline, fp_trace, fp_flags) for name, sim in sims.items()}
         histogram = {
-            name: [
-                [int(n) for n in (bits == 4).sum(axis=0)] for bits in sim.run.precision_bits
-            ]
+            name: [[int(n) for n in (bits == 4).sum(axis=0)] for bits in sim.run.precision_bits]
             for name, sim in sims.items()
         }
         report = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "model": {
-                "hash": qmodel.fingerprint,
+                "hash": self.qmodel.fingerprint,
                 "layers": [
                     {"input_size": layer.input_size, "cell_size": layer.cell_size}
                     for layer in self.model.layers
@@ -511,12 +494,12 @@ class Experiment:
                 "steps": len(self.seq),
                 "width": self.seq.width,
             },
-            "pdu_config": asdict(pdu_config),
-            "accel_config": asdict(accel_config),
-            "energy_model": asdict(energy_model),
-            "random_p": random_p,
-            "seed": seed,
-            "runs": runs,
+            "pdu_config": asdict(point.pdu_config),
+            "accel_config": asdict(point.accel_config),
+            "energy_model": asdict(point.energy_model),
+            "random_p": point.random_p,
+            "seed": point.seed,
+            "runs": runs_report,
             "precision_histogram": histogram,
         }
         return ExperimentResult(
@@ -539,15 +522,11 @@ def run_experiment(
     random_p: float = DEFAULT_RANDOM_P,
     seed: int = 0,
 ) -> ExperimentResult:
-    """One point of an ``Experiment``: every stage computed for this call alone."""
-    return Experiment(model, seq).run(
-        modes,
-        accel_config=accel_config,
-        energy_model=energy_model,
-        pdu_config=pdu_config,
-        random_p=random_p,
-        seed=seed,
+    """One point of an ``Experiment``."""
+    point = dict(
+        accel_config=accel_config, energy_model=energy_model, pdu_config=pdu_config, random_p=random_p, seed=seed
     )
+    return Experiment(model, seq).run(modes, [point])[0]
 
 
 def render_report(report: dict) -> str:

@@ -2,37 +2,39 @@
 
 Each gate matrix is quantized offline at 8 and at 4 bits with its own
 alpha, as its row block of the layer's stacked gate-major weights, so each
-connection of a layer is one operand. The run goes layer by layer: each
-layer's whole input sequence is quantized the same way in one batch, and
-since those inputs are all known before the layer starts, its forward
-products run as one GEMM per chunk of ``FORWARD_CHUNK`` steps and precision
-the mode can pick. Each step then does only what depends on the step
-before: it picks its precision mix, encodes its previous output at both
-precisions in one pass, takes its forward products from the chunk, computes
-the recurrent products, and updates the cell. The four gate neurons feeding
-one cell-state element always share that element's precision. Matrix
-products run on integer indices, held exactly in float32 so that they run
-in BLAS, in column blocks whose sums stay exact float32 integers in any
-summation order; the block sums are added and rescaled to reals in float64,
-so a GEMM gives the bits of the per-step products. The element-wise cell
-update and the activations stay in full precision. Alongside the numeric
-traces the run counts, per layer, the only events that depend on its
-precision choices: the weight bytes and nibbles read and the input offsets
-adjusted. The accelerator model derives every other event from the model's
-sizes.
+connection of a layer is one operand. One pass runs several lanes, each a
+mode and the fields it reads, and each lane's result is bit-identical to
+its run alone. The pass goes layer by layer. A layer's inputs are known
+before it starts, so they are quantized a chunk at a time and their forward
+products run as one GEMM per chunk of about ``FORWARD_CHUNK`` columns and
+per precision some lane can pick; layer 0 reads the same input in every
+lane, so its products are computed once. Each step then does only what
+depends on the step before: every lane picks its precision mix, the lanes'
+previous outputs are encoded at both precisions at once, the recurrent
+products run as one GEMM per precision over a lane-minor [cell, lanes]
+operand, and the cells update. The four gate neurons feeding one cell-state
+element always share that element's precision. Matrix products run on
+integer indices, held exactly in float32 so that they run in BLAS, in
+column blocks whose sums stay exact float32 integers in any summation
+order; the block sums are added and rescaled to reals in float64, so a GEMM
+gives the bits of a per-step product. The cell update and the activations
+stay in full precision. Alongside the traces each lane counts, per layer,
+the only events that depend on its precision choices: the weight bytes and
+nibbles read and the input offsets adjusted. The accelerator model derives
+every other event from the model's sizes.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .lstm_ref import GATES, InputSequence, LstmModel, StateTrace, sigmoid
-from .pdu import PduConfig, Phase, TrackerState, pdu_observe
+from .pdu import PduConfig, Phase, TrackerConfig, TrackerState, pdu_observe
 from .quant import check_finite, check_offset_range, dual_index_arrays, magnitude_limit, packed_bytes, quant_step
 
 # Relative-error denominators are floored to avoid dividing by a near-zero cell state.
@@ -43,13 +45,14 @@ DEFAULT_RANDOM_P = 0.33
 
 # Outputs live in (-1, 1) and are always quantized with alpha 1.
 H_STEP8, H_STEP4 = quant_step(1.0, 8), quant_step(1.0, 4)
-# Both rows of a step's h encode: the steps are powers of two, so scaling by
-# their inverses equals dividing by them; then each precision's magnitude limit.
-H_SCALES = np.array([[1.0 / H_STEP8], [1.0 / H_STEP4]])
-H_LIMITS = np.array([[magnitude_limit(8)], [magnitude_limit(4)]], dtype=np.float64)
+# Both rows of a step's h encode, shaped to broadcast over its [cell, lanes]
+# outputs: the steps are powers of two, so scaling by their inverses equals
+# dividing by them; then each precision's magnitude limit.
+H_SCALES = np.array([1.0 / H_STEP8, 1.0 / H_STEP4])[:, None, None]
+H_LIMITS = np.array([magnitude_limit(8), magnitude_limit(4)], dtype=np.float64)[:, None, None]
 
-# Steps per forward GEMM. It bounds each precision's [steps, 4H] float64
-# products buffer; 128 steps already cost peak memory on wide layers.
+# Columns per forward GEMM, one per lane and step. It bounds each precision's
+# [columns, 4H] float64 products buffer; 128 already cost peak memory on wide layers.
 FORWARD_CHUNK = 64
 
 
@@ -104,35 +107,21 @@ class FusedOperand:
     step8: np.ndarray
     step4: np.ndarray
 
-    def matvec(self, v8, v4, scale8, scale4, high: np.ndarray | None, rows_high: int) -> np.ndarray:
-        """Rescaled products with a vector, row r at 8 bits where ``high[r]``, else at 4.
-
-        ``v8`` and ``v4`` are float32 indices. ``scale8`` and ``scale4`` are
-        each row's weight step times the vector's step at that precision.
-        ``rows_high`` counts the 8-bit rows; a precision no row uses is
-        skipped. The rescale runs in float64.
-        """
-        if rows_high == self.w8.shape[0]:
-            return exact_index_products(self.w8, v8) * scale8
-        low = exact_index_products(self.w4, v4) * scale4
-        if not rows_high:
-            return low
-        return np.where(high, exact_index_products(self.w8, v8) * scale8, low)
-
 
 def _forward_products(
     w: np.ndarray, v: np.ndarray, v_steps: np.ndarray, row_steps: np.ndarray, out: np.ndarray
-) -> None:
-    """Rescaled products of ``w`` with each of ``v``'s rows, one per step, into ``out[:steps]``.
+) -> np.ndarray:
+    """Rescaled products of ``w`` with each of ``v``'s rows, into ``out[:len(v)]``, which it returns.
 
-    The steps' index vectors form one [fan_in, steps] operand, so
+    The rows' index vectors form one [fan_in, rows] operand, so
     ``exact_index_products`` keeps its column blocks exact in one GEMM. The
-    rescale groups as ``FusedOperand.matvec`` does:
+    rescale groups as the recurrent products do:
     ``products * (row_step * vector_step)``.
     """
     chunk = out[: len(v)]
     np.multiply.outer(v_steps, row_steps, out=chunk)
     chunk *= exact_index_products(w, v.T).T
+    return chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +204,22 @@ class QuantRunResult:
         return low / sum(bits.size for bits in self.precision_bits)
 
 
-@np.errstate(over="ignore")  # see lstm_ref.run_fp32
+@dataclass(frozen=True)
+class Lane:
+    """One run of ``run_lanes``: the mode, and the fields that mode reads.
+
+    Dynamic reads ``pdu_config`` (``PduConfig.for_sequence`` when None) and
+    ``trackers``, one per layer (fresh when None, else updated in place);
+    random reads ``random_p`` and ``random_seed``.
+    """
+
+    mode: Mode
+    pdu_config: PduConfig | None = None
+    random_p: float = DEFAULT_RANDOM_P
+    random_seed: int = 0
+    trackers: tuple[TrackerState, ...] | None = None
+
+
 def run_quantized(
     qmodel: QuantizedModel,
     seq: InputSequence,
@@ -226,146 +230,185 @@ def run_quantized(
     random_seed: int = 0,
     trackers: list[TrackerState] | None = None,
 ) -> QuantRunResult:
-    """Evaluate the network, one precision decision per cell element per step.
+    """One lane of ``run_lanes``."""
+    lane = Lane(mode, pdu_config, random_p, random_seed, None if trackers is None else tuple(trackers))
+    return run_lanes(qmodel, seq, [lane])[0]
 
-    Dynamic mode feeds each layer's freshly computed cell state to its
-    trackers (one ``TrackerState`` per layer) and runs an element at 8 bits
-    on the next step exactly when its tracker is in a peak. Random mode
-    picks 4 bits with probability ``random_p`` in [0, 1] from a seeded generator.
 
-    Layer L at step t needs only layer L-1 at step t and layer L at step
-    t-1, so each layer runs over all steps before the next one starts.
+@np.errstate(over="ignore")  # see lstm_ref.run_fp32
+def run_lanes(
+    qmodel: QuantizedModel, seq: InputSequence, lanes: Sequence[Lane], *, keep_h: bool = True
+) -> list[QuantRunResult]:
+    """Evaluate the network once per lane in one pass; each result is bit-identical to its lane run alone.
+
+    Each lane picks a precision per cell element and step. Dynamic mode
+    runs an element at 8 bits exactly when its tracker, fed the layer's
+    cell state each step, is in a peak. Random mode draws one number per
+    element and step, in (step, layer) order, and picks 4 bits below
+    ``random_p``. Layer L at step t needs only layer L-1 at step t and layer
+    L at step t-1, so each layer runs over all steps and lanes before the
+    next. Without ``keep_h`` the results hold no output traces, and the
+    last layer's is never stored whole.
     """
     if seq.width != qmodel.layers[0].input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {qmodel.layers[0].input_size}")
-    if not 0.0 <= random_p <= 1.0:
-        raise ValueError(f"random_p must be in [0, 1], got {random_p!r}")
-    n_steps = len(seq)
-    layers = qmodel.layers
+    n_steps, sizes = len(seq), [layer.cell_size for layer in qmodel.layers]
+    for lane in lanes:
+        if not 0.0 <= lane.random_p <= 1.0:
+            raise ValueError(f"random_p must be in [0, 1], got {lane.random_p!r}")
+        if lane.mode is Mode.DYNAMIC and lane.trackers is not None:
+            if [state.phase.shape for state in lane.trackers] != [(n,) for n in sizes]:
+                raise ValueError("tracker states do not match the model's layer sizes")
+    if not lanes:
+        return []
+    # dynamic lanes first: their trackers are the first rows of every [lanes, ...] array
+    order = sorted(range(len(lanes)), key=lambda i: lanes[i].mode is not Mode.DYNAMIC)
+    dynamic = [lanes[i] for i in order if lanes[i].mode is Mode.DYNAMIC]
+    configs = [lane.pdu_config or PduConfig.for_sequence(n_steps) for lane in dynamic]
+    trackers = [lane.trackers or tuple(TrackerState.fresh(n) for n in sizes) for lane in dynamic]
 
-    if mode is Mode.DYNAMIC:
-        if pdu_config is None:
-            pdu_config = PduConfig.for_sequence(n_steps)
-        if trackers is None:
-            trackers = [TrackerState.fresh(layer.cell_size) for layer in layers]
-        elif [state.phase.shape for state in trackers] != [(layer.cell_size,) for layer in layers]:
-            raise ValueError("tracker states do not match the model's layer sizes")
-    if mode is Mode.RANDOM:
-        # one draw per element, in (step, layer) order
-        draws = np.random.default_rng(random_seed).random((n_steps, sum(layer.cell_size for layer in layers)))
-        ends = np.cumsum([layer.cell_size for layer in layers])
+    high = [np.empty((len(lanes), n_steps, n), dtype=bool) for n in sizes]  # each step's 8-bit elements
+    ends = np.cumsum(sizes)
+    for k, lane in enumerate(lanes[i] for i in order):
+        if lane.mode is Mode.RANDOM:  # drawn a chunk of steps at a time, kept only as flags
+            rng = np.random.default_rng(lane.random_seed)
+            for t0 in range(0, n_steps, FORWARD_CHUNK):
+                draws = rng.random((min(FORWARD_CHUNK, n_steps - t0), ends[-1]))
+                for flags, end, n in zip(high, ends, sizes):
+                    np.greater_equal(draws[:, end - n : end], lane.random_p, out=flags[k, t0 : t0 + len(draws)])
+        elif lane.mode is not Mode.DYNAMIC:
+            for flags in high:
+                flags[k] = lane.mode is Mode.STATIC8
 
-    c_hist, h_hist, bits_hist, phase_hist, activity = [], [], [], [], []
-    inputs = seq.steps
-    for L, layer in enumerate(layers):
+    outs = []
+    inputs = seq.steps[None]  # every lane reads the same layer 0 input
+    for L, layer in enumerate(qmodel.layers):
         n = layer.cell_size
-        if mode is Mode.DYNAMIC:
-            picks = trackers[L]
-        elif mode is Mode.RANDOM:
-            picks = draws[:, ends[L] - n : ends[L]] >= random_p
-        else:
-            picks = np.broadcast_to(mode is Mode.STATIC8, (n_steps, n))
-        c_trace, h_trace, high_hist, phases, counts = _run_layer(layer, inputs, mode, picks, pdu_config)
-        c_hist.append(c_trace)
-        h_hist.append(h_trace)
-        bits_hist.append(np.where(high_hist, np.uint8(8), np.uint8(4)))
-        phase_hist.append(phases)
-        activity.append(counts)
+        state = config = None
+        if dynamic:  # every dynamic lane's trackers of this layer, lane after lane
+            parts = ([getattr(t[L], f.name) for t in trackers] for f in fields(TrackerState))
+            state = TrackerState(*map(np.concatenate, parts))
+            config = TrackerConfig.spread(configs, n, n_steps + max(0, int(state.steps_in_phase.max())))
+        keep = keep_h or L + 1 < len(sizes)
+        c_trace, h_trace, phases, activity = _run_layer(layer, inputs, high[L], state, config, keep)
+        for k, lane_trackers in enumerate(trackers):  # each lane's trackers end where its run did
+            for f in fields(TrackerState):
+                getattr(lane_trackers[L], f.name)[...] = getattr(state, f.name)[k * n : (k + 1) * n]
+        bits = high[L].view(np.uint8)  # in place: True becomes 8 and False 4
+        bits *= 4
+        bits += 4
+        outs.append((c_trace, h_trace if keep_h else None, bits, phases, activity))
         inputs = h_trace
 
-    return QuantRunResult(
-        trace=StateTrace(c=tuple(c_hist), h=tuple(h_hist)),
-        precision_bits=tuple(bits_hist),
-        phases=tuple(phase_hist) if mode is Mode.DYNAMIC else None,
-        activity=tuple(activity),
-        mode=mode,
-    )
+    c, h, bits, phases, activity = zip(*outs)  # each per layer, [lanes, ...]
+    results: list[QuantRunResult] = [None] * len(lanes)  # type: ignore[list-item]
+    for k, i in enumerate(order):
+        results[i] = QuantRunResult(
+            trace=StateTrace(c=tuple(a[k] for a in c), h=tuple(a[k] for a in h) if keep_h else ()),
+            precision_bits=tuple(a[k] for a in bits),
+            phases=tuple(a[k] for a in phases) if lanes[i].mode is Mode.DYNAMIC else None,
+            activity=tuple(a[k] for a in activity),
+            mode=lanes[i].mode,
+        )
+    return results
 
 
 def _run_layer(
     layer: QuantizedLayer,
     inputs: np.ndarray,
-    mode: Mode,
-    picks: TrackerState | np.ndarray,
-    pdu_config: PduConfig | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, LayerActivity]:
-    """One layer over every step, given its whole input sequence.
+    high: np.ndarray,
+    trackers: TrackerState | None,
+    tracker_config: TrackerConfig | None,
+    keep_h: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[LayerActivity]]:
+    """One layer over every step, for every lane.
 
-    ``picks`` is the layer's tracker in dynamic mode, else each step's
-    8-bit elements. Returns the cell and output traces, each step's 8-bit
-    elements, the tracker phase after each step (dynamic only) and the
-    layer's activity.
+    ``inputs`` is [1, steps, width] when every lane reads the same input,
+    else [lanes, steps, width]. ``high`` is [lanes, steps, cell], each
+    step's 8-bit elements; the dynamic lanes' rows, the first ones, are
+    filled in here from ``trackers``. Returns the [lanes, steps, cell] cell
+    and output traces (the output only with ``keep_h``), the dynamic lanes'
+    phases after each step and each lane's activity.
     """
-    n_steps, n = len(inputs), layer.cell_size
+    n_lanes, n_steps, n = high.shape
+    n_dyn = 0 if trackers is None else trackers.phase.size // n
     rows = len(GATES) * n
-    _, xs8, xs4 = _block_steps(inputs, 1)  # each step's input at its own alpha
-    x8, x4, x_offsets = dual_index_arrays(inputs, xs8[:, None], xs4[:, None])
-    adjusted = np.count_nonzero(x_offsets, axis=1)
-    del x_offsets  # the steps' counts are all the run needs of it
-    x8, x4 = x8.astype(np.float32), x4.astype(np.float32)  # exact: |index| <= 127
-    rec_scale8, rec_scale4 = layer.rec.step8 * H_STEP8, layer.rec.step4 * H_STEP4
-    c_trace, h_trace = np.empty((n_steps, n)), np.empty((n_steps, n))
-    high_hist = np.empty((n_steps, n), dtype=bool)
-    phases = np.empty((n_steps, n), dtype=np.int8) if mode is Mode.DYNAMIC else None
-    # only the precisions the mode can pick, one chunk of steps at a time
-    f8 = np.empty((FORWARD_CHUNK, rows)) if mode is not Mode.STATIC4 else None
-    f4 = np.empty((FORWARD_CHUNK, rows)) if mode is not Mode.STATIC8 else None
-    h_idx = np.empty((2, n))
-    h_codes = np.empty((FORWARD_CHUNK, 2, n), dtype=np.float32)  # each step's h at 8 and at 4 bits
+    shared = len(inputs)
+    span = max(1, FORWARD_CHUNK // shared)  # steps per chunk: about FORWARD_CHUNK forward columns
+    c_trace = np.empty((n_lanes, n_steps, n))
+    h_trace = np.empty((n_lanes, n_steps, n)) if keep_h else None
+    h_chunk = None if keep_h else np.empty((n_lanes, span, n))
+    phases = np.empty((n_dyn, n_steps, n), dtype=np.int8)
+    adjusted = np.empty((n_lanes, n_steps), dtype=np.int64)
+    # only the precisions some lane can pick, one chunk of steps at a time
+    f8 = np.empty((shared * span, rows)) if n_dyn or high[n_dyn:].any() else None
+    f4 = np.empty((shared * span, rows)) if n_dyn or not high[n_dyn:].all() else None
+    # a step's state is lane-minor, [cell, lanes], so each recurrent product is one GEMM
+    rec_scale8, rec_scale4 = (layer.rec.step8 * H_STEP8)[:, None], (layer.rec.step4 * H_STEP4)[:, None]
+    bias = layer.bias[:, None]
+    h_idx = np.empty((2, n, n_lanes))
+    h_codes = np.empty((span, 2, n, n_lanes), dtype=np.float32)  # each step's h at 8 and at 4 bits
     lowest = highest = 0.0  # range of the h offset bits
-    c = h = np.zeros(n)
-    for t0 in range(0, n_steps, FORWARD_CHUNK):
-        t1 = min(t0 + FORWARD_CHUNK, n_steps)
-        if f8 is not None:
-            _forward_products(layer.fwd.w8, x8[t0:t1], xs8[t0:t1], layer.fwd.step8, f8)
+    c = h = np.zeros((n, n_lanes))
+    for t0 in range(0, n_steps, span):
+        t1 = min(t0 + span, n_steps)
+        x = inputs[:, t0:t1].reshape(-1, inputs.shape[2])  # lane after lane
+        _, xs8, xs4 = _block_steps(x, 1)  # each step's input at its own alpha
+        x8, x4, x_offsets = dual_index_arrays(x, xs8[:, None], xs4[:, None])
+        adjusted[:, t0:t1] = np.count_nonzero(x_offsets, axis=1).reshape(shared, -1)
+        if f8 is not None:  # exact casts: |index| <= 127
+            fwd8 = _forward_products(layer.fwd.w8, x8.astype(np.float32), xs8, layer.fwd.step8, f8)
+            fwd8 = fwd8.reshape(shared, -1, rows).transpose(1, 2, 0)  # [steps, rows, lanes]
         if f4 is not None:
-            _forward_products(layer.fwd.w4, x4[t0:t1], xs4[t0:t1], layer.fwd.step4, f4)
+            fwd4 = _forward_products(layer.fwd.w4, x4.astype(np.float32), xs4, layer.fwd.step4, f4)
+            fwd4 = fwd4.reshape(shared, -1, rows).transpose(1, 2, 0)
+        h_out = h_trace[:, t0:t1] if keep_h else h_chunk[:, : t1 - t0]
         for j, t in enumerate(range(t0, t1)):
-            high = picks.high_precision() if phases is not None else picks[t]
-            rows_high = len(GATES) * int(np.count_nonzero(high))
-            high4 = np.concatenate((high,) * len(GATES)) if 0 < rows_high < rows else None
-            if rows_high == rows:
-                fwd = f8[j]
-            elif not rows_high:
-                fwd = f4[j]
-            else:
-                fwd = np.where(high4, f8[j], f4[j])
-            # dual_index_arrays(h, H_STEP8, H_STEP4), both rows in one pass
+            picks = high[:, t]
+            if n_dyn:
+                picks[:n_dyn] = trackers.high_precision().reshape(n_dyn, n)
+            # dual_index_arrays(h, H_STEP8, H_STEP4), both precisions in one pass
             np.multiply(np.abs(h), H_SCALES, out=h_idx)
             h_idx += 0.5
             np.floor(h_idx, out=h_idx)
             np.minimum(h_idx, H_LIMITS, out=h_idx)
-            np.subtract(0.0, h_idx, out=h_idx, where=(h < 0) & (h_idx[0] > 0))  # a zero index stays +0.0
+            np.copysign(h_idx, h, out=h_idx)
+            h_idx += 0.0  # a zero index of a negative h stays +0.0
             h_codes[j] = h_idx  # exact: |index| <= 127
-            pre = (
-                fwd
-                + layer.rec.matvec(h_codes[j, 0], h_codes[j, 1], rec_scale8, rec_scale4, high4, rows_high)
-                + layer.bias
-            )
-            i_t, f_t, o_t = sigmoid(pre[:n]), sigmoid(pre[n : 2 * n]), sigmoid(pre[3 * n :])
+            # a precision no element picks is skipped; a mixed step picks per element
+            any8, all8 = picks.any(), picks.all()
+            if any8:
+                pre = pre8 = fwd8[j] + exact_index_products(layer.rec.w8, h_codes[j, 0]) * rec_scale8
+            if not all8:
+                pre = fwd4[j] + exact_index_products(layer.rec.w4, h_codes[j, 1]) * rec_scale4
+                if any8:
+                    split = (len(GATES), n, n_lanes)
+                    mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
+                    pre = np.where(mask, pre8.reshape(split), pre.reshape(split)).reshape(rows, n_lanes)
+            pre += bias
+            gates = sigmoid(pre)  # one call for the three sigmoid gates; the updater's rows go unused
+            i_t, f_t, o_t = gates[:n], gates[n : 2 * n], gates[3 * n :]
             g_t = np.tanh(pre[2 * n : 3 * n])
             c = f_t * c + i_t * g_t
             h = o_t * np.tanh(c)
-            c_trace[t], h_trace[t], high_hist[t] = c, h, high
-            if phases is not None:
-                pdu_observe(picks, pdu_config, c)
-                phases[t] = picks.phase
+            c_trace[:, t], h_out[:, j] = c.T, h.T
+            if n_dyn:
+                pdu_observe(trackers, tracker_config, c[:, :n_dyn].T.ravel())
+                phases[:, t] = trackers.phase.reshape(n_dyn, n)
         magnitudes = np.abs(h_codes[: t1 - t0])
         offsets = magnitudes[:, 1] - np.floor(magnitudes[:, 0] / 16)
-        adjusted[t0:t1] += np.count_nonzero(offsets, axis=1)
+        adjusted[:, t0:t1] += np.count_nonzero(offsets, axis=1).T
         lowest, highest = min(lowest, offsets.min()), max(highest, offsets.max())
-    check_finite(h_trace[:-1])  # every h a step encoded, after the zero start
+        check_finite(h_out[:, : n_steps - 1 - t0])  # every h a step encodes; the last one is not
     check_offset_range(lowest, highest)
 
-    n_high = np.count_nonzero(high_hist, axis=1)
-    high_total = int(n_high.sum())
-    weights_per_element = len(GATES) * (layer.input_size + n)
-    activity = LayerActivity(
-        weight_bytes=high_total * weights_per_element,
-        weight_nibbles=(n_steps * n - high_total) * weights_per_element,
-        input_adjusted=int(adjusted[n_high < n].sum()),
-    )
-    return c_trace, h_trace, high_hist, phases, activity
+    weights = len(GATES) * (layer.input_size + n)  # read per element and step
+    n_high = np.count_nonzero(high, axis=2)
+    activity = [
+        LayerActivity(int(total) * weights, (n_steps * n - int(total)) * weights, int(adj[steps < n].sum()))
+        for total, adj, steps in zip(n_high.sum(axis=1), adjusted, n_high)
+    ]
+    return c_trace, h_trace, phases, activity
 
 
 def peak_flags_from_phases(phases: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -385,11 +428,13 @@ def relative_error_stats(
     for fp, q, flags in zip(fp_trace.c, q_trace.c, peak_flags):
         if fp.shape != q.shape or fp.shape != flags.shape:
             raise ValueError(f"misaligned traces: {fp.shape} vs {q.shape} vs {flags.shape}")
-        rel = np.abs(q - fp) / np.maximum(np.abs(fp), EPS_DENOM)
+        rel, denom = q - fp, np.abs(fp)  # np.abs(q - fp) / np.maximum(np.abs(fp), EPS_DENOM), in place
+        np.abs(rel, out=rel)
+        rel /= np.maximum(denom, EPS_DENOM, out=denom)
+        del denom
         peak_vals.append(rel[flags])
         stable_vals.append(rel[~flags])
-    peak = np.concatenate(peak_vals)
-    stable = np.concatenate(stable_vals)
+    peak, stable = (vals[0] if len(vals) == 1 else np.concatenate(vals) for vals in (peak_vals, stable_vals))
     return (
         float(peak.mean()) if peak.size else None,
         float(stable.mean()) if stable.size else None,

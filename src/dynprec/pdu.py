@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -71,7 +72,9 @@ class PduConfig:
         )
 
 
-def thresholds(min_c: float | np.ndarray, max_c: float | np.ndarray, beta: float, epsilon_range: float):
+def thresholds(
+    min_c: float | np.ndarray, max_c: float | np.ndarray, beta: float | np.ndarray, epsilon_range: float | np.ndarray
+):
     """Band limits around the profiled range, guarded against a degenerate range (elementwise)."""
     if np.any(max_c < min_c):
         raise ValueError(f"max_c {max_c} < min_c {min_c}")
@@ -109,7 +112,35 @@ class TrackerState:
         return self.phase == _IN_PEAK
 
 
-def pdu_observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) -> None:
+@dataclass(frozen=True, eq=False)
+class TrackerConfig:
+    """``PduConfig`` values per element, so trackers on several configs share one ``TrackerState``.
+
+    ``limits[3 * e + p]`` is the counter that ends phase ``p`` of element ``e``; ``rows`` holds each ``3 * e``.
+    """
+
+    limits: np.ndarray  # int64
+    rows: np.ndarray
+    beta: np.ndarray
+    epsilon_range: np.ndarray
+
+    @classmethod
+    def spread(cls, configs: Sequence[PduConfig], size: int, horizon: int) -> "TrackerConfig":
+        """Each config over ``size`` consecutive elements, in order.
+
+        No counter passes ``horizon``, so a limit above it is stored as
+        ``horizon + 1``: it still never expires, and it fits in int64.
+        """
+        limits = [[min(v, horizon + 1) for v in (c.t_profile, c.n_max_stable + 1, c.m_max_peak + 1)] for c in configs]
+        return cls(
+            np.repeat(np.array(limits, dtype=np.int64).reshape(-1, 3), size, axis=0).ravel(),
+            np.arange(0, 3 * size * len(configs), 3),
+            np.repeat([c.beta for c in configs], size),
+            np.repeat([c.epsilon_range for c in configs], size),
+        )
+
+
+def pdu_observe(state: TrackerState, config: TrackerConfig, c_vector: np.ndarray) -> None:
     """Fold one cell-state observation per element into the layer's trackers.
 
     Afterwards ``state.high_precision()`` selects the elements that run at
@@ -130,8 +161,7 @@ def pdu_observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) ->
     # one by leaving its band, an in-peak one by re-entering it
     outside = (c < state.lower) | (c > state.upper)
     crossed = outside != (phase == _IN_PEAK)
-    limits = np.array((config.t_profile, config.n_max_stable + 1, config.m_max_peak + 1))
-    changed = np.flatnonzero(crossed | (steps >= limits[phase]))
+    changed = np.flatnonzero(crossed | (steps >= config.limits.take(config.rows + phase)))
     if not changed.size:
         return  # most steps change no element's phase
 
@@ -148,7 +178,7 @@ def pdu_observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) ->
     done = changed[old == _PROFILING]
     if done.size:
         state.lower[done], state.upper[done] = thresholds(
-            state.min_c[done], state.max_c[done], config.beta, config.epsilon_range
+            state.min_c[done], state.max_c[done], config.beta[done], config.epsilon_range[done]
         )
     restart = changed[new == _PROFILING]
     if restart.size:
@@ -156,19 +186,22 @@ def pdu_observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) ->
         state.lower[restart] = state.upper[restart] = math.nan
 
 
-def classify_trace(c_trace: np.ndarray, config: PduConfig) -> np.ndarray:
-    """Run fresh trackers over a [steps, elements] trace and return their phases.
+def classify_trace(c_trace: np.ndarray, configs: Sequence[PduConfig]) -> np.ndarray:
+    """Run fresh trackers over a [steps, elements] trace, once per config, in one pass.
 
-    Row t holds the tracker phases right after observing step t, so
+    Returns [configs, steps, elements] phases: row t of each config holds
+    the tracker phases right after observing step t, so
     ``phases == IN_PEAK`` flags the steps whose value sits outside the
     profiled band.
     """
     trace = np.asarray(c_trace, dtype=np.float64)
     if trace.ndim != 2:
         raise ValueError(f"trace must be [steps, elements], got shape {trace.shape}")
-    state = TrackerState.fresh(trace.shape[1])
-    phases = np.empty(trace.shape, dtype=np.int8)
+    (n_steps, n), k = trace.shape, len(configs)
+    config = TrackerConfig.spread(configs, n, n_steps)
+    state = TrackerState.fresh(k * n)
+    phases = np.empty((k, n_steps, n), dtype=np.int8)
     for t, row in enumerate(trace):
-        pdu_observe(state, config, row)
-        phases[t] = state.phase
+        pdu_observe(state, config, np.tile(row, k))
+        phases[:, t] = state.phase.reshape(k, n)
     return phases

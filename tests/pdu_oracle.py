@@ -5,7 +5,8 @@ the per-element state machine the array tracker must reproduce. It
 shares ``thresholds`` with the array tracker, so both compute the same
 band bits. Restarting a profiling window keeps the old band here; the
 array tracker clears it to NaN, and the band means nothing while an
-element profiles.
+element profiles. ``observe`` feeds the array tracker with one
+``PduConfig`` for every element.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from dynprec.pdu import PduConfig, Phase, thresholds
+import numpy as np
+
+from dynprec.pdu import PduConfig, Phase, TrackerConfig, TrackerState, pdu_observe, thresholds
 
 
 class Precision(enum.IntEnum):
@@ -77,3 +80,12 @@ def scalar_observe(tracker: ScalarTracker, config: PduConfig, c_value: float) ->
         _restart_profiling(tracker)
         return Precision.LOW4
     return Precision.HIGH8
+
+
+def observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) -> None:
+    """``pdu_observe`` with one ``PduConfig`` for every element.
+
+    No counter passes its largest value plus this step, so that is the horizon.
+    """
+    horizon = int(state.steps_in_phase.max(initial=0)) + 1
+    pdu_observe(state, TrackerConfig.spread([config], state.phase.size, horizon), c_vector)

@@ -37,9 +37,9 @@ from dynprec.lstm_quant import (
     QuantRunResult,
 )
 from dynprec.lstm_ref import GATES, InputSequence, StateTrace, sigmoid
-from dynprec.pdu import PduConfig, TrackerState, pdu_observe
+from dynprec.pdu import PduConfig, TrackerState
 from dynprec.quant import QuantizedVector, QuantParams, _check_bits, magnitude_limit
-from pdu_oracle import Precision
+from pdu_oracle import Precision, observe
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,7 @@ def run_quantized_reference(
             act.neurons_high += n_high
 
             if mode is Mode.DYNAMIC:
-                pdu_observe(trackers[L], pdu_config, c[L])
+                observe(trackers[L], pdu_config, c[L])
                 phase_hist[L][t] = trackers[L].phase
                 act.pdu_updates += layer.cell_size
 

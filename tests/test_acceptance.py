@@ -148,7 +148,7 @@ def test_criterion_05_peak_error_ordering(peaky_toy):
     model, qmodel, seq = peaky_toy
     fp = run_fp32(model, seq)
     pdu_cfg = PduConfig.for_sequence(len(seq))
-    flags = peak_flags_from_phases([classify_trace(layer_c, pdu_cfg) for layer_c in fp.c])
+    flags = peak_flags_from_phases([classify_trace(layer_c, [pdu_cfg])[0] for layer_c in fp.c])
     st4 = run_quantized(qmodel, seq, Mode.STATIC4)
     dyn = run_quantized(qmodel, seq, Mode.DYNAMIC, pdu_cfg)
     peak4, stable4 = relative_error_stats(fp, st4.trace, flags)

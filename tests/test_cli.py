@@ -18,7 +18,7 @@ from dynprec.cli import (
     load_config_file,
     main,
 )
-from dynprec import accel, harness
+from dynprec import harness
 from dynprec.accel import AccelConfig, EnergyModel
 from dynprec.harness import load_model, load_sequence, render_report, run_experiment, write_model, write_sequence
 from dynprec.lstm_quant import Mode
@@ -420,9 +420,12 @@ def test_sweep_points_match_fresh_experiments(sweep_files, tmp_path, param, valu
         ("peak_bandwidth", "1e6,30e9,1e9", ALL_MODES, {"static8": 1, "static4": 1, "dynamic": 1, "random": 1}, 1),
         ("lanes", "2,8", ALL_MODES, {"static8": 1, "static4": 1, "dynamic": 1, "random": 1}, 1),
         ("sip_bit_op", "0.01,0.04", ALL_MODES, {"static8": 1, "static4": 1, "dynamic": 1, "random": 1}, 1),
+        # a value that returns after another one reuses its lane
+        ("random_p", "0.2,0.7,0.2", "dynamic,random", {"static8": 1, "dynamic": 1, "random": 2}, 1),
     ],
 )
 def test_sweep_computes_each_stage_once(sweep_files, tmp_path, monkeypatch, param, values, modes, runs, distinct_pdu):
+    # one lane pass with one lane per distinct run, one reference pass with one config per distinct PduConfig
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -434,17 +437,54 @@ def test_sweep_computes_each_stage_once(sweep_files, tmp_path, monkeypatch, para
 
     monkeypatch.setattr(harness, "quantize_model", counted("quantize_model", harness.quantize_model))
     monkeypatch.setattr(harness, "run_fp32", counted("run_fp32", harness.run_fp32))
-    monkeypatch.setattr(harness, "classify_trace", counted("classify_trace", harness.classify_trace))
-    run_quantized = accel.run_quantized
+    classify_trace, run_lanes = harness.classify_trace, harness.run_lanes
 
-    def counted_run(qmodel, seq, mode, *args, **kwargs):
-        calls[mode.value] += 1
-        return run_quantized(qmodel, seq, mode, *args, **kwargs)
+    def counted_classify(trace, configs):
+        calls["classify_trace"] += 1
+        calls["pdu_configs"] += len(configs)
+        return classify_trace(trace, configs)
 
-    monkeypatch.setattr(accel, "run_quantized", counted_run)
+    def counted_lanes(qmodel, seq, lanes, **kwargs):
+        calls["run_lanes"] += 1
+        calls.update(lane.mode.value for lane in lanes)
+        return run_lanes(qmodel, seq, lanes, **kwargs)
+
+    monkeypatch.setattr(harness, "classify_trace", counted_classify)
+    monkeypatch.setattr(harness, "run_lanes", counted_lanes)
     _sweep(sweep_files, tmp_path, param, values, modes)
-    layers = 2
-    assert calls == {"quantize_model": 1, "run_fp32": 1, "classify_trace": layers * distinct_pdu, **runs}
+    passes = {"quantize_model": 1, "run_fp32": 1, "classify_trace": 1, "run_lanes": 1}
+    assert calls == {**passes, "pdu_configs": distinct_pdu, **runs}
+
+
+@pytest.mark.parametrize(
+    "param, values, code",
+    [
+        ("weight_buffer_bytes", "1,0", EXIT_CAPACITY),
+        ("weight_buffer_bytes", "0,1", EXIT_FORMAT),
+        ("reduction_latency", f"1,{2**62},0", EXIT_CAPACITY),  # the cycle-counter bound
+    ],
+)
+def test_sweep_fails_at_the_first_bad_point_before_any_run(toy_files, capsys, monkeypatch, param, values, code):
+    # every point is checked, in value order, before the lane pass
+    monkeypatch.setattr(harness, "run_lanes", lambda *args, **kwargs: pytest.fail("a lane pass ran"))
+    model, seq = toy_files
+    argv = ["sweep", "--model", str(model), "--input", str(seq), "--param", param, "--values", values]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["t_profile", "m_max_peak", "n_max_stable"])
+def test_huge_tracker_limits_run_as_limits_never_reached(toy_files, tmp_path, key):
+    # a limit past the last step never expires, so 1e20 runs as steps + 1; the report keeps the given value
+    model, seq = toy_files
+    steps = len(load_sequence(seq))
+    report = tmp_path / "sweep.json"
+    argv = ["sweep", "--model", str(model), "--input", str(seq), "--param", key, "--values", f"1e20,{steps + 1}",
+            "--mode", "static8,dynamic", "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    huge, last = json.loads(report.read_text())["sweep"]["points"]
+    assert huge["report"]["pdu_config"][key] == 10**20
+    assert huge["report"]["runs"] == last["report"]["runs"]
 
 
 def test_sweep_takes_every_numeric_config_field(tmp_path):

@@ -15,11 +15,13 @@ step-major oracle on many shapes.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from dynprec.cli import EXIT_OK, main
-from dynprec.harness import gen_toy, load_model, run_experiment, write_model
+from dynprec.harness import gen_toy, load_model, load_sequence, run_experiment, write_model
 from dynprec.lstm_quant import Mode
+from dynprec.pdu import PduConfig, Phase
 
 ALL_MODES = [Mode.STATIC8, Mode.STATIC4, Mode.DYNAMIC, Mode.RANDOM]
 
@@ -95,3 +97,34 @@ def test_model_files_are_pinned(tmp_path):
     write_model(load_model(manifest), copy)
     assert copy.read_bytes() == manifest.read_bytes()
     assert copy.with_name("toy.model.bin").read_bytes() == blob.read_bytes()
+
+
+def _tracker_events(phases) -> tuple[int, int]:
+    """(peak entries, forced re-profiles) over per-layer [steps, cell] phases, counted as perfbench counts them."""
+    entries = reprofiles = 0
+    for layer in phases:
+        prev = np.vstack([np.full((1, layer.shape[1]), Phase.PROFILING), layer[:-1]])
+        entries += int(((layer == Phase.IN_PEAK) & (prev != Phase.IN_PEAK)).sum())
+        reprofiles += int(((layer == Phase.PROFILING) & (prev != Phase.PROFILING)).sum())
+    return entries, reprofiles
+
+
+@pytest.mark.parametrize(
+    "kind, dims, events",
+    [
+        ("random", (2, 64, 256, 500), (13747, 2133)),
+        ("peaky", (1, 16, 16, 2000), (144, 143)),
+        ("peaky", (1, 32, 128, 1000), (1260, 884)),
+    ],
+    ids=["mid", "long", "sweep"],
+)
+def test_perfbench_tracker_events_are_pinned(tmp_path, kind, dims, events):
+    # perfbench/run.py pins these for its workloads at seed 7, counted from the runs it traces; the
+    # experiment runs lanes, which it no longer traces, so the same counts are checked here. The toys
+    # go through the files, as in perfbench: their float32 round trip moves the counts.
+    argv = ["gen", "--kind", kind, "--dims", ",".join(map(str, dims)), "--seed", "7", "--out", str(tmp_path / "toy")]
+    assert main(argv) == EXIT_OK
+    model, seq = load_model(tmp_path / "toy.model"), load_sequence(tmp_path / "toy.seq")
+    pdu_config = PduConfig.for_sequence(len(seq), beta=0.1)  # sweep's pinned point; the default elsewhere
+    result = run_experiment(model, seq, [Mode.DYNAMIC], pdu_config=pdu_config, seed=7)
+    assert _tracker_events(result.sims["dynamic"].run.phases) == events

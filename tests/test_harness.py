@@ -251,11 +251,11 @@ def test_beta_sweep_peak_count_monotone():
     baseline = [0.5, 0.52, 0.48, 0.5, 0.49, 0.51, 0.5, 0.5]
     spike = [2.0, 1.4, 1.0, 0.8, 0.68, 0.6, 0.56, 0.53, 0.51]
     trace = np.array(baseline + spike + [0.5] * 8).reshape(-1, 1)
-    counts = []
-    for beta in (0.05, 0.1, 0.2, 0.5, 1.0):
-        cfg = PduConfig.for_sequence(len(trace), beta=beta, t_profile=8, n_max_stable=100, m_max_peak=100)
-        phases = classify_trace(trace, cfg)
-        counts.append(int((phases == Phase.IN_PEAK).sum()))
+    configs = [
+        PduConfig.for_sequence(len(trace), beta=beta, t_profile=8, n_max_stable=100, m_max_peak=100)
+        for beta in (0.05, 0.1, 0.2, 0.5, 1.0)
+    ]
+    counts = [int((phases == Phase.IN_PEAK).sum()) for phases in classify_trace(trace, configs)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert counts[0] > counts[-1]  # the margin actually bites on this trace
 

@@ -14,11 +14,13 @@ from dynprec.lstm_quant import (
     EPS_DENOM,
     FLOAT32_EXACT_COLUMNS,
     FORWARD_CHUNK,
+    Lane,
     Mode,
     check_exact_fan_in,
     peak_flags_from_phases,
     quantize_model,
     relative_error_stats,
+    run_lanes,
     run_quantized,
     sequence_fingerprint,
 )
@@ -367,40 +369,51 @@ def test_fingerprints_are_stable(toy):
     assert sequence_fingerprint(other) != sequence_fingerprint(seq)
 
 
+def _lane_sets(n_steps):
+    """Every mode alone, and one set of every mode plus a second dynamic and a second random lane."""
+    extra = [Lane(Mode.DYNAMIC, PduConfig.for_sequence(n_steps, beta=0.5)), Lane(Mode.RANDOM, random_seed=4)]
+    return [[Lane(mode)] for mode in Mode] + [[Lane(mode) for mode in Mode] + extra]
+
+
 def test_run_encodes_once_per_layer_and_keeps_no_whole_sequence_products():
     rng = np.random.default_rng(21)
-    # each layer encodes its whole input sequence once; its own h is encoded inline
+    # Inputs are encoded a chunk at a time, each input row exactly once per distinct input: layer 0
+    # reads the same sequence in every lane, a later layer its own lane's outputs. Each layer's own
+    # h is encoded inline.
     qmodel = quantize_model(_random_model(rng, [(3, 5), (5, 4)]))
     seq = InputSequence(rng.uniform(-1, 1, (2 * FORWARD_CHUNK + 1, 3)))
-    for mode in Mode:
+    for lanes in _lane_sets(len(seq)):
         with mock.patch.object(lstm_quant, "dual_index_arrays", wraps=lstm_quant.dual_index_arrays) as encode:
-            run_quantized(qmodel, seq, mode)
-        assert encode.call_count == len(qmodel.layers), mode
+            results = run_lanes(qmodel, seq, lanes)
+        encoded = [call.args[0] for call in encode.call_args_list]
+        assert np.array_equal(np.concatenate([rows for rows in encoded if rows.shape[1] == 3]), seq.steps)
+        outputs = [row.tobytes() for result in results for row in result.trace.h[0]]
+        assert sorted(row.tobytes() for rows in encoded if rows.shape[1] == 5 for row in rows) == sorted(outputs)
 
-    # What the run holds beyond its results may grow with the steps only by
-    # the encoded inputs with their encode temporaries (64 B per input
-    # element) and per-element bookkeeping: random mode's float64 draws and
-    # the precision flags (12 B per cell element). The forward products of
-    # the whole sequence, [steps, 4H] in float64, would be 32 B per cell element.
+    # What the run holds beyond its results may grow with the steps only by per-lane counters: the
+    # input offsets adjusted and the 8-bit elements of each step, in int64. Random lanes keep their
+    # draws only as the precision flags the results hold; encoded inputs and forward products are
+    # held one chunk at a time. Measured: 8 to 17 B per lane and step; random mode's whole float64
+    # draws took 576 B more at 64 cells.
     input_size, cell = 1, 64
     qmodel = quantize_model(_random_model(rng, [(input_size, cell)]))
-    budget = 64 * input_size + 12 * cell
+    budget = 24  # per lane and step
 
-    def held(n_steps, mode):
+    def held(n_steps, lanes):
         seq = InputSequence(rng.uniform(-1, 1, (n_steps, input_size)))
         tracemalloc.start()
         try:
-            result = run_quantized(qmodel, seq, mode)
+            results = run_lanes(qmodel, seq, lanes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = (*result.trace.c, *result.trace.h, *result.precision_bits, *(result.phases or ()))
+        arrays = [a for r in results for a in (*r.trace.c, *r.trace.h, *r.precision_bits, *(r.phases or ()))]
         return peak - sum(a.nbytes for a in arrays)
 
     short, long = 2 * FORWARD_CHUNK, 10 * FORWARD_CHUNK
-    for mode in Mode:
-        growth = (held(long, mode) - held(short, mode)) / (long - short)
-        assert growth <= budget, (mode, growth)
+    for lanes in _lane_sets(long):
+        growth = (held(long, lanes) - held(short, lanes)) / (long - short)
+        assert growth <= budget * len(lanes), ([lane.mode for lane in lanes], growth)
 
 
 def test_run_rejects_wrong_width(toy):
@@ -469,8 +482,7 @@ def _pinned_states(rng, qmodel):
     return states
 
 
-@st.composite
-def _differential_cases(draw):
+def _draw_model_and_sequence(draw):
     n_layers = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, 9), min_size=n_layers + 1, max_size=n_layers + 1))
     # short runs, and runs that end just before, on and after a chunk boundary
@@ -484,17 +496,27 @@ def _differential_cases(draw):
     model = _random_model(rng, list(zip(sizes[:-1], sizes[1:])), scale=scale)
     steps = rng.uniform(-1, 1, (n_steps, sizes[0])) * (5.0 if saturating else 1.0)
     steps[rng.random(n_steps) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0  # alpha falls back to 1
-    mode = draw(st.sampled_from(list(Mode)))
-    config = PduConfig(
-        t_profile=draw(st.integers(1, 4)),
-        m_max_peak=draw(st.integers(1, 4)),
-        n_max_stable=draw(st.integers(1, 4)),
-        beta=draw(st.sampled_from((0.0, 0.1, math.inf))),
+    return quantize_model(model), InputSequence(steps), rng
+
+
+def _draw_config(draw):
+    limit = st.one_of(st.integers(1, 4), st.just(10**20))  # past int64: never reached
+    return PduConfig(
+        t_profile=draw(limit),
+        m_max_peak=draw(limit),
+        n_max_stable=draw(limit),
+        beta=draw(st.one_of(st.sampled_from((0.0, 0.1, math.inf)), st.floats(0.0, 2.0))),
     )
+
+
+@st.composite
+def _differential_cases(draw):
+    qmodel, seq, rng = _draw_model_and_sequence(draw)
+    mode = draw(st.sampled_from(list(Mode)))
+    config = _draw_config(draw)
     kwargs = {"random_p": draw(st.sampled_from((0.0, 0.33, 1.0))), "random_seed": draw(st.integers(0, 99))}
-    qmodel = quantize_model(model)
     trackers = _pinned_states(rng, qmodel) if mode is Mode.DYNAMIC and draw(st.booleans()) else None
-    return qmodel, InputSequence(steps), mode, config, kwargs, trackers
+    return qmodel, seq, mode, config, kwargs, trackers
 
 
 @given(_differential_cases())
@@ -519,5 +541,58 @@ def test_run_quantized_matches_step_major_oracle(case):
     assert all(type(v) is int for a in got.activity for v in dataclasses.astuple(a))
     if trackers is not None:
         for a, b in zip(mine, theirs, strict=True):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+
+
+@st.composite
+def _lane_cases(draw):
+    qmodel, seq, rng = _draw_model_and_sequence(draw)
+    lanes = []
+    for _ in range(draw(st.integers(1, 6))):
+        mode = draw(st.sampled_from(list(Mode)))
+        pinned = mode is Mode.DYNAMIC and draw(st.booleans())
+        lanes.append(Lane(
+            mode,
+            _draw_config(draw) if draw(st.booleans()) else None,
+            random_p=draw(st.one_of(st.sampled_from((0.0, 0.33, 1.0)), st.floats(0.0, 1.0))),
+            random_seed=draw(st.integers(0, 3)),
+            trackers=tuple(_pinned_states(rng, qmodel)) if pinned else None,
+        ))
+    return qmodel, seq, lanes, draw(st.booleans())
+
+
+@given(_lane_cases())
+@settings(max_examples=150, deadline=None)
+def test_lane_runs_match_their_runs_alone(case):
+    # every lane of a pass, whatever else runs beside it, is bit for bit its one-lane run
+    qmodel, seq, lanes, keep_h = case
+
+    def copies(trackers):
+        return None if trackers is None else tuple(_copy_states(trackers))
+
+    together = [dataclasses.replace(lane, trackers=copies(lane.trackers)) for lane in lanes]
+    got = run_lanes(qmodel, seq, together, keep_h=keep_h)
+    for lane, mine, result in zip(lanes, together, got, strict=True):
+        theirs = copies(lane.trackers)
+        want = run_quantized(
+            qmodel, seq, lane.mode, lane.pdu_config, random_p=lane.random_p, random_seed=lane.random_seed,
+            trackers=theirs,
+        )
+        assert result.mode is want.mode
+        for L in range(len(qmodel.layers)):
+            assert np.array_equal(result.trace.c[L], want.trace.c[L])
+            assert np.array_equal(result.precision_bits[L], want.precision_bits[L])
+            assert result.precision_bits[L].dtype == want.precision_bits[L].dtype
+            if keep_h:
+                assert np.array_equal(result.trace.h[L], want.trace.h[L])
+                assert np.array_equal(np.signbit(result.trace.h[L]), np.signbit(want.trace.h[L]))
+        assert keep_h or result.trace.h == ()
+        if lane.mode is Mode.DYNAMIC:
+            assert all(np.array_equal(a, b) for a, b in zip(result.phases, want.phases, strict=True))
+        else:
+            assert result.phases is None
+        assert result.activity == want.activity
+        for a, b in zip(mine.trackers or (), theirs or (), strict=True):
             for f in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)

@@ -11,17 +11,16 @@ from dynprec.pdu import (
     PduConfig,
     TrackerState,
     classify_trace,
-    pdu_observe,
     thresholds,
 )
-from pdu_oracle import Precision, ScalarTracker, scalar_observe
+from pdu_oracle import Precision, ScalarTracker, observe, scalar_observe
 
 
 def _run(state, config, values):
     """Feed a one-element tracker; True where the next step runs at 8 bits."""
     out = []
     for v in values:
-        pdu_observe(state, config, np.array([v]))
+        observe(state, config, np.array([v]))
         out.append(bool(state.high_precision()[0]))
     return out
 
@@ -139,7 +138,7 @@ def test_high_precision_iff_in_peak():
     state = TrackerState.fresh(3)
     oracles = [ScalarTracker() for _ in range(3)]
     for row in values:
-        pdu_observe(state, cfg, row)
+        observe(state, cfg, row)
         high = state.high_precision()
         for k, tracker in enumerate(oracles):
             precision = scalar_observe(tracker, cfg, row[k])
@@ -173,14 +172,14 @@ def test_jump_after_flat_profiling_is_a_peak():
 def test_observe_rejects_non_finite():
     cfg = PduConfig(4, 4, 4)
     with pytest.raises(ValueError):
-        pdu_observe(TrackerState.fresh(1), cfg, np.array([float("nan")]))
+        observe(TrackerState.fresh(1), cfg, np.array([float("nan")]))
     with pytest.raises(ValueError):
-        pdu_observe(TrackerState.fresh(2), cfg, np.array([0.0, math.inf]))
+        observe(TrackerState.fresh(2), cfg, np.array([0.0, math.inf]))
 
 
 def test_observe_rejects_wrong_width():
     with pytest.raises(ValueError):
-        pdu_observe(TrackerState.fresh(2), PduConfig(4, 4, 4), np.zeros(3))
+        observe(TrackerState.fresh(2), PduConfig(4, 4, 4), np.zeros(3))
 
 
 @given(st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=10, max_size=120))
@@ -222,7 +221,7 @@ def _assert_matches_oracle(trace: np.ndarray, config: PduConfig) -> Counter:
     oracles = [ScalarTracker() for _ in range(n_elems)]
     events: Counter = Counter()
     for t in range(n_steps):
-        pdu_observe(state, config, trace[t])
+        observe(state, config, trace[t])
         for k, tracker in enumerate(oracles):
             before = tracker.phase
             scalar_observe(tracker, config, trace[t, k])
@@ -302,19 +301,25 @@ def test_array_tracker_matches_oracle_through_every_transition(beta):
 
 
 def test_classify_trace_matches_scalar_loop():
-    cfg = PduConfig(t_profile=4, m_max_peak=5, n_max_stable=7)
+    # several configs in one pass, each against its own scalar trackers
+    configs = [
+        PduConfig(t_profile=4, m_max_peak=5, n_max_stable=7),
+        PduConfig(t_profile=3, m_max_peak=1, n_max_stable=2, beta=0.0, epsilon_range=0.5),
+        PduConfig(t_profile=5, m_max_peak=10**20, n_max_stable=10**20, beta=math.inf),
+    ]
     rng = np.random.default_rng(8)
     trace = rng.normal(0, 1, (60, 3))
-    phases = classify_trace(trace, cfg)
-    assert phases.shape == (60, 3)
-    for k in range(3):
-        tracker = ScalarTracker()
-        for t in range(60):
-            p = scalar_observe(tracker, cfg, trace[t, k])
-            assert phases[t, k] == tracker.phase
-            assert (p is Precision.HIGH8) == (phases[t, k] == Phase.IN_PEAK)
+    phases = classify_trace(trace, configs)
+    assert phases.shape == (3, 60, 3)
+    for cfg, cfg_phases in zip(configs, phases):
+        for k in range(3):
+            tracker = ScalarTracker()
+            for t in range(60):
+                p = scalar_observe(tracker, cfg, trace[t, k])
+                assert cfg_phases[t, k] == tracker.phase
+                assert (p is Precision.HIGH8) == (cfg_phases[t, k] == Phase.IN_PEAK)
 
 
 def test_classify_trace_rejects_bad_shape():
     with pytest.raises(ValueError):
-        classify_trace(np.zeros(5), PduConfig(4, 4, 4))
+        classify_trace(np.zeros(5), [PduConfig(4, 4, 4)])
