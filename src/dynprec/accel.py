@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm_ref import InputSequence
+from .lstm_ref import GATES, InputSequence
 from .lstm_quant import (
     DEFAULT_RANDOM_P,
+    LayerActivity,
     Mode,
     QuantRunResult,
     QuantizedModel,
@@ -178,8 +179,10 @@ def check_capacity(
     _timing(qmodel, len(seq), config, dynamic)
 
 
-def _timing(qmodel: QuantizedModel, n_steps: int, config: AccelConfig, dynamic: bool) -> tuple[list, int, int, float]:
-    """Each layer's 8- and 4-bit element cycles, the drain floor, the fill and the bandwidth bound.
+def _timing(
+    qmodel: QuantizedModel, n_steps: int, config: AccelConfig, dynamic: bool
+) -> tuple[list, int, int, float, float]:
+    """Each layer's 8- and 4-bit element cycles, the drain floor, the fill, the bandwidth bound and the worst case.
 
     A run of ``n_steps`` steps whose worst case could pass ``MAX_CYCLES`` is refused.
     """
@@ -205,7 +208,7 @@ def _timing(qmodel: QuantizedModel, n_steps: int, config: AccelConfig, dynamic: 
     bound = fill + n_steps * max(stretch, widest_step)
     if not bound <= MAX_CYCLES:
         raise CapacityError("cycle counter", bound, MAX_CYCLES, unit="cycles")
-    return per_layer_cost, floor, fill, stretch
+    return per_layer_cost, floor, fill, stretch, bound
 
 
 def _step_cycles(
@@ -220,7 +223,7 @@ def _step_cycles(
     floor; a step is stretched to the input/output bandwidth bound.
     """
     n_steps = run.trace.n_steps
-    per_layer_cost, floor, fill, stretch = _timing(qmodel, n_steps, config, dynamic)
+    per_layer_cost, floor, fill, stretch, _ = _timing(qmodel, n_steps, config, dynamic)
     cycles = np.zeros(n_steps, dtype=np.int64)
     for (c8, c4), bits in zip(per_layer_cost, run.precision_bits):
         n_high = (bits == 8).sum(axis=1)
@@ -231,21 +234,21 @@ def _step_cycles(
 
 
 def _energy(
-    qmodel: QuantizedModel, run: QuantRunResult, total_cycles: int, em: EnergyModel
+    qmodel: QuantizedModel, activity: tuple[LayerActivity, ...], steps: int, dynamic: bool, cycles: float,
+    em: EnergyModel,
 ) -> tuple[float, dict[str, float]]:
-    """Energy per component, from exact int counts.
+    """Energy per component of a run of ``steps`` steps, from exact int counts.
 
     A byte weight takes 8 bit-serial passes and a nibble 4. Each step fetches
     every layer's fan-in and runs every cell element through the scalar unit
     and, in dynamic mode, its tracker.
     """
-    bytes_read = sum(a.weight_bytes for a in run.activity)
-    nibbles_read = sum(a.weight_nibbles for a in run.activity)
-    adjusted = sum(a.input_adjusted for a in run.activity)
-    steps = run.trace.n_steps
+    bytes_read = sum(a.weight_bytes for a in activity)
+    nibbles_read = sum(a.weight_nibbles for a in activity)
+    adjusted = sum(a.input_adjusted for a in activity)
     input_elems = steps * sum(layer.input_size + layer.cell_size for layer in qmodel.layers)
     cells = steps * sum(layer.cell_size for layer in qmodel.layers)
-    pdu_updates = cells if run.mode is Mode.DYNAMIC else 0
+    pdu_updates = cells if dynamic else 0
 
     breakdown = {
         "weight_fetch": bytes_read * em.weight_byte_read + nibbles_read * em.weight_nibble_read,
@@ -255,7 +258,7 @@ def _energy(
         + MU_MULS_PER_ELEMENT * cells * em.mu_mul
         + MU_EXPS_PER_ELEMENT * cells * em.mu_exp,
         "pdu": pdu_updates * em.pdu_update,
-        "static": total_cycles * em.static_power,
+        "static": cycles * em.static_power,
     }
     return sum(breakdown.values()), breakdown
 
@@ -287,8 +290,9 @@ def cost_run(
     This is the only stage that reads ``AccelConfig`` and ``EnergyModel``,
     so one run can be costed on many accelerator configurations.
     """
-    total_cycles, _ = _step_cycles(qmodel, run, config, run.mode is Mode.DYNAMIC)
-    energy_total, breakdown = _energy(qmodel, run, total_cycles, em)
+    dynamic = run.mode is Mode.DYNAMIC
+    total_cycles, _ = _step_cycles(qmodel, run, config, dynamic)
+    energy_total, breakdown = _energy(qmodel, run.activity, run.trace.n_steps, dynamic, total_cycles, em)
     return SimResult(
         run=run,
         total_cycles=total_cycles,
@@ -298,6 +302,19 @@ def cost_run(
         model_hash=qmodel.fingerprint,
         sequence_hash=sequence_fingerprint(seq),
     )
+
+
+def cost_bounds(
+    qmodel: QuantizedModel, seq: InputSequence, config: AccelConfig, em: EnergyModel, dynamic: bool
+) -> tuple[float, float]:
+    """Upper bounds on the wall time and the energy of a run: each step at its worst case, plus one cycle
+    for rounding, every weight read both as a byte and as a nibble, and every input element adjusted."""
+    n_steps = len(seq)
+    cycles = _timing(qmodel, n_steps, config, dynamic)[-1] + n_steps
+    fan_ins = [layer.input_size + layer.cell_size for layer in qmodel.layers]
+    reads = n_steps * len(GATES) * sum(fan_in * layer.cell_size for fan_in, layer in zip(fan_ins, qmodel.layers))
+    energy, _ = _energy(qmodel, (LayerActivity(reads, reads, n_steps * sum(fan_ins)),), n_steps, dynamic, cycles, em)
+    return cycles / config.frequency_hz, energy
 
 
 def compare(a: SimResult, b: SimResult) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .accel import AccelConfig, CapacityError, EnergyModel
 from .harness import (
+    REPORT_SCHEMA_VERSION,
     ConfigError,
     Experiment,
     ExperimentResult,
@@ -249,7 +250,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     results = Experiment(model, seq).run(modes, points)
     sweep_report = {
-        "schema_version": 1,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "sweep": {
             "param": args.param,
             "points": [{"value": value, "report": result.report} for value, result in zip(raw_values, results)],

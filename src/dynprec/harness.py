@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .accel import AccelConfig, EnergyModel, SimResult, check_capacity, compare, cost_run
+from .accel import AccelConfig, EnergyModel, SimResult, check_capacity, compare, cost_bounds, cost_run
 
 # Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
 from .accel import simulate
@@ -440,6 +440,9 @@ class Experiment:
             raise ValueError(f"random_p must be in [0, 1], got {point.random_p!r}")
         for mode in modes:
             check_capacity(self.qmodel, self.seq, point.accel_config, mode is Mode.DYNAMIC)
+            worst = cost_bounds(self.qmodel, self.seq, point.accel_config, point.energy_model, mode is Mode.DYNAMIC)
+            if not all(map(math.isfinite, worst)):  # a JSON report holds only finite numbers
+                raise ConfigError(f"invalid configuration: a {mode.value} run's wall time and energy may reach {worst}")
         return point
 
     def run(self, modes: list[Mode], points: Iterable[dict]) -> list[ExperimentResult]:
@@ -530,7 +533,7 @@ def run_experiment(
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def export_trace(

@@ -1,27 +1,26 @@
 """Quantized LSTM evaluation with a per-element precision choice each step.
 
-Each gate matrix is quantized offline at 8 and at 4 bits with its own
-alpha, as its row block of the layer's stacked gate-major weights, so each
-connection of a layer is one operand. One pass runs several lanes, each a
-mode and the fields it reads, and each lane's result is bit-identical to
-its run alone. The pass goes layer by layer. A layer's inputs are known
-before it starts, so they are quantized a chunk at a time and their forward
-products run as one GEMM per chunk of about ``FORWARD_CHUNK`` columns and
-per precision some lane can pick; layer 0 reads the same input in every
-lane, so its products are computed once. Each step then does only what
-depends on the step before: every lane picks its precision mix, the lanes'
-previous outputs are encoded at both precisions at once, the recurrent
-products run as one GEMM per precision over a lane-minor [cell, lanes]
-operand, and the cells update. The four gate neurons feeding one cell-state
-element always share that element's precision. Matrix products run on
-integer indices, held exactly in float32 so that they run in BLAS, in
-column blocks whose sums stay exact float32 integers in any summation
-order; the block sums are added and rescaled to reals in float64, so a GEMM
-gives the bits of a per-step product. The cell update and the activations
-stay in full precision. Alongside the traces each lane counts, per layer,
-the only events that depend on its precision choices: the weight bytes and
-nibbles read and the input offsets adjusted. The accelerator model derives
-every other event from the model's sizes.
+Weights, inputs and outputs all take ``quant``'s one dual code. Each gate
+matrix is quantized offline with its own alpha, as its row block of the
+layer's stacked gate-major weights, so each connection of a layer is one
+operand. One pass runs several lanes, each a mode and the fields it reads,
+and each lane's result is bit-identical to its run alone. The pass goes
+layer by layer. A layer's inputs are known before it starts, so they are
+encoded a chunk at a time and their forward products run as one GEMM per
+chunk of about ``FORWARD_CHUNK`` columns and per precision some lane can
+pick; layer 0 reads the same input in every lane, so its products are
+computed once. Each step then does only what depends on the step before:
+every lane picks its precision mix, the lanes' previous outputs are encoded
+at both precisions at once, the recurrent products run as one GEMM per
+precision over a lane-minor [cell, lanes] operand, and the cells update. The
+four gate neurons feeding one cell-state element always share that element's
+precision. Matrix products run on the integer indices in float32 BLAS,
+exactly (``exact_index_products``), so a GEMM gives the bits of a per-step
+product; rescaling to reals, the cell update and the activations run in
+float64. Alongside the traces each lane counts, per layer, the only events
+that depend on its precision choices: the weight bytes and nibbles read and
+the input offsets adjusted. The accelerator model derives every other event
+from the model's sizes.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .lstm_ref import GATES, InputSequence, LstmModel, StateTrace, sigmoid
 from .pdu import PduConfig, Phase, TrackerConfig, TrackerState, pdu_observe
-from .quant import check_finite, check_offset_range, dual_index_arrays, magnitude_limit, packed_bytes, quant_step
+from .quant import dual_codes, dual_steps, magnitude_limit, offset_bits, packed_bytes
 
 # Relative-error denominators are floored to avoid dividing by a near-zero cell state.
 EPS_DENOM = 1e-3
@@ -44,12 +43,7 @@ EPS_DENOM = 1e-3
 DEFAULT_RANDOM_P = 0.33
 
 # Outputs live in (-1, 1) and are always quantized with alpha 1.
-H_STEP8, H_STEP4 = quant_step(1.0, 8), quant_step(1.0, 4)
-# Both rows of a step's h encode, shaped to broadcast over its [cell, lanes]
-# outputs: the steps are powers of two, so scaling by their inverses equals
-# dividing by them; then each precision's magnitude limit.
-H_SCALES = np.array([1.0 / H_STEP8, 1.0 / H_STEP4])[:, None, None]
-H_LIMITS = np.array([magnitude_limit(8), magnitude_limit(4)], dtype=np.float64)[:, None, None]
+H_STEPS = dual_steps(1.0)
 
 # Columns per forward GEMM, one per lane and step. It bounds each precision's
 # [columns, 4H] float64 products buffer; 128 already cost peak memory on wide layers.
@@ -66,15 +60,15 @@ class Mode(enum.Enum):
 def check_exact_fan_in(fan_in: int) -> None:
     """Reject a fan-in whose float64 index sums could round.
 
-    Each term is at most 127 * 127, and float64 holds every integer below 2**53.
+    Each term is at most ``magnitude_limit(8) ** 2``, and float64 holds every integer below 2**53.
     """
-    if 127 * 127 * fan_in >= 2**53:
+    if magnitude_limit(8) ** 2 * fan_in >= 2**53:
         raise ValueError(f"fan-in {fan_in} is too wide for exact float64 index sums")
 
 
 # Widest column block whose index sums stay exact in float32: every partial
-# sum of up to this many terms of at most 127 * 127 is an integer below 2**24.
-FLOAT32_EXACT_COLUMNS = (2**24 - 1) // (127 * 127)
+# sum of up to this many terms of at most magnitude_limit(8) ** 2 is an integer below 2**24.
+FLOAT32_EXACT_COLUMNS = (2**24 - 1) // magnitude_limit(8) ** 2
 
 
 def exact_index_products(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -94,34 +88,32 @@ def exact_index_products(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FusedOperand:
-    """One connection of all four gates stacked gate-major into [4H, n] rows.
+    """One connection of all four gates stacked gate-major into [4H, n] rows, at both precisions.
 
-    ``w8`` and ``w4`` hold the signed 8- and 4-bit indices as float32, so the
-    products run in BLAS and stay exact integers (see
-    ``exact_index_products``); ``step8`` and ``step4`` hold each row's weight
-    step in float64.
+    ``codes`` [2, 4H, n] holds the signed 8- and 4-bit indices
+    (``quant.dual_codes``) as float32, so the products run in BLAS and stay
+    exact integers (see ``exact_index_products``); ``steps`` [2, 4H] holds
+    each row's weight step at each precision in float64.
     """
 
-    w8: np.ndarray
-    w4: np.ndarray
-    step8: np.ndarray
-    step4: np.ndarray
+    codes: np.ndarray
+    steps: np.ndarray
 
 
 def _forward_products(
-    w: np.ndarray, v: np.ndarray, v_steps: np.ndarray, row_steps: np.ndarray, out: np.ndarray
+    w: np.ndarray, v: np.ndarray, v_steps: np.ndarray, row_steps: np.ndarray, out: np.ndarray, lanes: int
 ) -> np.ndarray:
-    """Rescaled products of ``w`` with each of ``v``'s rows, into ``out[:len(v)]``, which it returns.
+    """Rescaled products of ``w`` with each of ``v``'s rows, into ``out[:len(v)]``.
 
-    The rows' index vectors form one [fan_in, rows] operand, so
-    ``exact_index_products`` keeps its column blocks exact in one GEMM. The
-    rescale groups as the recurrent products do:
+    ``v`` holds ``lanes`` blocks of steps, lane after lane; the products are returned as [steps, 4H, lanes].
+    The rows' index vectors form one [fan_in, rows] operand, so ``exact_index_products`` keeps its column
+    blocks exact in one GEMM. The rescale groups as the recurrent products do:
     ``products * (row_step * vector_step)``.
     """
     chunk = out[: len(v)]
     np.multiply.outer(v_steps, row_steps, out=chunk)
     chunk *= exact_index_products(w, v.T).T
-    return chunk
+    return chunk.reshape(lanes, -1, chunk.shape[1]).transpose(1, 2, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,14 +131,14 @@ class QuantizedModel:
     fingerprint: str
 
 
-def _block_steps(values: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-abs alpha of each block of ``rows`` rows, and every row's 8- and 4-bit step.
+def _block_steps(values: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max-abs alpha of each block of ``rows`` rows, and every row's 8- and 4-bit step, [2, rows].
 
     An all-zero block takes alpha 1 and quantizes to zero indices.
     """
     peaks = np.abs(values).reshape(-1, rows * values.shape[1]).max(axis=1)
     alphas = np.where(peaks > 0.0, peaks, 1.0)
-    return alphas, np.repeat(quant_step(alphas, 8), rows), np.repeat(quant_step(alphas, 4), rows)
+    return alphas, np.repeat(dual_steps(alphas), rows, axis=1)
 
 
 def quantize_model(model: LstmModel) -> QuantizedModel:
@@ -159,18 +151,17 @@ def quantize_model(model: LstmModel) -> QuantizedModel:
     layers = []
     for layer in model.layers:
         n = layer.cell_size
-        operands, codes = [], []
+        operands, alphas = [], []
         for w in (layer.w_x, layer.w_h):
             check_exact_fan_in(w.shape[1])
-            alphas, step8, step4 = _block_steps(w, n)
-            high, low, offsets = dual_index_arrays(w, step8[:, None], step4[:, None])
-            operands.append(FusedOperand(high.astype(np.float32), low.astype(np.float32), step8, step4))
-            codes.append((high, offsets, alphas))
+            w_alphas, steps = _block_steps(w, n)
+            operands.append(FusedOperand(dual_codes(w, steps[:, :, None]).astype(np.float32), steps))
+            alphas.append(w_alphas)
         for g, (_, _, b) in enumerate(layer.gates()):
             rows = slice(g * n, (g + 1) * n)
-            for high, offsets, alphas in codes:
-                digest.update(packed_bytes(high[rows], offsets[rows]))
-                digest.update(alphas[g].tobytes())
+            for operand, w_alphas in zip(operands, alphas):
+                digest.update(packed_bytes(operand.codes[:, rows]))
+                digest.update(w_alphas[g].tobytes())
             digest.update(b.tobytes())
         layers.append(QuantizedLayer(*operands, bias=layer.b, cell_size=n, input_size=layer.input_size))
     return QuantizedModel(tuple(layers), digest.hexdigest())
@@ -340,52 +331,37 @@ def _run_layer(
     h_chunk = None if keep_h else np.empty((n_lanes, span, n))
     phases = np.empty((n_dyn, n_steps, n), dtype=np.int8)
     adjusted = np.empty((n_lanes, n_steps), dtype=np.int64)
-    # only the precisions some lane can pick, one chunk of steps at a time
-    f8 = np.empty((shared * span, rows)) if n_dyn or high[n_dyn:].any() else None
-    f4 = np.empty((shared * span, rows)) if n_dyn or not high[n_dyn:].all() else None
     # a step's state is lane-minor, [cell, lanes], so each recurrent product is one GEMM
-    rec_scale8, rec_scale4 = (layer.rec.step8 * H_STEP8)[:, None], (layer.rec.step4 * H_STEP4)[:, None]
-    bias = layer.bias[:, None]
+    rec_scales = (layer.rec.steps * H_STEPS[:, None])[:, :, None]
+    h_steps, bias = H_STEPS[:, None, None], layer.bias[:, None]
     h_idx = np.empty((2, n, n_lanes))
     h_codes = np.empty((span, 2, n, n_lanes), dtype=np.float32)  # each step's h at 8 and at 4 bits
-    lowest = highest = 0.0  # range of the h offset bits
+    split = (len(GATES), n, n_lanes)
+    # forward products a chunk at a time, at each precision (0: 8 bits, 1: 4 bits) some lane can pick
+    can_pick = (n_dyn or high[n_dyn:].any(), n_dyn or not high[n_dyn:].all())
+    fwd_out = [np.empty((shared * span, rows)) if can else None for can in can_pick]
     c = h = np.zeros((n, n_lanes))
     for t0 in range(0, n_steps, span):
         t1 = min(t0 + span, n_steps)
         x = inputs[:, t0:t1].reshape(-1, inputs.shape[2])  # lane after lane
-        _, xs8, xs4 = _block_steps(x, 1)  # each step's input at its own alpha
-        x8, x4, x_offsets = dual_index_arrays(x, xs8[:, None], xs4[:, None])
-        adjusted[:, t0:t1] = np.count_nonzero(x_offsets, axis=1).reshape(shared, -1)
-        if f8 is not None:  # exact casts: |index| <= 127
-            fwd8 = _forward_products(layer.fwd.w8, x8.astype(np.float32), xs8, layer.fwd.step8, f8)
-            fwd8 = fwd8.reshape(shared, -1, rows).transpose(1, 2, 0)  # [steps, rows, lanes]
-        if f4 is not None:
-            fwd4 = _forward_products(layer.fwd.w4, x4.astype(np.float32), xs4, layer.fwd.step4, f4)
-            fwd4 = fwd4.reshape(shared, -1, rows).transpose(1, 2, 0)
+        _, x_steps = _block_steps(x, 1)  # each step's input at its own alpha
+        x_codes = dual_codes(x, x_steps[:, :, None]).astype(np.float32)  # exact casts: |index| <= 127
+        adjusted[:, t0:t1] = np.count_nonzero(offset_bits(x_codes), axis=1).reshape(shared, -1)
+        fwd = [_forward_products(layer.fwd.codes[p], x_codes[p], x_steps[p], layer.fwd.steps[p], out, shared)
+               if out is not None else None for p, out in enumerate(fwd_out)]
         h_out = h_trace[:, t0:t1] if keep_h else h_chunk[:, : t1 - t0]
         for j, t in enumerate(range(t0, t1)):
             picks = high[:, t]
             if n_dyn:
                 picks[:n_dyn] = trackers.high_precision().reshape(n_dyn, n)
-            # dual_index_arrays(h, H_STEP8, H_STEP4), both precisions in one pass
-            np.multiply(np.abs(h), H_SCALES, out=h_idx)
-            h_idx += 0.5
-            np.floor(h_idx, out=h_idx)
-            np.minimum(h_idx, H_LIMITS, out=h_idx)
-            np.copysign(h_idx, h, out=h_idx)
-            h_idx += 0.0  # a zero index of a negative h stays +0.0
-            h_codes[j] = h_idx  # exact: |index| <= 127
-            # a precision no element picks is skipped; a mixed step picks per element
-            any8, all8 = picks.any(), picks.all()
-            if any8:
-                pre = pre8 = fwd8[j] + exact_index_products(layer.rec.w8, h_codes[j, 0]) * rec_scale8
-            if not all8:
-                pre = fwd4[j] + exact_index_products(layer.rec.w4, h_codes[j, 1]) * rec_scale4
-                if any8:
-                    split = (len(GATES), n, n_lanes)
-                    mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
-                    pre = np.where(mask, pre8.reshape(split), pre.reshape(split)).reshape(rows, n_lanes)
-            pre += bias
+            h_codes[j] = dual_codes(h, h_steps, out=h_idx)
+            n8 = np.count_nonzero(picks)  # a precision no element picks is skipped
+            pre = [fwd[p][j] + exact_index_products(layer.rec.codes[p], h_codes[j, p]) * rec_scales[p]
+                   for p, picked in enumerate((n8 > 0, n8 < picks.size)) if picked]
+            if len(pre) == 2:  # a mixed step picks per element
+                mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
+                pre = [np.where(mask, pre[0].reshape(split), pre[1].reshape(split)).reshape(rows, n_lanes)]
+            pre = np.add(pre[0], bias, out=pre[0])
             gates = sigmoid(pre)  # one call for the three sigmoid gates; the updater's rows go unused
             i_t, f_t, o_t = gates[:n], gates[n : 2 * n], gates[3 * n :]
             g_t = np.tanh(pre[2 * n : 3 * n])
@@ -395,12 +371,7 @@ def _run_layer(
             if n_dyn:
                 pdu_observe(trackers, tracker_config, c[:, :n_dyn].T.ravel())
                 phases[:, t] = trackers.phase.reshape(n_dyn, n)
-        magnitudes = np.abs(h_codes[: t1 - t0])
-        offsets = magnitudes[:, 1] - np.floor(magnitudes[:, 0] / 16)
-        adjusted[:, t0:t1] += np.count_nonzero(offsets, axis=1).T
-        lowest, highest = min(lowest, offsets.min()), max(highest, offsets.max())
-        check_finite(h_out[:, : n_steps - 1 - t0])  # every h a step encodes; the last one is not
-    check_offset_range(lowest, highest)
+        adjusted[:, t0:t1] += np.count_nonzero(offset_bits(h_codes[: t1 - t0].swapaxes(0, 1)), axis=1).T
 
     weights = len(GATES) * (layer.input_size + n)  # read per element and step
     n_high = np.count_nonzero(high, axis=2)

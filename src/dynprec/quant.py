@@ -6,6 +6,10 @@ plus one, so a single *offset bit* per value is enough to recover the
 exact 4-bit index from the byte. Indices are kept in sign-magnitude form
 with a symmetric clamped range so the nibble sharing works identically
 for both signs, including at saturation.
+
+This module alone computes the code: ``dual_codes`` gives both signed
+indices of an array as one [2, ...] array, the 8-bit index first, as
+``dual_steps`` stacks the steps; ``offset_bits`` and ``packed_bytes`` read it.
 """
 
 from __future__ import annotations
@@ -50,52 +54,55 @@ class QuantParams:
         object.__setattr__(self, "step", quant_step(self.alpha, self.bits))
 
 
-def check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError("cannot quantize non-finite values")
+_DUAL_LIMITS = np.array([magnitude_limit(8), magnitude_limit(4)], dtype=np.float64)
 
 
-def check_offset_range(lowest: float, highest: float) -> None:
-    """Every offset bit, from ``lowest`` to ``highest``, must be 0 or 1."""
-    if lowest < 0 or highest > 1:
-        raise AssertionError("4-bit index deviates from the high nibble by more than one")
+def dual_steps(alpha: float | np.ndarray) -> np.ndarray:
+    """The 8- and 4-bit steps of each alpha, stacked as [2, *alpha.shape]."""
+    return np.stack((quant_step(alpha, 8), quant_step(alpha, 4)))
 
 
-def dual_index_arrays(values: np.ndarray, step8, step4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize ``values`` at 8 and at 4 bits, unpacked for arithmetic.
+def dual_codes(values: np.ndarray, steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The signed 8- and 4-bit indices of ``values``, stacked as [2, *values.shape] exact integers in float64.
 
-    Returns the signed 8- and 4-bit indices and the offset bits, all as
-    exact integers in float64. The steps may be scalars or broadcast per row.
+    ``steps`` stacks the 8- and 4-bit steps as [2, ...], broadcast against ``values``: one per precision or
+    one per row. Writes into ``out`` when given. A zero index is +0.0 for either sign.
     """
     arr = np.asarray(values, dtype=np.float64)
-    check_finite(arr)
-    mag = np.abs(arr)
-    high = np.minimum(np.floor(mag / step8 + 0.5), float(magnitude_limit(8)))
-    low = np.minimum(np.floor(mag / step4 + 0.5), float(magnitude_limit(4)))
-    offsets = low - np.floor(high / 16)
-    if offsets.size:
-        check_offset_range(offsets.min(), offsets.max())
-    negatives = (arr < 0) & (high > 0)
-    for m in (high, low):
-        np.subtract(0.0, m, out=m, where=negatives)  # 0.0 - m, so a zero index stays +0.0
-    return high, low, offsets
+    if not np.isfinite(arr).all():
+        raise ValueError("cannot quantize non-finite values")
+    codes = np.divide(np.abs(arr), steps, out=out)
+    codes += 0.5
+    np.floor(codes, out=codes)
+    np.minimum(codes.T, _DUAL_LIMITS, out=codes.T)  # the precision axis last, where the limits broadcast
+    np.copysign(codes, arr, out=codes)
+    codes += 0.0  # -0.0 + 0.0 is +0.0
+    return codes
 
 
-def _packed(high: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return high < 0, np.abs(high).astype(np.uint8), offsets.astype(bool)
+def offset_bits(codes: np.ndarray) -> np.ndarray:
+    """Each value's offset bit, from its stacked codes; raises unless every one is 0 or 1."""
+    magnitudes = np.abs(codes)
+    offsets = magnitudes[1] - np.floor(magnitudes[0] / 16)
+    if offsets.size and (offsets.min() < 0 or offsets.max() > 1):
+        raise AssertionError("4-bit index deviates from the high nibble by more than one")
+    return offsets
+
+
+def _packed(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return codes[0] < 0, np.abs(codes[0]).astype(np.uint8), offset_bits(codes).astype(bool)
 
 
 def encode_dual_arrays(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed dual codes at one alpha; returns (negatives, magnitudes7, offset_bits)."""
-    high, _, offsets = dual_index_arrays(values, quant_step(alpha, 8), quant_step(alpha, 4))
-    return _packed(high, offsets)
+    return _packed(dual_codes(values, dual_steps(alpha).reshape((2,) + (1,) * np.ndim(values))))
 
 
-def packed_bytes(high: np.ndarray, offsets: np.ndarray) -> bytes:
+def packed_bytes(codes: np.ndarray) -> bytes:
     """The stored codes in row-major order: one magnitude byte per value,
     then the sign bits and the offset bits, each packed eight to a byte."""
-    negatives, magnitudes7, offset_bits = _packed(high, offsets)
-    return magnitudes7.tobytes() + np.packbits(negatives).tobytes() + np.packbits(offset_bits).tobytes()
+    negatives, magnitudes7, offsets = _packed(codes)
+    return magnitudes7.tobytes() + np.packbits(negatives).tobytes() + np.packbits(offsets).tobytes()
 
 
 # Unused by the pipeline; kept because perfbench/run.py span_targets wraps its encode.
@@ -119,8 +126,7 @@ class QuantizedVector:
 
     @classmethod
     def encode(cls, values: np.ndarray, alpha: float) -> "QuantizedVector":
-        negatives, magnitudes7, offset_bits = encode_dual_arrays(np.asarray(values, dtype=np.float64), alpha)
-        return cls(negatives, magnitudes7, offset_bits, QuantParams(alpha, 8), QuantParams(alpha, 4))
+        return cls(*encode_dual_arrays(values, alpha), QuantParams(alpha, 8), QuantParams(alpha, 4))
 
     def __len__(self) -> int:
         return self.negatives.shape[0]

@@ -178,24 +178,16 @@ class GateOperands(NamedTuple):
 
 
 def gate_operands(layer: QuantizedLayer) -> tuple[GateOperands, ...]:
-    """Gate ``g`` is the row block ``g*H:(g+1)*H`` of each fused operand, cast to int64."""
+    """Gate ``g`` is the row block ``g*H:(g+1)*H`` of each fused operand's codes at each precision, cast to int64."""
     n = layer.cell_size
     gates = []
     for g in range(len(GATES)):
         rows = slice(g * n, (g + 1) * n)
-        gates.append(
-            GateOperands(
-                layer.fwd.w8[rows].astype(np.int64),
-                layer.fwd.w4[rows].astype(np.int64),
-                layer.rec.w8[rows].astype(np.int64),
-                layer.rec.w4[rows].astype(np.int64),
-                float(layer.fwd.step8[g * n]),
-                float(layer.fwd.step4[g * n]),
-                float(layer.rec.step8[g * n]),
-                float(layer.rec.step4[g * n]),
-                layer.bias[rows],
-            )
-        )
+        fwd8, fwd4 = layer.fwd.codes[:, rows].astype(np.int64)
+        rec8, rec4 = layer.rec.codes[:, rows].astype(np.int64)
+        fwd_step8, fwd_step4 = (float(step) for step in layer.fwd.steps[:, g * n])
+        rec_step8, rec_step4 = (float(step) for step in layer.rec.steps[:, g * n])
+        gates.append(GateOperands(fwd8, fwd4, rec8, rec4, fwd_step8, fwd_step4, rec_step8, rec_step4, layer.bias[rows]))
     return tuple(gates)
 
 

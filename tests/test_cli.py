@@ -290,6 +290,30 @@ def test_infinite_beta_is_a_config_error(toy_files, tmp_path, capsys, verb):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("frequency_hz", "1e-320"), ("static_power", "1e308"), ("weight_byte_read", "1e308")]
+)
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_non_finite_costs_are_a_config_error(toy_files, tmp_path, capsys, monkeypatch, verb, key, value):
+    # each value is valid alone, but a run's wall time or energy would overflow to "Infinity" or "NaN",
+    # which is not JSON; a sweep refuses the bad point before running the good one
+    model, seq = toy_files
+    report = tmp_path / "report.json"
+    argv = [verb, "--model", str(model), "--input", str(seq), "--report", str(report)]
+    if verb == "run":
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--param", key, "--values", f"1,{value}"]
+    monkeypatch.setattr(harness, "run_lanes", lambda *args, **kwargs: pytest.fail("a lane pass ran"))
+    assert main(argv) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith("error: invalid configuration: a static8 run's wall time")
+    assert not report.exists()
+    with pytest.raises(ValueError):  # and a report never renders one
+        render_report({"runs": {"static8": {"energy_total": float("inf")}}})
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

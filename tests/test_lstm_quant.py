@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -26,7 +28,7 @@ from dynprec.lstm_quant import (
 )
 from dynprec.pdu import PduConfig, Phase, TrackerState
 from dynprec.lstm_ref import StateTrace
-from dynprec.quant import QuantizedVector, QuantParams, quant_step
+from dynprec.quant import QuantizedVector, QuantParams, dual_codes, quant_step
 from pdu_oracle import Precision
 from quant_oracle import gate_operands, neuron_eval, quantize_array, run_quantized_reference
 
@@ -89,10 +91,10 @@ def test_stored_codes_keep_dual_invariants(toy):
     _, qmodel, _ = toy
     for qlayer in qmodel.layers:
         for operand in (qlayer.fwd, qlayer.rec):
-            magnitude8, magnitude4 = np.abs(operand.w8), np.abs(operand.w4)
+            magnitude8, magnitude4 = np.abs(operand.codes)
             assert magnitude8.max() <= 127
             assert magnitude4.max() <= 7
-            assert np.array_equal(operand.step4, 16 * operand.step8)
+            assert np.array_equal(operand.steps[1], 16 * operand.steps[0])
             offsets = magnitude4 - np.floor(magnitude8 / 16)  # the offset bit beside the high nibble
             assert set(np.unique(offsets)) <= {0.0, 1.0}
 
@@ -111,10 +113,9 @@ def test_gate_blocks_are_each_gates_own_quantization():
             rows = slice(g * n, (g + 1) * n)
             for operand, w in ((qlayer.fwd, w_x), (qlayer.rec, w_h)):
                 alpha = float(np.max(np.abs(w)))
-                assert np.array_equal(operand.w8[rows], quantize_array(w, QuantParams(alpha, 8)))
-                assert np.array_equal(operand.w4[rows], quantize_array(w, QuantParams(alpha, 4)))
-                assert np.all(operand.step8[rows] == quant_step(alpha, 8))
-                assert np.all(operand.step4[rows] == quant_step(alpha, 4))
+                for p, bits in enumerate((8, 4)):
+                    assert np.array_equal(operand.codes[p, rows], quantize_array(w, QuantParams(alpha, bits)))
+                    assert np.all(operand.steps[p, rows] == quant_step(alpha, bits))
             assert np.array_equal(qlayer.bias[rows], b)
 
 
@@ -171,7 +172,7 @@ def test_multi_block_fan_in_matches_step_major_oracle():
     model = LstmModel((LstmLayer.from_gates(gates),))
     x = 0.02 * np.where(rng.random(steps) < 0.5, 1.0, -1.0)[:, None] * np.ones((steps, fan_in))
     qmodel = quantize_model(model)
-    assert np.abs(qmodel.layers[0].fwd.w8).min() == 127
+    assert np.abs(qmodel.layers[0].fwd.codes[0]).min() == 127
     # the second length crosses a chunk boundary, so the blocks run inside chunked GEMMs
     for seq in (InputSequence(x[:6]), InputSequence(x)):
         for mode in Mode:
@@ -379,16 +380,37 @@ def test_run_encodes_once_per_layer_and_keeps_no_whole_sequence_products():
     rng = np.random.default_rng(21)
     # Inputs are encoded a chunk at a time, each input row exactly once per distinct input: layer 0
     # reads the same sequence in every lane, a later layer its own lane's outputs. Each layer's own
-    # h is encoded inline.
+    # h is encoded once per step, for every lane at once. _run_layer has one call site of the encoder
+    # for each: the inputs' comes first in its source.
     qmodel = quantize_model(_random_model(rng, [(3, 5), (5, 4)]))
     seq = InputSequence(rng.uniform(-1, 1, (2 * FORWARD_CHUNK + 1, 3)))
+    source, first = inspect.getsourcelines(lstm_quant._run_layer)
+    input_site, h_site = (first + i for i, line in enumerate(source) if "dual_codes(" in line)
+
+    def recording(values, steps, out=None):
+        caller = sys._getframe(1)
+        assert caller.f_code is lstm_quant._run_layer.__code__
+        calls.append((caller.f_lineno, np.array(values)))
+        return dual_codes(values, steps, out)
+
     for lanes in _lane_sets(len(seq)):
-        with mock.patch.object(lstm_quant, "dual_index_arrays", wraps=lstm_quant.dual_index_arrays) as encode:
+        calls = []
+        with mock.patch.object(lstm_quant, "dual_codes", recording):
             results = run_lanes(qmodel, seq, lanes)
-        encoded = [call.args[0] for call in encode.call_args_list]
+        encoded = [values for line, values in calls if line == input_site]
         assert np.array_equal(np.concatenate([rows for rows in encoded if rows.shape[1] == 3]), seq.steps)
         outputs = [row.tobytes() for result in results for row in result.trace.h[0]]
         assert sorted(row.tobytes() for rows in encoded if rows.shape[1] == 5 for row in rows) == sorted(outputs)
+
+        h_encoded = [values for line, values in calls if line == h_site]
+        assert len(encoded) + len(h_encoded) == len(calls)
+        assert len(h_encoded) == len(qmodel.layers) * len(seq)
+        for L, layer_h in enumerate((h_encoded[: len(seq)], h_encoded[len(seq) :])):
+            # the previous outputs of every lane: zeros first, then each step's but the last
+            previous = [np.zeros_like(result.trace.h[L][0]) for result in results]
+            previous += [row for result in results for row in result.trace.h[L][:-1]]
+            got = sorted(column.tobytes() for values in layer_h for column in values.T)
+            assert got == sorted(row.tobytes() for row in previous)
 
     # What the run holds beyond its results may grow with the steps only by per-lane counters: the
     # input offsets adjusted and the 8-bit elements of each step, in int64. Random lanes keep their

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprec.quant import QuantParams, QuantizedVector, encode_dual_arrays, quant_step
+from dynprec.quant import QuantParams, QuantizedVector, dual_codes, dual_steps, encode_dual_arrays, quant_step
 from quant_oracle import (
     DualIndex,
     QIndex,
@@ -194,6 +194,44 @@ def test_offset_bit_sufficient_on_dense_grid():
     assert np.array_equal(low, expected)
     high = np.where(negatives, -magnitudes7.astype(np.int64), magnitudes7.astype(np.int64))
     assert np.array_equal(high, quantize_array(ys, QuantParams(alpha, 8)))
+
+
+def _hard_values(rng, alphas, width):
+    """Per row of ``alphas``: values on the rounding edges of both precisions, zeros of either sign,
+    negatives whose indices are zero, values past the clamp, and uniform draws."""
+    rows = []
+    for alpha in alphas:
+        steps = [quant_step(alpha, 8), quant_step(alpha, 4)]
+        halves = [(rng.integers(0, limit) + 0.5) * step for step, limit in zip(steps, (127, 7)) for _ in range(8)]
+        edges = [0.0, -0.0, -1e-300, -steps[0] / 4, -steps[1] / 4, 1.5 * alpha, -alpha, alpha, *halves]
+        row = np.concatenate([edges, rng.uniform(-alpha, alpha, width - len(edges))])
+        rows.append(row * np.where(rng.random(width) < 0.5, 1.0, -1.0))
+    return np.array(rows)
+
+
+def test_dual_codes_match_the_scalar_quantizer():
+    # the encoder's three uses: weights at one step per row, inputs at one alpha per row (their max-abs)
+    # and outputs at alpha 1; steps that are not powers of two must be divided by, not inverted
+    rng = np.random.default_rng(29)
+    w_alphas = rng.uniform(1e-3, 4.0, 24)
+    weights = _hard_values(rng, w_alphas, 60)
+    inputs = _hard_values(rng, rng.uniform(1e-3, 4.0, 24), 60)
+    x_alphas = np.abs(inputs).max(axis=1)
+    h = _hard_values(rng, [1.0] * 3, 60).T  # [cell, lanes]
+    cases = [
+        (weights, dual_steps(w_alphas)[:, :, None], w_alphas),
+        (inputs, dual_steps(x_alphas)[:, :, None], x_alphas),
+        (h, dual_steps(1.0)[:, None, None], np.ones(len(h))),
+    ]
+    for values, steps, alphas in cases:
+        codes = dual_codes(values, steps)
+        assert codes.shape == (2, *values.shape)
+        for p, bits in enumerate((8, 4)):
+            want = [[quantize(y, QuantParams(alpha, bits)).value for y in row] for row, alpha in zip(values, alphas)]
+            assert np.array_equal(codes[p], want)
+        assert not np.signbit(codes[codes == 0]).any()  # a zero index is +0.0, also for a negative value
+        out = np.empty_like(codes)
+        assert dual_codes(values, steps, out=out) is out and np.array_equal(out, codes)
 
 
 def test_quantize_array_matches_scalar():
