@@ -306,15 +306,18 @@ def cost_run(
 
 def cost_bounds(
     qmodel: QuantizedModel, seq: InputSequence, config: AccelConfig, em: EnergyModel, dynamic: bool
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Upper bounds on the wall time and the energy of a run: each step at its worst case, plus one cycle
-    for rounding, every weight read both as a byte and as a nibble, and every input element adjusted."""
+    for rounding, every weight read both as a byte and as a nibble, and every input element adjusted.
+    Then a lower bound on the energy of the static 8-bit baseline, which reads every weight as a byte,
+    adjusts no input offset and takes at least one cycle per step."""
     n_steps = len(seq)
     cycles = _timing(qmodel, n_steps, config, dynamic)[-1] + n_steps
     fan_ins = [layer.input_size + layer.cell_size for layer in qmodel.layers]
     reads = n_steps * len(GATES) * sum(fan_in * layer.cell_size for fan_in, layer in zip(fan_ins, qmodel.layers))
     energy, _ = _energy(qmodel, (LayerActivity(reads, reads, n_steps * sum(fan_ins)),), n_steps, dynamic, cycles, em)
-    return cycles / config.frequency_hz, energy
+    floor, _ = _energy(qmodel, (LayerActivity(reads, 0, 0),), n_steps, False, n_steps, em)
+    return cycles / config.frequency_hz, energy, floor
 
 
 def compare(a: SimResult, b: SimResult) -> tuple[float, float]:

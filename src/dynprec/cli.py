@@ -26,6 +26,7 @@ from .harness import (
     Experiment,
     ExperimentResult,
     FormatError,
+    Point,
     SequenceFormatError,
     TOY_KINDS,
     export_trace,
@@ -101,34 +102,22 @@ def load_config_file(path: str | Path) -> dict[str, float | int]:
     return values
 
 
-def build_configs(
-    values: dict[str, float | int], n_steps: int
-) -> tuple[PduConfig, AccelConfig, EnergyModel, float]:
+def build_point(values: dict[str, float | int], n_steps: int, seed: int) -> Point:
+    """The experiment point that config ``values`` set; a value the point rejects is a ``ConfigError``."""
+
+    def given(keys: tuple[str, ...]) -> dict[str, float | int]:
+        return {k: values[k] for k in keys if k in values}
+
     try:
-        pdu = PduConfig.for_sequence(
-            n_steps,
-            **{k: values[k] for k in _PDU_INT_KEYS + _PDU_FLOAT_KEYS if k in values},
+        return Point(
+            pdu_config=PduConfig.for_sequence(n_steps, **given(_PDU_INT_KEYS + _PDU_FLOAT_KEYS)),
+            accel_config=AccelConfig(sip=SipConfig(**given(_SIP_KEYS)), **given(_ACCEL_INT_KEYS + _ACCEL_FLOAT_KEYS)),
+            energy_model=EnergyModel(**given(_ENERGY_KEYS)),
+            random_p=values.get("random_p", DEFAULT_RANDOM_P),
+            seed=seed,
         )
-        if not math.isfinite(pdu.beta):  # the tracker takes it; a JSON report cannot hold it
-            raise ValueError(f"beta must be finite, got {pdu.beta!r}")
-        sip = SipConfig(**{k: values[k] for k in _SIP_KEYS if k in values})
-        accel = AccelConfig(
-            sip=sip,
-            **{k: values[k] for k in _ACCEL_INT_KEYS + _ACCEL_FLOAT_KEYS if k in values},
-        )
-        energy = EnergyModel(**{k: values[k] for k in _ENERGY_KEYS if k in values})
-        random_p = float(values.get("random_p", DEFAULT_RANDOM_P))
-        if not 0.0 <= random_p <= 1.0:
-            raise ValueError(f"random_p must be in [0, 1], got {random_p!r}")
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
-    return pdu, accel, energy, random_p
-
-
-def _point(values: dict[str, float | int], n_steps: int, seed: int) -> dict:
-    """One configuration of an experiment, as keyword arguments of ``run_experiment``."""
-    pdu, accel, energy, random_p = build_configs(values, n_steps)
-    return dict(accel_config=accel, energy_model=energy, pdu_config=pdu, random_p=random_p, seed=seed)
 
 
 def _seed(raw: str) -> int:
@@ -181,7 +170,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[LstmModel, InputSequence]:
 def _experiment_from_args(args: argparse.Namespace, modes: list[Mode]) -> ExperimentResult:
     model, seq = _load_inputs(args)
     values = load_config_file(args.config) if args.config else {}
-    return run_experiment(model, seq, modes, **_point(values, len(seq), args.seed))
+    return run_experiment(model, seq, modes, **vars(build_point(values, len(seq), args.seed)))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -245,7 +234,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = load_config_file(args.config) if args.config else {}
     # built one at a time as the experiment checks them, so the first bad point in value order fails
     points = (
-        _point({**base, args.param: int(value) if args.param in _INT_KEYS else value}, len(seq), args.seed)
+        build_point({**base, args.param: int(value) if args.param in _INT_KEYS else value}, len(seq), args.seed)
         for value in raw_values
     )
     results = Experiment(model, seq).run(modes, points)

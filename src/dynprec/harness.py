@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -355,8 +355,6 @@ def gen_toy(
 
 BASELINE_MODE = Mode.STATIC8
 
-_PHASE_NAMES = {Phase.PROFILING: "profiling", Phase.STABLE: "stable", Phase.IN_PEAK: "in_peak"}
-
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
@@ -389,14 +387,21 @@ def _run_entry(sim: SimResult, baseline: SimResult, fp: StateTrace, flags) -> di
     }
 
 
-class _Point(NamedTuple):
-    """One point of an experiment: ``run_experiment``'s keyword arguments."""
+@dataclass(frozen=True)
+class Point:
+    """One configuration of an experiment; building it checks every rule that needs no model."""
 
     accel_config: AccelConfig = AccelConfig()
     energy_model: EnergyModel = EnergyModel()
     pdu_config: PduConfig | None = None  # None: PduConfig.for_sequence
     random_p: float = DEFAULT_RANDOM_P
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.random_p <= 1.0:
+            raise ValueError(f"random_p must be in [0, 1], got {self.random_p!r}")
+        if self.pdu_config is not None and not math.isfinite(self.pdu_config.beta):  # a JSON report cannot hold it
+            raise ValueError(f"beta must be finite, got {self.pdu_config.beta!r}")
 
     def lane(self, mode: Mode) -> Lane:
         """The quantized run of ``mode`` at this point: only the fields the mode reads."""
@@ -431,32 +436,36 @@ class Experiment:
     def fp_trace(self) -> StateTrace:
         return run_fp32(self.model, self.seq)
 
-    def _check(self, modes: list[Mode], **given) -> _Point:
-        """One point, with its defaults filled in, once it passes every check that needs no run."""
-        point = _Point(**{key: value for key, value in given.items() if value is not None})
+    def _check(self, modes: list[Mode], point: Point) -> Point:
+        """``point`` with its default ``PduConfig`` filled in, once it passes every check that reads the model."""
         if point.pdu_config is None:
-            point = point._replace(pdu_config=PduConfig.for_sequence(len(self.seq)))
-        if not 0.0 <= point.random_p <= 1.0:
-            raise ValueError(f"random_p must be in [0, 1], got {point.random_p!r}")
+            point = replace(point, pdu_config=PduConfig.for_sequence(len(self.seq)))
         for mode in modes:
-            check_capacity(self.qmodel, self.seq, point.accel_config, mode is Mode.DYNAMIC)
-            worst = cost_bounds(self.qmodel, self.seq, point.accel_config, point.energy_model, mode is Mode.DYNAMIC)
-            if not all(map(math.isfinite, worst)):  # a JSON report holds only finite numbers
-                raise ConfigError(f"invalid configuration: a {mode.value} run's wall time and energy may reach {worst}")
+            dynamic = mode is Mode.DYNAMIC
+            check_capacity(self.qmodel, self.seq, point.accel_config, dynamic)
+            wall, energy, floor = cost_bounds(self.qmodel, self.seq, point.accel_config, point.energy_model, dynamic)
+            # a JSON report holds only finite numbers, and the energy savings divide by the baseline's energy
+            if not (math.isfinite(wall) and floor > 0 and math.isfinite(energy / floor)):
+                raise ConfigError(
+                    f"invalid configuration: a {mode.value} run's wall time and energy may reach {wall} s and"
+                    f" {energy}, against a {BASELINE_MODE.value} baseline energy of at least {floor}"
+                )
         return point
 
-    def run(self, modes: list[Mode], points: Iterable[dict]) -> list[ExperimentResult]:
+    def run(self, modes: list[Mode], points: Iterable[Point]) -> list[ExperimentResult]:
         """The reference plus each requested mode at every point, and each point's report.
 
-        Each point is a dict of ``run_experiment``'s keyword arguments; they
-        are read and checked one at a time, in order. The 8-bit static run
-        is always simulated as the comparison baseline, even when not
-        requested. Peak/stable error partitions come from running the
-        trackers over the reference cell-state trace, so every mode is
-        measured against the same peak structure.
+        The points are read and checked one at a time, in order, before
+        anything runs. The 8-bit static run is always simulated as the
+        comparison baseline, even when not requested. Peak/stable error
+        partitions come from running the trackers over the reference
+        cell-state trace, so every mode is measured against the same peak
+        structure.
         """
         ordered = list(dict.fromkeys([BASELINE_MODE, *modes]))
-        checked = [self._check(ordered, **point) for point in points]
+        # the checks read only whether a mode runs trackers
+        trackers = [mode for mode in (BASELINE_MODE, Mode.DYNAMIC) if mode in ordered]
+        checked = [self._check(trackers, point) for point in points]
         configs = list(dict.fromkeys(point.pdu_config for point in checked))
         fp_trace = self.fp_trace
         ends = np.cumsum([c.shape[1] for c in fp_trace.c])[:-1]
@@ -469,7 +478,7 @@ class Experiment:
         return [self._result(point, ordered, runs, fp_phases[point.pdu_config]) for point in checked]
 
     def _result(
-        self, point: _Point, modes: list[Mode], runs: dict[Lane, QuantRunResult], fp_phases: tuple[np.ndarray, ...]
+        self, point: Point, modes: list[Mode], runs: dict[Lane, QuantRunResult], fp_phases: tuple[np.ndarray, ...]
     ) -> ExperimentResult:
         fp_trace = self.fp_trace
         fp_flags = peak_flags_from_phases(fp_phases)
@@ -525,10 +534,8 @@ def run_experiment(
     random_p: float = DEFAULT_RANDOM_P,
     seed: int = 0,
 ) -> ExperimentResult:
-    """One point of an ``Experiment``."""
-    point = dict(
-        accel_config=accel_config, energy_model=energy_model, pdu_config=pdu_config, random_p=random_p, seed=seed
-    )
+    """One point of an ``Experiment``; a config left None takes its default."""
+    point = Point(accel_config or AccelConfig(), energy_model or EnergyModel(), pdu_config, random_p, seed)
     return Experiment(model, seq).run(modes, [point])[0]
 
 
@@ -566,6 +573,6 @@ def export_trace(
 
     lines = ["step,c_fp32,c_quantized,precision_bits,phase"]
     for t in range(len(c_fp)):
-        phase = _PHASE_NAMES[Phase(int(phases[t]))]
+        phase = Phase(int(phases[t])).name.lower()
         lines.append(f"{t},{float(c_fp[t])!r},{float(c_q[t])!r},{int(bits[t])},{phase}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -10,7 +10,6 @@ oracle ``tests/sip_oracle.py``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 SUPPORTED_PRECISIONS = (4, 8)
@@ -46,5 +45,5 @@ def sip_cycles(vector_length: int, precision: int, config: SipConfig = DEFAULT_S
     _check_precision(precision)
     if vector_length < 1:
         raise ValueError(f"vector_length must be >= 1, got {vector_length}")
-    chunks = math.ceil(vector_length / config.elements_per_pass)
+    chunks = -(-vector_length // config.elements_per_pass)  # integer ceiling: a float quotient can underflow to 0
     return chunks * precision + config.reduction_latency

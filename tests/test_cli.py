@@ -14,7 +14,7 @@ from dynprec.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    build_configs,
+    build_point,
     load_config_file,
     main,
 )
@@ -314,6 +314,38 @@ def test_non_finite_costs_are_a_config_error(toy_files, tmp_path, capsys, monkey
         render_report({"runs": {"static8": {"energy_total": float("inf")}}})
 
 
+_ZERO_ENERGY = {field.name: "0" for field in dataclasses.fields(EnergyModel)}
+
+
+@pytest.mark.parametrize(
+    "base, param, good, bad",
+    [
+        ({**_ZERO_ENERGY, "static_power": "1"}, "static_power", "1", "0"),  # the baseline costs nothing
+        ({**_ZERO_ENERGY, "static_power": "1e-320"}, "pdu_update", "0", "1e300"),  # the savings reach -inf
+    ],
+    ids=["zero-baseline", "overflowing-ratio"],
+)
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_baseline_without_energy_is_a_config_error(toy_files, tmp_path, capsys, monkeypatch, verb, base, param,
+                                                   good, bad):
+    # each point's energy savings divide by the static8 baseline's energy; a sweep refuses the bad second point
+    # before running the good first one
+    model, seq = toy_files
+    report = tmp_path / "report.json"
+    cfg = tmp_path / "energy.cfg"
+    argv = [verb, "--model", str(model), "--input", str(seq), "--config", str(cfg), "--report", str(report)]
+    if verb == "run":
+        base = {**base, param: bad}
+    else:
+        argv += ["--param", param, "--values", f"{good},{bad}"]
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in base.items()))
+    monkeypatch.setattr(harness, "run_lanes", lambda *args, **kwargs: pytest.fail("a lane pass ran"))
+    assert main(argv) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: a ") and "static8 baseline energy of at least" in err
+    assert not report.exists()
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -330,13 +362,14 @@ def test_config_file_parsing(tmp_path):
     values = load_config_file(cfg)
     assert values["beta"] == 0.2
     assert values["t_profile"] == 6
-    pdu, accel, energy, random_p = build_configs(values, n_steps=100)
+    point = build_point(values, n_steps=100, seed=0)
+    pdu, accel, energy = point.pdu_config, point.accel_config, point.energy_model
     assert pdu.beta == 0.2 and pdu.t_profile == 6
     assert pdu.m_max_peak == 5  # 5% of 100 steps
     assert accel.sip.lanes == 4
     assert accel.frequency_hz == 1e9
     assert energy.weight_nibble_read == 0.25
-    assert random_p == 0.5
+    assert point.random_p == 0.5
 
 
 def _numeric_config_fields() -> dict[str, type]:
@@ -369,7 +402,7 @@ def test_config_rejects_invalid_values(tmp_path):
     cfg.write_text("beta = -1\n")
     values = load_config_file(cfg)
     with pytest.raises(ConfigError):
-        build_configs(values, 100)
+        build_point(values, 100, 0)
     cfg.write_text("t_profile = abc\n")
     with pytest.raises(ConfigError):
         load_config_file(cfg)
@@ -427,9 +460,9 @@ def test_sweep_points_match_fresh_experiments(sweep_files, tmp_path, param, valu
     modes = [Mode(name) for name in ALL_MODES.split(",")]
     for point in points:
         value = int(point["value"]) if param == "t_profile" else point["value"]
-        pdu, accel_config, energy, random_p = build_configs({param: value}, len(seq))
-        fresh = run_experiment(model, seq, modes, accel_config=accel_config, energy_model=energy,
-                               pdu_config=pdu, random_p=random_p, seed=3)
+        config = build_point({param: value}, len(seq), seed=3)
+        fresh = run_experiment(model, seq, modes, accel_config=config.accel_config, energy_model=config.energy_model,
+                               pdu_config=config.pdu_config, random_p=config.random_p, seed=config.seed)
         assert render_report(point["report"]) == fresh.report_text
     first_runs, second_runs = (points[i]["report"]["runs"] for i in (0, 1))
     assert first_runs != second_runs  # the swept value reaches the numbers

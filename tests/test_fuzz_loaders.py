@@ -17,9 +17,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynprec import cli
 from dynprec.cli import EXIT_FORMAT, EXIT_OK, main
 from dynprec.harness import SEQUENCE_MAGIC
 
@@ -151,12 +152,7 @@ def test_fuzzed_sequence(toy, data):
         assert code == EXIT_FORMAT
 
 
-_CONFIG_KEYS = st.sampled_from([
-    "beta", "epsilon_range", "t_profile", "m_max_peak", "n_max_stable", "lanes", "lane_width",
-    "reduction_latency", "mu_add_cycles", "mu_comm_cycles", "pdu_update_cycles", "weight_buffer_bytes",
-    "intermediate_bytes", "frequency_hz", "peak_bandwidth", "static_power", "weight_byte_read",
-    "weight_nibble_read", "random_p", "no_such_key",
-])
+_CONFIG_KEYS = st.sampled_from([*cli._KEYS, "no_such_key"])
 _CONFIG_LINES = st.one_of(
     st.builds("{} = {}".format, _CONFIG_KEYS, _TOKENS),
     st.builds("{} = {}".format, _CONFIG_KEYS, st.floats(allow_nan=True, allow_infinity=True)),
@@ -168,6 +164,7 @@ _CONFIG_LINES = st.one_of(
     lines=st.lists(_CONFIG_LINES, max_size=6),
     garble=st.one_of(st.none(), st.binary(min_size=1, max_size=32)),
 )
+@example(lines=[f"{key} = 0" for key in cli._ENERGY_KEYS], garble=None)  # a baseline that costs nothing
 @FUZZ
 def test_fuzzed_config(toy, lines, garble):
     config = "\n".join(lines).encode() + (garble or b"")

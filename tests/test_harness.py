@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dynprec import harness
 from dynprec.harness import (
     ModelFormatError,
     SequenceFormatError,
@@ -19,7 +20,7 @@ from dynprec.harness import (
 )
 from dynprec.lstm_quant import Mode
 from dynprec.lstm_ref import InputSequence
-from dynprec.pdu import Phase
+from dynprec.pdu import PduConfig, Phase
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,14 @@ def test_run_experiment_rejects_random_p_outside_unit_interval(random_p):
     model, seq = gen_toy("random", (1, 3, 4, 10), 0)
     with pytest.raises(ValueError, match="random_p"):
         run_experiment(model, seq, [Mode.RANDOM], random_p=random_p)
+
+
+def test_run_experiment_rejects_infinite_beta_before_any_run(monkeypatch):
+    # the tracker takes beta = inf, but the report would hold "Infinity", which is not JSON
+    model, seq = gen_toy("random", (1, 3, 4, 10), 0)
+    monkeypatch.setattr(harness, "run_lanes", lambda *args, **kwargs: pytest.fail("a lane pass ran"))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        run_experiment(model, seq, [Mode.DYNAMIC], pdu_config=PduConfig.for_sequence(len(seq), beta=math.inf))
 
 
 def test_report_contains_self_comparison(flat_experiment):

@@ -32,6 +32,9 @@ def test_cycles_examples():
     assert sip_cycles(128, 4, cfg) == 4
     assert sip_cycles(129, 8, cfg) == 16
     assert sip_cycles(1, 8, cfg) == 8
+    # passes are counted in integers: as floats, 16 / 10**400 underflows to 0.0 and (2**60 + 1) / 2**60 rounds to 1.0
+    assert sip_cycles(16, 8, SipConfig(lanes=10**400)) == 8
+    assert sip_cycles(2**60 + 1, 4, SipConfig(lanes=2**59, lane_width=2)) == 8
     with pytest.raises(ValueError):
         sip_cycles(0, 8, cfg)
     with pytest.raises(ValueError):
