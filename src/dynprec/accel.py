@@ -16,24 +16,27 @@ Timing assumptions:
    bandwidth. Steps that would exceed it are stretched proportionally.
 
 Energy is event counts times per-event coefficients plus leakage per
-cycle. The run supplies each layer's weight bytes and nibbles read and
-input offsets adjusted; every other event follows from the model's sizes,
-the step count and the mode. The shipped coefficients are normalized
-units, not measurements; the one deliberately fixed ratio is nibble reads
-costing half of byte reads.
+cycle. The run supplies only what it decides: each element's precision at
+each step, and each layer's input offsets adjusted. Every other event,
+weight bytes and nibbles read included, follows from those, the model's
+sizes, the step count and the mode. The shipped coefficients are
+normalized units, not measurements; the one deliberately fixed ratio is
+nibble reads costing half of byte reads. ``check_capacity``, the one
+check before a run, bounds the cycles and energy that ``cost_run``
+charges after it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .lstm_ref import GATES, InputSequence
 from .lstm_quant import (
     DEFAULT_RANDOM_P,
-    LayerActivity,
     Mode,
     QuantRunResult,
     QuantizedModel,
@@ -155,12 +158,16 @@ class SimResult:
 
 
 def check_capacity(
-    qmodel: QuantizedModel, seq: InputSequence, config: AccelConfig, dynamic: bool
+    qmodel: QuantizedModel, seq: InputSequence, config: AccelConfig, em: EnergyModel, mode: Mode
 ) -> None:
-    """Working-set checks, each buffer holding one layer's data at a time, then the cycle counter."""
-    max_gate_weights = max(
-        layer.cell_size * (layer.input_size + layer.cell_size) for layer in qmodel.layers
-    )
+    """The one check before a run of ``mode``, against what the accelerator and a report can hold.
+
+    ``CapacityError``: a buffer cannot hold one layer's working set, or the worst case passes the int64 cycle
+    counter. ``ValueError``: the worst-case wall time or energy is not finite, or the static 8-bit baseline,
+    which ``compare`` divides by, may cost no energy.
+    """
+    dynamic = mode is Mode.DYNAMIC
+    max_gate_weights = max(layer.cell_size * (layer.input_size + layer.cell_size) for layer in qmodel.layers)
     if max_gate_weights * WEIGHT_ENTRY_BYTES > config.weight_buffer_bytes:
         raise CapacityError("weight buffer", max_gate_weights * WEIGHT_ENTRY_BYTES, config.weight_buffer_bytes)
 
@@ -176,15 +183,29 @@ def check_capacity(
     if dynamic and max_cell * PDU_ENTRY_BYTES > config.pdu_buffer_bytes:
         raise CapacityError("peak detector buffer", max_cell * PDU_ENTRY_BYTES, config.pdu_buffer_bytes)
 
-    _timing(qmodel, len(seq), config, dynamic)
+    n_steps = len(seq)
+    cycles = _timing(qmodel, n_steps, config, dynamic)[-1]
+    wall = cycles / config.frequency_hz
+    # upper bound on the energy: every weight read both as a byte and as a nibble, every input offset adjusted
+    reads, _ = _weight_reads(qmodel, n_steps, [n_steps * layer.cell_size for layer in qmodel.layers])
+    inputs = n_steps * sum(layer.input_size + layer.cell_size for layer in qmodel.layers)
+    energy, _ = _energy(qmodel, reads, reads, inputs, n_steps, dynamic, cycles, em)
+    # lower bound on the baseline's: every weight read as a byte, no offset adjusted, at least a cycle per step
+    baseline, _ = _energy(qmodel, reads, 0, 0, n_steps, False, n_steps, em)
+    if not (math.isfinite(wall) and baseline > 0 and math.isfinite(energy / baseline)):
+        raise ValueError(
+            f"a {mode.value} run's wall time and energy may reach {wall} s and {energy},"
+            f" against a {Mode.STATIC8.value} baseline energy of at least {baseline}"
+        )
 
 
 def _timing(
     qmodel: QuantizedModel, n_steps: int, config: AccelConfig, dynamic: bool
-) -> tuple[list, int, int, float, float]:
+) -> tuple[list, int, int, int, int]:
     """Each layer's 8- and 4-bit element cycles, the drain floor, the fill, the bandwidth bound and the worst case.
 
-    A run of ``n_steps`` steps whose worst case could pass ``MAX_CYCLES`` is refused.
+    All are Python ints, the bandwidth bound in the whole cycles a stretched step costs. A run of ``n_steps``
+    steps whose worst case could pass ``MAX_CYCLES`` is refused.
     """
     per_layer_cost = []
     for layer in qmodel.layers:
@@ -200,15 +221,16 @@ def _timing(
     in0 = qmodel.layers[0].input_size
     out_cell = qmodel.layers[-1].cell_size
     dram_bytes = (in0 + out_cell) * STATE_ENTRY_BYTES
-    stretch = dram_bytes * config.frequency_hz / config.peak_bandwidth
+    stretch = dram_bytes * config.frequency_hz / config.peak_bandwidth  # may overflow to inf
+    min_step = math.ceil(min(stretch, MAX_CYCLES + 1))  # a stretch past the counter is refused below
 
     widest_step = sum(
         max(layer.cell_size * c8, floor) for layer, (c8, _) in zip(qmodel.layers, per_layer_cost)
     )
-    bound = fill + n_steps * max(stretch, widest_step)
-    if not bound <= MAX_CYCLES:
+    bound = fill + n_steps * max(min_step, widest_step)
+    if bound > MAX_CYCLES:
         raise CapacityError("cycle counter", bound, MAX_CYCLES, unit="cycles")
-    return per_layer_cost, floor, fill, stretch, bound
+    return per_layer_cost, floor, fill, min_step, bound
 
 
 def _step_cycles(
@@ -223,19 +245,29 @@ def _step_cycles(
     floor; a step is stretched to the input/output bandwidth bound.
     """
     n_steps = run.trace.n_steps
-    per_layer_cost, floor, fill, stretch, _ = _timing(qmodel, n_steps, config, dynamic)
+    per_layer_cost, floor, fill, min_step, _ = _timing(qmodel, n_steps, config, dynamic)
     cycles = np.zeros(n_steps, dtype=np.int64)
     for (c8, c4), bits in zip(per_layer_cost, run.precision_bits):
         n_high = (bits == 8).sum(axis=1)
         dpu = n_high * c8 + (bits.shape[1] - n_high) * c4
         cycles += np.maximum(dpu, floor)
-    step_cycles = np.maximum(cycles, math.ceil(stretch))
+    step_cycles = np.maximum(cycles, min_step)
     return fill + int(step_cycles.sum()), step_cycles
 
 
+def _weight_reads(qmodel: QuantizedModel, steps: int, n_high: Sequence[int]) -> tuple[int, int]:
+    """Weight bytes and nibbles read in ``steps`` steps; ``n_high`` counts each layer's 8-bit element steps.
+
+    Each element reads its four gates' weights over the layer's fan-in each step, as bytes at 8 bits, else nibbles.
+    """
+    weights = [len(GATES) * (layer.input_size + layer.cell_size) for layer in qmodel.layers]
+    bytes_read = sum(w * high for w, high in zip(weights, n_high, strict=True))
+    return bytes_read, steps * sum(w * layer.cell_size for w, layer in zip(weights, qmodel.layers)) - bytes_read
+
+
 def _energy(
-    qmodel: QuantizedModel, activity: tuple[LayerActivity, ...], steps: int, dynamic: bool, cycles: float,
-    em: EnergyModel,
+    qmodel: QuantizedModel, bytes_read: int, nibbles_read: int, adjusted: int, steps: int, dynamic: bool,
+    cycles: int, em: EnergyModel,
 ) -> tuple[float, dict[str, float]]:
     """Energy per component of a run of ``steps`` steps, from exact int counts.
 
@@ -243,9 +275,6 @@ def _energy(
     every layer's fan-in and runs every cell element through the scalar unit
     and, in dynamic mode, its tracker.
     """
-    bytes_read = sum(a.weight_bytes for a in activity)
-    nibbles_read = sum(a.weight_nibbles for a in activity)
-    adjusted = sum(a.input_adjusted for a in activity)
     input_elems = steps * sum(layer.input_size + layer.cell_size for layer in qmodel.layers)
     cells = steps * sum(layer.cell_size for layer in qmodel.layers)
     pdu_updates = cells if dynamic else 0
@@ -274,10 +303,10 @@ def simulate(
     random_p: float = DEFAULT_RANDOM_P,
     random_seed: int = 0,
 ) -> SimResult:
-    """Run the quantized network and account its cycles and energy."""
+    """Check the run with ``check_capacity``, then run the quantized network and account its cycles and energy."""
     config = accel_config if accel_config is not None else AccelConfig()
     em = energy_model if energy_model is not None else EnergyModel()
-    check_capacity(qmodel, seq, config, mode is Mode.DYNAMIC)
+    check_capacity(qmodel, seq, config, em, mode)
     run = run_quantized(qmodel, seq, mode, pdu_config, random_p=random_p, random_seed=random_seed)
     return cost_run(qmodel, seq, run, config, em)
 
@@ -285,14 +314,15 @@ def simulate(
 def cost_run(
     qmodel: QuantizedModel, seq: InputSequence, run: QuantRunResult, config: AccelConfig, em: EnergyModel
 ) -> SimResult:
-    """Cycles and energy of a finished run; the caller has checked capacity.
+    """Cycles and energy of a finished run whose mode ``check_capacity`` passed on ``config`` and ``em``.
 
-    This is the only stage that reads ``AccelConfig`` and ``EnergyModel``,
-    so one run can be costed on many accelerator configurations.
+    After that check, this is the only stage that reads ``AccelConfig`` and
+    ``EnergyModel``, so one run can be costed on many accelerator configurations.
     """
-    dynamic = run.mode is Mode.DYNAMIC
+    dynamic, steps = run.mode is Mode.DYNAMIC, run.trace.n_steps
     total_cycles, _ = _step_cycles(qmodel, run, config, dynamic)
-    energy_total, breakdown = _energy(qmodel, run.activity, run.trace.n_steps, dynamic, total_cycles, em)
+    reads = _weight_reads(qmodel, steps, [np.count_nonzero(bits == 8) for bits in run.precision_bits])
+    energy_total, breakdown = _energy(qmodel, *reads, sum(run.input_adjusted), steps, dynamic, total_cycles, em)
     return SimResult(
         run=run,
         total_cycles=total_cycles,
@@ -302,22 +332,6 @@ def cost_run(
         model_hash=qmodel.fingerprint,
         sequence_hash=sequence_fingerprint(seq),
     )
-
-
-def cost_bounds(
-    qmodel: QuantizedModel, seq: InputSequence, config: AccelConfig, em: EnergyModel, dynamic: bool
-) -> tuple[float, float, float]:
-    """Upper bounds on the wall time and the energy of a run: each step at its worst case, plus one cycle
-    for rounding, every weight read both as a byte and as a nibble, and every input element adjusted.
-    Then a lower bound on the energy of the static 8-bit baseline, which reads every weight as a byte,
-    adjusts no input offset and takes at least one cycle per step."""
-    n_steps = len(seq)
-    cycles = _timing(qmodel, n_steps, config, dynamic)[-1] + n_steps
-    fan_ins = [layer.input_size + layer.cell_size for layer in qmodel.layers]
-    reads = n_steps * len(GATES) * sum(fan_in * layer.cell_size for fan_in, layer in zip(fan_ins, qmodel.layers))
-    energy, _ = _energy(qmodel, (LayerActivity(reads, reads, n_steps * sum(fan_ins)),), n_steps, dynamic, cycles, em)
-    floor, _ = _energy(qmodel, (LayerActivity(reads, 0, 0),), n_steps, False, n_steps, em)
-    return cycles / config.frequency_hz, energy, floor
 
 
 def compare(a: SimResult, b: SimResult) -> tuple[float, float]:

@@ -94,6 +94,8 @@ def load_config_file(path: str | Path) -> dict[str, float | int]:
         key, raw = key.strip(), raw.strip()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
         try:
             value = int(raw) if key in _INT_KEYS else float(raw)
         except ValueError:

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .accel import AccelConfig, EnergyModel, SimResult, check_capacity, compare, cost_bounds, cost_run
+from .accel import AccelConfig, EnergyModel, SimResult, check_capacity, compare, cost_run
 
 # Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
 from .accel import simulate
@@ -107,8 +107,10 @@ def _parse_manifest(path: Path) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise ModelFormatError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in entries:
+            raise ModelFormatError(f"{path}:{lineno}: repeated key {key!r}")
+        entries[key] = value
     return entries
 
 
@@ -441,15 +443,10 @@ class Experiment:
         if point.pdu_config is None:
             point = replace(point, pdu_config=PduConfig.for_sequence(len(self.seq)))
         for mode in modes:
-            dynamic = mode is Mode.DYNAMIC
-            check_capacity(self.qmodel, self.seq, point.accel_config, dynamic)
-            wall, energy, floor = cost_bounds(self.qmodel, self.seq, point.accel_config, point.energy_model, dynamic)
-            # a JSON report holds only finite numbers, and the energy savings divide by the baseline's energy
-            if not (math.isfinite(wall) and floor > 0 and math.isfinite(energy / floor)):
-                raise ConfigError(
-                    f"invalid configuration: a {mode.value} run's wall time and energy may reach {wall} s and"
-                    f" {energy}, against a {BASELINE_MODE.value} baseline energy of at least {floor}"
-                )
+            try:
+                check_capacity(self.qmodel, self.seq, point.accel_config, point.energy_model, mode)
+            except ValueError as exc:
+                raise ConfigError(f"invalid configuration: {exc}") from None
         return point
 
     def run(self, modes: list[Mode], points: Iterable[Point]) -> list[ExperimentResult]:

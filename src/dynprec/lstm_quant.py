@@ -17,10 +17,10 @@ four gate neurons feeding one cell-state element always share that element's
 precision. Matrix products run on the integer indices in float32 BLAS,
 exactly (``exact_index_products``), so a GEMM gives the bits of a per-step
 product; rescaling to reals, the cell update and the activations run in
-float64. Alongside the traces each lane counts, per layer, the only events
-that depend on its precision choices: the weight bytes and nibbles read and
-the input offsets adjusted. The accelerator model derives every other event
-from the model's sizes.
+float64. Alongside the traces and precision choices each lane counts, per
+layer, the one event that needs the run itself: the input offsets adjusted
+on steps with a 4-bit element. The accelerator model (``accel``) derives
+every other event from these.
 """
 
 from __future__ import annotations
@@ -172,21 +172,12 @@ def sequence_fingerprint(seq: InputSequence) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class LayerActivity:
-    """One layer's weight reads, and its input offsets adjusted on steps with a 4-bit element."""
-
-    weight_bytes: int
-    weight_nibbles: int
-    input_adjusted: int
-
-
 @dataclass(frozen=True, eq=False)
 class QuantRunResult:
     trace: StateTrace
     precision_bits: tuple[np.ndarray, ...]  # per layer, [steps, cell]; bits used that step
     phases: tuple[np.ndarray, ...] | None  # per layer, tracker phase after each step (dynamic only)
-    activity: tuple[LayerActivity, ...]
+    input_adjusted: tuple[int, ...]  # per layer, input offsets adjusted on steps with a 4-bit element
     mode: Mode
 
     @property
@@ -281,24 +272,24 @@ def run_lanes(
             state = TrackerState(*map(np.concatenate, parts))
             config = TrackerConfig.spread(configs, n, n_steps + max(0, int(state.steps_in_phase.max())))
         keep = keep_h or L + 1 < len(sizes)
-        c_trace, h_trace, phases, activity = _run_layer(layer, inputs, high[L], state, config, keep)
+        c_trace, h_trace, phases, adjusted = _run_layer(layer, inputs, high[L], state, config, keep)
         for k, lane_trackers in enumerate(trackers):  # each lane's trackers end where its run did
             for f in fields(TrackerState):
                 getattr(lane_trackers[L], f.name)[...] = getattr(state, f.name)[k * n : (k + 1) * n]
         bits = high[L].view(np.uint8)  # in place: True becomes 8 and False 4
         bits *= 4
         bits += 4
-        outs.append((c_trace, h_trace if keep_h else None, bits, phases, activity))
+        outs.append((c_trace, h_trace if keep_h else None, bits, phases, adjusted))
         inputs = h_trace
 
-    c, h, bits, phases, activity = zip(*outs)  # each per layer, [lanes, ...]
+    c, h, bits, phases, adjusted = zip(*outs)  # each per layer, [lanes, ...]
     results: list[QuantRunResult] = [None] * len(lanes)  # type: ignore[list-item]
     for k, i in enumerate(order):
         results[i] = QuantRunResult(
             trace=StateTrace(c=tuple(a[k] for a in c), h=tuple(a[k] for a in h) if keep_h else ()),
             precision_bits=tuple(a[k] for a in bits),
             phases=tuple(a[k] for a in phases) if lanes[i].mode is Mode.DYNAMIC else None,
-            activity=tuple(a[k] for a in activity),
+            input_adjusted=tuple(a[k] for a in adjusted),
             mode=lanes[i].mode,
         )
     return results
@@ -311,7 +302,7 @@ def _run_layer(
     trackers: TrackerState | None,
     tracker_config: TrackerConfig | None,
     keep_h: bool,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[LayerActivity]]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[int]]:
     """One layer over every step, for every lane.
 
     ``inputs`` is [1, steps, width] when every lane reads the same input,
@@ -319,7 +310,8 @@ def _run_layer(
     step's 8-bit elements; the dynamic lanes' rows, the first ones, are
     filled in here from ``trackers``. Returns the [lanes, steps, cell] cell
     and output traces (the output only with ``keep_h``), the dynamic lanes'
-    phases after each step and each lane's activity.
+    phases after each step and each lane's input offsets adjusted, which
+    count only on steps with a 4-bit element.
     """
     n_lanes, n_steps, n = high.shape
     n_dyn = 0 if trackers is None else trackers.phase.size // n
@@ -373,13 +365,7 @@ def _run_layer(
                 phases[:, t] = trackers.phase.reshape(n_dyn, n)
         adjusted[:, t0:t1] += np.count_nonzero(offset_bits(h_codes[: t1 - t0].swapaxes(0, 1)), axis=1).T
 
-    weights = len(GATES) * (layer.input_size + n)  # read per element and step
-    n_high = np.count_nonzero(high, axis=2)
-    activity = [
-        LayerActivity(int(total) * weights, (n_steps * n - int(total)) * weights, int(adj[steps < n].sum()))
-        for total, adj, steps in zip(n_high.sum(axis=1), adjusted, n_high)
-    ]
-    return c_trace, h_trace, phases, activity
+    return c_trace, h_trace, phases, np.where(high.all(axis=2), 0, adjusted).sum(axis=1).tolist()
 
 
 def peak_flags_from_phases(phases: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:

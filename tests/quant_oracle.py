@@ -14,8 +14,8 @@ block of the layer's fused operands (``gate_operands``). The layer-major,
 fused float32 run must reproduce the step-major run bit for bit.
 
 The reference also counts every accelerator event step by step, as one
-``StepActivity`` record per step summed over layers, and sums the
-precision-dependent counts per layer into ``LayerActivity`` records;
+``StepActivity`` record per step summed over layers, and sums each layer's
+input offsets adjusted into the run's ``input_adjusted``;
 ``accel_oracle.energy_reference`` costs the per-step records.
 """
 
@@ -30,7 +30,6 @@ import numpy as np
 from dynprec.accel import MU_ADDS_PER_ELEMENT, MU_EXPS_PER_ELEMENT, MU_MULS_PER_ELEMENT
 from dynprec.lstm_quant import (
     DEFAULT_RANDOM_P,
-    LayerActivity,
     Mode,
     QuantizedLayer,
     QuantizedModel,
@@ -265,7 +264,7 @@ def run_quantized_reference(
 ) -> tuple[QuantRunResult, tuple[StepActivity, ...]]:
     """Step-major, per-gate int64 evaluation with the signature of ``run_quantized``.
 
-    Returns the run, whose ``activity`` holds each layer's sums, and the
+    Returns the run, whose ``input_adjusted`` holds each layer's sum, and the
     per-step event records.
     """
     if seq.width != qmodel.layers[0].input_size:
@@ -294,7 +293,7 @@ def run_quantized_reference(
         else None
     )
     activity: list[StepActivity] = []
-    layer_counts = [[0, 0, 0] for _ in layers]  # weight bytes, weight nibbles, input adjusted
+    input_adjusted = [0] * len(layers)
 
     for t in range(n_steps):
         act = StepActivity()
@@ -332,10 +331,7 @@ def run_quantized_reference(
             act.weight_nibbles += n_low * weights_per_element
             act.input_elems += fan_in
             act.input_adjusted += adjusted
-            counts = layer_counts[L]
-            counts[0] += n_high * weights_per_element
-            counts[1] += n_low * weights_per_element
-            counts[2] += adjusted
+            input_adjusted[L] += adjusted
             act.sip_bit_ops += weights_per_element * (n_high * 8 + n_low * 4)
             act.mu_adds += MU_ADDS_PER_ELEMENT * layer.cell_size
             act.mu_muls += MU_MULS_PER_ELEMENT * layer.cell_size
@@ -359,7 +355,7 @@ def run_quantized_reference(
         trace=trace,
         precision_bits=tuple(bits_hist),
         phases=tuple(phase_hist) if phase_hist is not None else None,
-        activity=tuple(LayerActivity(*counts) for counts in layer_counts),
+        input_adjusted=tuple(input_adjusted),
         mode=mode,
     )
     return result, tuple(activity)

@@ -14,6 +14,7 @@ from dynprec.accel import (
     compare,
     simulate,
 )
+from dynprec.harness import gen_toy
 from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
 from dynprec.lstm_quant import Mode, quantize_model
 from dynprec.pdu import PduConfig
@@ -149,15 +150,16 @@ def test_bandwidth_ceiling_stretches_steps(toy):
 
 def test_capacity_errors_name_the_buffer(toy):
     qmodel, seq = toy
+    em = EnergyModel()
     with pytest.raises(CapacityError, match="weight buffer"):
-        check_capacity(qmodel, seq, dataclasses.replace(AccelConfig(), weight_buffer_bytes=16), False)
+        check_capacity(qmodel, seq, dataclasses.replace(AccelConfig(), weight_buffer_bytes=16), em, Mode.STATIC8)
     with pytest.raises(CapacityError, match="input buffer"):
-        check_capacity(qmodel, seq, dataclasses.replace(AccelConfig(), input_buffer_bytes=4), False)
+        check_capacity(qmodel, seq, dataclasses.replace(AccelConfig(), input_buffer_bytes=4), em, Mode.STATIC8)
     with pytest.raises(CapacityError, match="intermediate memory"):
-        check_capacity(qmodel, seq, dataclasses.replace(AccelConfig(), intermediate_bytes=64), False)
+        check_capacity(qmodel, seq, dataclasses.replace(AccelConfig(), intermediate_bytes=64), em, Mode.STATIC8)
     with pytest.raises(CapacityError, match="peak detector buffer"):
-        check_capacity(qmodel, seq, dataclasses.replace(AccelConfig(), pdu_buffer_bytes=8), True)
-    check_capacity(qmodel, seq, AccelConfig(), True)
+        check_capacity(qmodel, seq, dataclasses.replace(AccelConfig(), pdu_buffer_bytes=8), em, Mode.DYNAMIC)
+    check_capacity(qmodel, seq, AccelConfig(), em, Mode.DYNAMIC)
 
 
 def test_simulate_propagates_capacity_error(toy):
@@ -194,8 +196,8 @@ def test_energy_matches_per_step_oracle(mode, dims):
     want_run, steps = run_quantized_reference(qmodel, seq, mode, random_p=0.5, random_seed=4)
     for em in (EnergyModel(), _ODD_ENERGY):
         sim = simulate(qmodel, seq, mode, energy_model=em, random_p=0.5, random_seed=4)
-        assert sim.run.activity == want_run.activity
-        assert all(type(v) is int for a in sim.run.activity for v in dataclasses.astuple(a))
+        assert sim.run.input_adjusted == want_run.input_adjusted
+        assert all(type(v) is int for v in sim.run.input_adjusted)
         want_total, want_breakdown = energy_reference(steps, sim.total_cycles, em)
         assert list(sim.energy_breakdown) == list(want_breakdown)
         for key, value in want_breakdown.items():
@@ -269,3 +271,18 @@ def test_cycle_count_beyond_int64_is_a_capacity_error(toy):
     slow = dataclasses.replace(AccelConfig(), frequency_hz=1e300, peak_bandwidth=1e-300)
     with pytest.raises(CapacityError, match="cycle counter"):
         simulate(qmodel, seq, Mode.STATIC4, slow)
+    # a step stretched to 2**51 - 0.5 cycles is charged 2**51, so 4096 of them pass the counter although
+    # 4096 fractional steps (2**63 - 2048) would not
+    model, long_seq = gen_toy("flat", (1, 1, 1, 4096), 1)
+    stretched = dataclasses.replace(AccelConfig(), frequency_hz=2251799813685247.5, peak_bandwidth=8)
+    with pytest.raises(CapacityError, match="cycle counter"):
+        simulate(quantize_model(model), long_seq, Mode.STATIC8, stretched)
+
+
+def test_simulate_refuses_what_a_report_cannot_hold(toy):
+    qmodel, seq = toy
+    with pytest.raises(ValueError, match="static8 run's wall time"):
+        simulate(qmodel, seq, Mode.STATIC8, AccelConfig(frequency_hz=1e-320))
+    # a static 8-bit baseline with no energy, which compare would divide by
+    with pytest.raises(ValueError, match="baseline energy of at least 0.0"):
+        simulate(qmodel, seq, Mode.STATIC4, energy_model=zero_dynamic(static_power=0.0))

@@ -7,12 +7,14 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dynprec
 from dynprec import cli
+from dynprec.accel import _weight_reads
 from dynprec.harness import load_model, load_sequence, run_experiment
-from dynprec.lstm_quant import Mode
+from dynprec.lstm_quant import Mode, quantize_model
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dynprec"
@@ -136,10 +138,14 @@ def test_perfbench_layer_metrics_read_a_traced_run(perfbench_run, tmp_path):
     steps = 30
     per_mode = sum(4 * (layer.input_size + layer.cell_size) * layer.cell_size * steps for layer in model.layers)
     # perfbench counts MACs from the runs it captures at accel.run_quantized, which the lane pass of an
-    # experiment does not call; the runs' activity holds the same count
+    # experiment does not call; accel's weight reads of the experiment's runs give the same count
     result = run_experiment(model, load_sequence(f"{prefix}.seq"), [Mode(name) for name in modes])
-    runs = [sim.run for sim in result.sims.values()]
-    assert sum(a.weight_bytes + a.weight_nibbles for run in runs for a in run.activity) == len(modes) * per_mode
+    qmodel = quantize_model(model)
+    reads = [
+        _weight_reads(qmodel, steps, [np.count_nonzero(bits == 8) for bits in sim.run.precision_bits])
+        for sim in result.sims.values()
+    ]
+    assert sum(map(sum, reads)) == len(modes) * per_mode
 
 
 def _unused_imports(path: Path) -> list[tuple[str, int]]:

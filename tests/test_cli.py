@@ -251,6 +251,18 @@ def test_capacity_error_exit_3(toy_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stretched_steps_past_the_cycle_counter_exit_3(tmp_path, capsys):
+    # each of the 4096 steps is stretched to 2**51 - 0.5 cycles and charged 2**51, which wraps an int64 sum
+    prefix, cfg = tmp_path / "flat", tmp_path / "slow.cfg"
+    assert main(["gen", "--kind", "flat", "--dims", "1,1,1,4096", "--seed", "1", "--out", str(prefix)]) == EXIT_OK
+    cfg.write_text("frequency_hz = 2251799813685247.5\npeak_bandwidth = 8\n")
+    argv = ["run", "--mode", "static8,static4", "--model", f"{prefix}.model", "--input", f"{prefix}.seq",
+            "--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CAPACITY
+    assert capsys.readouterr().err.startswith("error: cycle counter needs ")
+
+
 @pytest.mark.parametrize(
     "text, code",
     [

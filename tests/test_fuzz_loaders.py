@@ -80,6 +80,24 @@ def _assert_documented(code: int, out: str, err: str) -> None:
         assert err.startswith("error: ")
 
 
+def _repeats_a_key(text: bytes, content) -> bool:
+    """Whether two ``key = value`` lines of ``text`` name one key; ``content`` strips a line's comment."""
+    try:
+        lines = text.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return False
+    keys = [line.partition("=")[0].strip() for line in map(content, lines) if "=" in line]
+    return len(keys) != len(set(keys))
+
+
+def _manifest_content(line: str) -> str:
+    return "" if line.strip().startswith("#") else line
+
+
+def _config_content(line: str) -> str:
+    return line.split("#", 1)[0]
+
+
 @st.composite
 def _damaged(draw, original: bytes) -> bytes:
     """``original`` truncated, overwritten in places, or with bytes spliced in."""
@@ -129,7 +147,21 @@ def _edited_manifest(draw, original: bytes) -> bytes:
 @FUZZ
 def test_fuzzed_manifest(toy, data):
     manifest = data.draw(st.one_of(_edited_manifest(toy["manifest"]), _damaged(toy["manifest"])))
-    _assert_documented(*_run({**toy, "manifest": manifest}))
+    code, out, err = _run({**toy, "manifest": manifest})
+    _assert_documented(code, out, err)
+    if _repeats_a_key(manifest, _manifest_content):
+        assert code == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("key", ["layers", "layer0.cell_size"])
+def test_repeated_manifest_key(toy, key):
+    # the fuzzer's "duplicate" edit, on a key whose repeat once loaded with the last value winning
+    lines = toy["manifest"].decode().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.partition("=")[0].strip() == key)
+    manifest = "\n".join([*lines[: i + 1], lines[i], *lines[i + 1 :]]).encode() + b"\n"
+    code, _, err = _run({**toy, "manifest": manifest})
+    assert code == EXIT_FORMAT
+    assert err.startswith("error: ") and f":{i + 2}: repeated key {key!r}" in err
 
 
 @given(data=st.data())
@@ -165,6 +197,7 @@ _CONFIG_LINES = st.one_of(
     garble=st.one_of(st.none(), st.binary(min_size=1, max_size=32)),
 )
 @example(lines=[f"{key} = 0" for key in cli._ENERGY_KEYS], garble=None)  # a baseline that costs nothing
+@example(lines=["beta = 0.1", "beta = 0.4"], garble=None)  # once ran with the last value
 @FUZZ
 def test_fuzzed_config(toy, lines, garble):
     config = "\n".join(lines).encode() + (garble or b"")
@@ -172,6 +205,8 @@ def test_fuzzed_config(toy, lines, garble):
     _assert_documented(code, out, err)
     if code == EXIT_OK:
         json.loads(out, parse_constant=_reject_constant)
+    if _repeats_a_key(config, _config_content):
+        assert code == EXIT_FORMAT
 
 
 def _reject_constant(name: str) -> None:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynprec.accel import _weight_reads
 from dynprec.lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, run_fp32
 from dynprec import lstm_quant
 from dynprec.lstm_quant import (
@@ -181,7 +182,7 @@ def test_multi_block_fan_in_matches_step_major_oracle():
             assert np.array_equal(got.trace.c[0], want.trace.c[0])
             assert np.array_equal(got.trace.h[0], want.trace.h[0])
             assert np.array_equal(got.precision_bits[0], want.precision_bits[0])
-            assert got.activity == want.activity
+            assert got.input_adjusted == want.input_adjusted
 
 
 def test_neuron_eval_zero_weights_returns_biases():
@@ -307,12 +308,12 @@ def test_activity_accounting(toy):
     layer = qmodel.layers[0]
     fan_in = layer.input_size + layer.cell_size
     out = run_quantized(qmodel, seq, Mode.RANDOM, random_p=0.5, random_seed=1)
-    (act,) = out.activity
     bits = out.precision_bits[0]
     n_low, n_high = (bits == 4).sum(axis=1), (bits == 8).sum(axis=1)
     assert np.all(n_low + n_high == layer.cell_size)
-    assert act.weight_nibbles == int(n_low.sum()) * len(GATES) * fan_in
-    assert act.weight_bytes == int(n_high.sum()) * len(GATES) * fan_in
+    weight_bytes, weight_nibbles = _weight_reads(qmodel, len(seq), [int(n_high.sum())])
+    assert weight_nibbles == int(n_low.sum()) * len(GATES) * fan_in
+    assert weight_bytes == int(n_high.sum()) * len(GATES) * fan_in
     assert 0 < n_low.sum() < bits.size
 
 
@@ -456,10 +457,11 @@ def test_multilayer_quantized_run():
         assert out.trace.c[L].shape == fp.c[L].shape
         assert np.mean(np.abs(out.trace.c[L] - fp.c[L])) < 0.1
     assert sum(bits.shape[1] for bits in out.precision_bits) == 6 + 5
-    for bits, act, fan_in in zip(out.precision_bits, out.activity, (4 + 6, 6 + 5), strict=True):
-        assert np.all(bits == 8)
-        assert act.weight_bytes == len(GATES) * fan_in * bits.size
-        assert act.weight_nibbles == 0
+    fan_ins = (4 + 6, 6 + 5)
+    assert all(np.all(bits == 8) for bits in out.precision_bits)
+    n_high = [np.count_nonzero(bits == 8) for bits in out.precision_bits]
+    want = sum(len(GATES) * fan_in * bits.size for bits, fan_in in zip(out.precision_bits, fan_ins, strict=True))
+    assert _weight_reads(qmodel, len(seq), n_high) == (want, 0)
 
 
 def test_peak_flags_from_phases_roundtrip():
@@ -559,8 +561,8 @@ def test_run_quantized_matches_step_major_oracle(case):
         assert all(np.array_equal(a, b) for a, b in zip(got.phases, want.phases, strict=True))
     else:
         assert got.phases is None and want.phases is None
-    assert got.activity == want.activity
-    assert all(type(v) is int for a in got.activity for v in dataclasses.astuple(a))
+    assert got.input_adjusted == want.input_adjusted
+    assert all(type(v) is int for v in got.input_adjusted)
     if trackers is not None:
         for a, b in zip(mine, theirs, strict=True):
             for f in dataclasses.fields(a):
@@ -614,7 +616,7 @@ def test_lane_runs_match_their_runs_alone(case):
             assert all(np.array_equal(a, b) for a, b in zip(result.phases, want.phases, strict=True))
         else:
             assert result.phases is None
-        assert result.activity == want.activity
+        assert result.input_adjusted == want.input_adjusted
         for a, b in zip(mine.trackers or (), theirs or (), strict=True):
             for f in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
