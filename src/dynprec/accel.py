@@ -318,15 +318,19 @@ def cost_run(
 
     After that check, this is the only stage that reads ``AccelConfig`` and
     ``EnergyModel``, so one run can be costed on many accelerator configurations.
+    A wall time or energy that is not finite, which that check refuses, raises ``ValueError``.
     """
     dynamic, steps = run.mode is Mode.DYNAMIC, run.trace.n_steps
     total_cycles, _ = _step_cycles(qmodel, run, config, dynamic)
     reads = _weight_reads(qmodel, steps, [np.count_nonzero(bits == 8) for bits in run.precision_bits])
     energy_total, breakdown = _energy(qmodel, *reads, sum(run.input_adjusted), steps, dynamic, total_cycles, em)
+    wall_time_s = total_cycles / config.frequency_hz
+    if not (math.isfinite(wall_time_s) and math.isfinite(energy_total)):
+        raise ValueError(f"a {run.mode.value} run costs {wall_time_s} s and {energy_total} energy")
     return SimResult(
         run=run,
         total_cycles=total_cycles,
-        wall_time_s=total_cycles / config.frequency_hz,
+        wall_time_s=wall_time_s,
         energy_breakdown=breakdown,
         energy_total=energy_total,
         model_hash=qmodel.fingerprint,

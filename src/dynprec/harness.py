@@ -34,9 +34,7 @@ from .lstm_quant import (
     Mode,
     QuantizedModel,
     QuantRunResult,
-    peak_flags_from_phases,
     quantize_model,
-    relative_error_stats,
     run_lanes,
     sequence_fingerprint,
 )
@@ -48,6 +46,9 @@ SEQUENCE_MAGIC = b"LSTMSEQ1"
 MODEL_FORMAT = "lstm-model"
 MODEL_VERSION = 1
 _F32 = np.dtype("<f4")
+
+# Relative-error denominators are floored to avoid dividing by a near-zero cell state.
+EPS_DENOM = 1e-3
 
 
 class FormatError(Exception):
@@ -367,13 +368,29 @@ class ExperimentResult:
     report_text: str
 
 
-def _mean_abs_cell_error(fp: StateTrace, q: StateTrace) -> float:
-    diffs = [np.abs(qc - fc).ravel() for qc, fc in zip(q.c, fp.c)]
-    return float((diffs[0] if len(diffs) == 1 else np.concatenate(diffs)).mean())
+def relative_error_stats(
+    fp: StateTrace, q: StateTrace, fp_phases: tuple[np.ndarray, ...]
+) -> tuple[float, float | None, float | None]:
+    """Mean absolute cell-state error of ``q`` against the reference ``fp``, and its mean relative error in
+    the steps where the reference's trackers (``fp_phases``) are in a peak and in the other steps.
+
+    A relative error divides by the reference value, floored at ``EPS_DENOM``; a share with no steps gives None.
+    """
+    shapes = [[a.shape for a in arrays] for arrays in (fp.c, q.c, fp_phases)]
+    if shapes[1] != shapes[0] or shapes[2] != shapes[0]:
+        raise ValueError(f"misaligned traces and phases: {' vs '.join(map(str, shapes))}")
+    err = np.concatenate([qc - fc for fc, qc in zip(fp.c, q.c)], axis=None)  # every layer, flat
+    np.abs(err, out=err)
+    mean_abs = float(err.mean())
+    denom = np.concatenate(fp.c, axis=None)
+    err /= np.maximum(np.abs(denom, out=denom), EPS_DENOM, out=denom)
+    del denom  # before err's two shares are taken, so no three arrays of its size are alive at once
+    peak = np.concatenate(fp_phases, axis=None) == Phase.IN_PEAK
+    return mean_abs, *(float(rel.mean()) if rel.size else None for rel in (err[peak], err[~peak]))
 
 
-def _run_entry(sim: SimResult, baseline: SimResult, fp: StateTrace, flags) -> dict:
-    peak_err, stable_err = relative_error_stats(fp, sim.run.trace, flags)
+def _run_entry(sim: SimResult, baseline: SimResult, fp: StateTrace, fp_phases: tuple[np.ndarray, ...]) -> dict:
+    mean_abs, peak_err, stable_err = relative_error_stats(fp, sim.run.trace, fp_phases)
     speedup, savings = compare(sim, baseline)
     return {
         "total_cycles": int(sim.total_cycles),
@@ -381,7 +398,7 @@ def _run_entry(sim: SimResult, baseline: SimResult, fp: StateTrace, flags) -> di
         "energy_total": float(sim.energy_total),
         "energy_breakdown": {k: float(v) for k, v in sim.energy_breakdown.items()},
         "low_precision_usage": float(sim.run.low_precision_usage),
-        "mean_abs_cell_error": _mean_abs_cell_error(fp, sim.run.trace),
+        "mean_abs_cell_error": mean_abs,
         "peak_relative_error": peak_err,
         "stable_relative_error": stable_err,
         "speedup_vs_static8": speedup,
@@ -464,12 +481,7 @@ class Experiment:
         trackers = [mode for mode in (BASELINE_MODE, Mode.DYNAMIC) if mode in ordered]
         checked = [self._check(trackers, point) for point in points]
         configs = list(dict.fromkeys(point.pdu_config for point in checked))
-        fp_trace = self.fp_trace
-        ends = np.cumsum([c.shape[1] for c in fp_trace.c])[:-1]
-        fp_phases = {
-            config: tuple(np.split(phases, ends, axis=1))
-            for config, phases in zip(configs, classify_trace(np.concatenate(fp_trace.c, axis=1), configs))
-        }
+        fp_phases = dict(zip(configs, classify_trace(self.fp_trace.c, configs)))
         lanes = list(dict.fromkeys(point.lane(mode) for point in checked for mode in ordered))
         runs = dict(zip(lanes, run_lanes(self.qmodel, self.seq, lanes, keep_h=False)))
         return [self._result(point, ordered, runs, fp_phases[point.pdu_config]) for point in checked]
@@ -478,13 +490,12 @@ class Experiment:
         self, point: Point, modes: list[Mode], runs: dict[Lane, QuantRunResult], fp_phases: tuple[np.ndarray, ...]
     ) -> ExperimentResult:
         fp_trace = self.fp_trace
-        fp_flags = peak_flags_from_phases(fp_phases)
         sims = {
             mode.value: cost_run(self.qmodel, self.seq, runs[point.lane(mode)], point.accel_config, point.energy_model)
             for mode in modes
         }
         baseline = sims[BASELINE_MODE.value]
-        runs_report = {name: _run_entry(sim, baseline, fp_trace, fp_flags) for name, sim in sims.items()}
+        runs_report = {name: _run_entry(sim, baseline, fp_trace, fp_phases) for name, sim in sims.items()}
         histogram = {
             name: [[int(n) for n in (bits == 4).sum(axis=0)] for bits in sim.run.precision_bits]
             for name, sim in sims.items()

@@ -16,8 +16,8 @@ precision over a lane-minor [cell, lanes] operand, and the cells update. The
 four gate neurons feeding one cell-state element always share that element's
 precision. Matrix products run on the integer indices in float32 BLAS,
 exactly (``exact_index_products``), so a GEMM gives the bits of a per-step
-product; rescaling to reals, the cell update and the activations run in
-float64. Alongside the traces and precision choices each lane counts, per
+product; rescaling to reals and the cell update (``lstm_ref.lstm_cell``) run
+in float64. Alongside the traces and precision choices each lane counts, per
 layer, the one event that needs the run itself: the input offsets adjusted
 on steps with a 4-bit element. The accelerator model (``accel``) derives
 every other event from these.
@@ -32,12 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .lstm_ref import GATES, InputSequence, LstmModel, StateTrace, sigmoid
-from .pdu import PduConfig, Phase, TrackerConfig, TrackerState, pdu_observe
-from .quant import dual_codes, dual_steps, magnitude_limit, offset_bits, packed_bytes
+from .lstm_ref import GATES, InputSequence, LstmModel, StateTrace, lstm_cell
 
-# Relative-error denominators are floored to avoid dividing by a near-zero cell state.
-EPS_DENOM = 1e-3
+# Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
+from .lstm_ref import sigmoid
+from .pdu import PduConfig, TrackerConfig, TrackerState, pdu_observe
+from .quant import dual_codes, dual_steps, magnitude_limit, offset_bits, packed_bytes
 
 # Share of elements random mode runs at 4 bits unless told otherwise.
 DEFAULT_RANDOM_P = 0.33
@@ -270,7 +270,7 @@ def run_lanes(
         if dynamic:  # every dynamic lane's trackers of this layer, lane after lane
             parts = ([getattr(t[L], f.name) for t in trackers] for f in fields(TrackerState))
             state = TrackerState(*map(np.concatenate, parts))
-            config = TrackerConfig.spread(configs, n, n_steps + max(0, int(state.steps_in_phase.max())))
+            config = TrackerConfig.spread(configs, state, n_steps)
         keep = keep_h or L + 1 < len(sizes)
         c_trace, h_trace, phases, adjusted = _run_layer(layer, inputs, high[L], state, config, keep)
         for k, lane_trackers in enumerate(trackers):  # each lane's trackers end where its run did
@@ -353,12 +353,7 @@ def _run_layer(
             if len(pre) == 2:  # a mixed step picks per element
                 mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
                 pre = [np.where(mask, pre[0].reshape(split), pre[1].reshape(split)).reshape(rows, n_lanes)]
-            pre = np.add(pre[0], bias, out=pre[0])
-            gates = sigmoid(pre)  # one call for the three sigmoid gates; the updater's rows go unused
-            i_t, f_t, o_t = gates[:n], gates[n : 2 * n], gates[3 * n :]
-            g_t = np.tanh(pre[2 * n : 3 * n])
-            c = f_t * c + i_t * g_t
-            h = o_t * np.tanh(c)
+            c, h = lstm_cell(np.add(pre[0], bias, out=pre[0]), c)
             c_trace[:, t], h_out[:, j] = c.T, h.T
             if n_dyn:
                 pdu_observe(trackers, tracker_config, c[:, :n_dyn].T.ravel())
@@ -367,32 +362,3 @@ def _run_layer(
 
     return c_trace, h_trace, phases, np.where(high.all(axis=2), 0, adjusted).sum(axis=1).tolist()
 
-
-def peak_flags_from_phases(phases: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    return tuple(p == Phase.IN_PEAK for p in phases)
-
-
-def relative_error_stats(
-    fp_trace: StateTrace,
-    q_trace: StateTrace,
-    peak_flags: Sequence[np.ndarray],
-) -> tuple[float | None, float | None]:
-    """Mean relative cell-state error inside and outside the flagged peak steps."""
-    if fp_trace.n_layers != q_trace.n_layers or len(peak_flags) != fp_trace.n_layers:
-        raise ValueError("traces and flags must cover the same layers")
-    peak_vals: list[np.ndarray] = []
-    stable_vals: list[np.ndarray] = []
-    for fp, q, flags in zip(fp_trace.c, q_trace.c, peak_flags):
-        if fp.shape != q.shape or fp.shape != flags.shape:
-            raise ValueError(f"misaligned traces: {fp.shape} vs {q.shape} vs {flags.shape}")
-        rel, denom = q - fp, np.abs(fp)  # np.abs(q - fp) / np.maximum(np.abs(fp), EPS_DENOM), in place
-        np.abs(rel, out=rel)
-        rel /= np.maximum(denom, EPS_DENOM, out=denom)
-        del denom
-        peak_vals.append(rel[flags])
-        stable_vals.append(rel[~flags])
-    peak, stable = (vals[0] if len(vals) == 1 else np.concatenate(vals) for vals in (peak_vals, stable_vals))
-    return (
-        float(peak.mean()) if peak.size else None,
-        float(stable.mean()) if stable.size else None,
-    )

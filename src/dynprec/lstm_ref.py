@@ -16,6 +16,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def lstm_cell(pre: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The new cell state and output from the stacked [4H, ...] gate pre-activations and the [H, ...] cell state."""
+    n = len(pre) // len(GATES)
+    gates = sigmoid(pre)  # one call for the three sigmoid gates; the updater's rows go unused
+    c = gates[n : 2 * n] * c + gates[:n] * np.tanh(pre[2 * n : 3 * n])
+    return c, gates[3 * n :] * np.tanh(c)
+
+
 def _as_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
@@ -131,8 +139,9 @@ class StateTrace:
 def run_fp32(model: LstmModel, seq: InputSequence) -> StateTrace:
     """Evaluate the network layer by layer; layer k consumes layer k-1's whole output trace.
 
-    Each gate's products stay separate gemvs with their own bias add: one
-    fused [4H] gemv regroups the float64 sums and changes the bits.
+    Each gate's products stay separate gemvs with their own bias add, each
+    into its row block of one [4H] buffer: one fused [4H] gemv regroups the
+    float64 sums and changes the bits.
     """
     if seq.width != model.input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {model.input_size}")
@@ -142,10 +151,12 @@ def run_fp32(model: LstmModel, seq: InputSequence) -> StateTrace:
         gates = layer.gates()
         c_trace, h_trace = np.empty((len(seq), layer.cell_size)), np.empty((len(seq), layer.cell_size))
         c = h = np.zeros(layer.cell_size)
+        pre = np.empty(len(GATES) * layer.cell_size)
+        blocks = np.split(pre, len(GATES))
         for t, x in enumerate(inputs):
-            i, f, g, o = (w_x @ x + w_h @ h + b for w_x, w_h, b in gates)
-            c = sigmoid(f) * c + sigmoid(i) * np.tanh(g)
-            h = sigmoid(o) * np.tanh(c)
+            for (w_x, w_h, b), block in zip(gates, blocks):
+                np.add(w_x @ x + w_h @ h, b, out=block)
+            c, h = lstm_cell(pre, c)
             c_trace[t], h_trace[t] = c, h
         c_hist.append(c_trace)
         h_hist.append(h_trace)

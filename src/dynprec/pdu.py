@@ -125,12 +125,15 @@ class TrackerConfig:
     epsilon_range: np.ndarray
 
     @classmethod
-    def spread(cls, configs: Sequence[PduConfig], size: int, horizon: int) -> "TrackerConfig":
-        """Each config over ``size`` consecutive elements, in order.
+    def spread(cls, configs: Sequence[PduConfig], state: TrackerState, n_steps: int) -> "TrackerConfig":
+        """Each config over an equal run of ``state``'s elements, in order, for its next ``n_steps`` observations.
 
-        No counter passes ``horizon``, so a limit above it is stored as
-        ``horizon + 1``: it still never expires, and it fits in int64.
+        No counter passes its largest value in ``state`` plus ``n_steps``, so
+        a limit above that horizon is stored as the horizon plus one: it
+        still never expires, and it fits in int64.
         """
+        size = state.phase.size // len(configs) if configs else 0
+        horizon = n_steps + int(state.steps_in_phase.max(initial=0))
         limits = [[min(v, horizon + 1) for v in (c.t_profile, c.n_max_stable + 1, c.m_max_peak + 1)] for c in configs]
         return cls(
             np.repeat(np.array(limits, dtype=np.int64).reshape(-1, 3), size, axis=0).ravel(),
@@ -186,22 +189,24 @@ def pdu_observe(state: TrackerState, config: TrackerConfig, c_vector: np.ndarray
         state.lower[restart] = state.upper[restart] = math.nan
 
 
-def classify_trace(c_trace: np.ndarray, configs: Sequence[PduConfig]) -> np.ndarray:
-    """Run fresh trackers over a [steps, elements] trace, once per config, in one pass.
+def classify_trace(traces: Sequence[np.ndarray], configs: Sequence[PduConfig]) -> list[tuple[np.ndarray, ...]]:
+    """Run fresh trackers over per-layer [steps, elements] traces, once per config, in one pass.
 
-    Returns [configs, steps, elements] phases: row t of each config holds
-    the tracker phases right after observing step t, so
+    Returns each config's phases as one [steps, elements] array per layer:
+    row t holds the tracker phases right after observing step t, so
     ``phases == IN_PEAK`` flags the steps whose value sits outside the
     profiled band.
     """
-    trace = np.asarray(c_trace, dtype=np.float64)
-    if trace.ndim != 2:
-        raise ValueError(f"trace must be [steps, elements], got shape {trace.shape}")
+    layers = [np.asarray(c, dtype=np.float64) for c in traces]
+    if not layers or any(c.ndim != 2 or len(c) != len(layers[0]) for c in layers):
+        raise ValueError(f"traces must be [steps, elements] per layer, got shapes {[c.shape for c in layers]}")
+    trace = np.concatenate(layers, axis=1)  # every layer's elements side by side
     (n_steps, n), k = trace.shape, len(configs)
-    config = TrackerConfig.spread(configs, n, n_steps)
     state = TrackerState.fresh(k * n)
+    config = TrackerConfig.spread(configs, state, n_steps)
     phases = np.empty((k, n_steps, n), dtype=np.int8)
     for t, row in enumerate(trace):
         pdu_observe(state, config, np.tile(row, k))
         phases[:, t] = state.phase.reshape(k, n)
-    return phases
+    ends = np.cumsum([c.shape[1] for c in layers])[:-1]
+    return [tuple(np.split(p, ends, axis=1)) for p in phases]

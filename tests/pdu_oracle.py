@@ -83,9 +83,5 @@ def scalar_observe(tracker: ScalarTracker, config: PduConfig, c_value: float) ->
 
 
 def observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) -> None:
-    """``pdu_observe`` with one ``PduConfig`` for every element.
-
-    No counter passes its largest value plus this step, so that is the horizon.
-    """
-    horizon = int(state.steps_in_phase.max(initial=0)) + 1
-    pdu_observe(state, TrackerConfig.spread([config], state.phase.size, horizon), c_vector)
+    """``pdu_observe`` with one ``PduConfig`` for every element."""
+    pdu_observe(state, TrackerConfig.spread([config], state, 1), c_vector)

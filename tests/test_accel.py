@@ -12,11 +12,12 @@ from dynprec.accel import (
     check_capacity,
     _step_cycles,
     compare,
+    cost_run,
     simulate,
 )
 from dynprec.harness import gen_toy
 from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
-from dynprec.lstm_quant import Mode, quantize_model
+from dynprec.lstm_quant import Mode, quantize_model, run_quantized
 from dynprec.pdu import PduConfig
 from dynprec.sip import SipConfig
 from accel_oracle import energy_reference, step_cycles_reference, without_overheads, zero_dynamic
@@ -286,3 +287,16 @@ def test_simulate_refuses_what_a_report_cannot_hold(toy):
     # a static 8-bit baseline with no energy, which compare would divide by
     with pytest.raises(ValueError, match="baseline energy of at least 0.0"):
         simulate(qmodel, seq, Mode.STATIC4, energy_model=zero_dynamic(static_power=0.0))
+
+
+@pytest.mark.parametrize(
+    "config, em",
+    [(AccelConfig(frequency_hz=1e-320), EnergyModel()), (AccelConfig(), EnergyModel(static_power=1e308))],
+    ids=["wall time", "energy"],
+)
+def test_cost_run_refuses_a_non_finite_cost(config, em):
+    # what check_capacity refuses up front, cost_run refuses too when called without it
+    model, seq = gen_toy("flat", (1, 2, 2, 5), 1)
+    qmodel = quantize_model(model)
+    with pytest.raises(ValueError, match="static8 run costs"):
+        cost_run(qmodel, seq, run_quantized(qmodel, seq, Mode.STATIC8), config, em)

@@ -12,14 +12,8 @@ import numpy as np
 import pytest
 
 from dynprec.accel import AccelConfig, compare, simulate
-from dynprec.harness import gen_toy, run_experiment
-from dynprec.lstm_quant import (
-    Mode,
-    peak_flags_from_phases,
-    quantize_model,
-    relative_error_stats,
-    run_quantized,
-)
+from dynprec.harness import gen_toy, relative_error_stats, run_experiment
+from dynprec.lstm_quant import Mode, quantize_model, run_quantized
 from dynprec.lstm_ref import run_fp32
 from dynprec.pdu import PduConfig, Phase, TrackerState, classify_trace
 from dynprec.quant import QuantParams
@@ -148,11 +142,11 @@ def test_criterion_05_peak_error_ordering(peaky_toy):
     model, qmodel, seq = peaky_toy
     fp = run_fp32(model, seq)
     pdu_cfg = PduConfig.for_sequence(len(seq))
-    flags = peak_flags_from_phases([classify_trace(layer_c, [pdu_cfg])[0] for layer_c in fp.c])
+    phases = classify_trace(fp.c, [pdu_cfg])[0]
     st4 = run_quantized(qmodel, seq, Mode.STATIC4)
     dyn = run_quantized(qmodel, seq, Mode.DYNAMIC, pdu_cfg)
-    peak4, stable4 = relative_error_stats(fp, st4.trace, flags)
-    peak_dyn, _ = relative_error_stats(fp, dyn.trace, flags)
+    _, peak4, stable4 = relative_error_stats(fp, st4.trace, phases)
+    _, peak_dyn, _ = relative_error_stats(fp, dyn.trace, phases)
     _verdict(
         5,
         "static-4 error concentrates in peaks (>=2x stable); dynamic strictly reduces it",

@@ -148,6 +148,22 @@ def test_perfbench_layer_metrics_read_a_traced_run(perfbench_run, tmp_path):
     assert sum(map(sum, reads)) == len(modes) * per_mode
 
 
+def test_perfbench_golden_bytes(perfbench_run, tmp_path):
+    # every workload's report, and long's trace CSV, as the benchmark pins them at its default seed and full dims
+    seed = perfbench_run.DEFAULT_SEED
+    for name, workload in perfbench_run.WORKLOADS.items():
+        golden = perfbench_run.GOLDEN[name]
+        model, seq = perfbench_run.gen_files(cli, workload, workload.dims, seed, tmp_path / name)
+        files = ["--model", str(model), "--input", str(seq), "--seed", str(seed)]
+        report = tmp_path / f"{name}.json"
+        assert cli.main(workload.argv() + files + ["--report", str(report)]) == 0, name
+        assert perfbench_run.sha256(report.read_bytes()) == golden["report"], name
+        if workload.check_trace_csv:
+            csv = tmp_path / f"{name}.csv"
+            assert cli.main(["trace", "--mode", "dynamic", "--element", "0", *files, "--out", str(csv)]) == 0
+            assert perfbench_run.sha256(csv.read_bytes()) == golden["trace_csv"], name
+
+
 def _unused_imports(path: Path) -> list[tuple[str, int]]:
     """Names a module imports and never reads, with their lines, counting ``__all__`` entries as reads."""
     tree = ast.parse(path.read_text(), filename=str(path))

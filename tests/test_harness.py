@@ -6,6 +6,7 @@ import pytest
 
 from dynprec import harness
 from dynprec.harness import (
+    EPS_DENOM,
     ModelFormatError,
     SequenceFormatError,
     SPIKE_HOLD_STEPS,
@@ -14,12 +15,13 @@ from dynprec.harness import (
     load_model,
     load_sequence,
     peaky_spike_steps,
+    relative_error_stats,
     run_experiment,
     write_model,
     write_sequence,
 )
 from dynprec.lstm_quant import Mode
-from dynprec.lstm_ref import InputSequence
+from dynprec.lstm_ref import InputSequence, StateTrace, run_fp32
 from dynprec.pdu import PduConfig, Phase
 
 
@@ -249,6 +251,47 @@ def test_report_text_is_deterministic():
     json.loads(a.report_text)  # parses back
 
 
+def _c_trace(*layers) -> StateTrace:
+    c = tuple(np.array(layer, dtype=np.float64) for layer in layers)
+    return StateTrace(c=c, h=tuple(np.zeros_like(layer) for layer in c))
+
+
+def test_relative_error_stats_identity():
+    model, seq = gen_toy("random", (2, 6, 8, 40), 3)
+    fp = run_fp32(model, seq)
+    phases = tuple(np.zeros_like(layer, dtype=np.int8) for layer in fp.c)
+    assert relative_error_stats(fp, fp, phases) == (0.0, None, 0.0)
+
+
+def test_relative_error_stats_hand_case():
+    # only IN_PEAK steps are peaks; profiling and stable steps both count as stable
+    fp = _c_trace([[1.0, 2.0], [2.0, 4.0]], [[8.0]])
+    q = _c_trace([[1.1, 2.0], [1.0, 3.0]], [[6.0]])
+    phases = (np.array([[Phase.PROFILING, Phase.STABLE], [Phase.IN_PEAK, Phase.STABLE]], dtype=np.int8),
+              np.array([[Phase.IN_PEAK]], dtype=np.int8))
+    mean_abs, peak, stable = relative_error_stats(fp, q, phases)
+    assert mean_abs == pytest.approx((0.1 + 0.0 + 1.0 + 1.0 + 2.0) / 5)
+    assert peak == pytest.approx((0.5 + 0.25) / 2)
+    assert stable == pytest.approx((0.1 + 0.0 + 0.25) / 3)
+
+
+def test_relative_error_stats_eps_denominator():
+    fp, q = _c_trace([[0.0]]), _c_trace([[EPS_DENOM]])
+    phases = (np.array([[Phase.STABLE]], dtype=np.int8),)
+    assert relative_error_stats(fp, q, phases) == (pytest.approx(EPS_DENOM), None, pytest.approx(1.0))
+
+
+def test_relative_error_stats_rejects_misaligned():
+    model, seq = gen_toy("random", (1, 6, 8, 40), 3)
+    fp = run_fp32(model, seq)
+    short = StateTrace(c=(fp.c[0][:-1],), h=(fp.h[0][:-1],))
+    phases = tuple(np.zeros_like(layer, dtype=np.int8) for layer in fp.c)
+    with pytest.raises(ValueError):
+        relative_error_stats(fp, short, phases)
+    with pytest.raises(ValueError):
+        relative_error_stats(fp, fp, (phases[0][:-1],))
+
+
 def test_beta_sweep_peak_count_monotone():
     # One profiling window, one decaying peak: the band-inclusion ordering then
     # forces every step flagged under a wide margin to be flagged under a
@@ -264,7 +307,7 @@ def test_beta_sweep_peak_count_monotone():
         PduConfig.for_sequence(len(trace), beta=beta, t_profile=8, n_max_stable=100, m_max_peak=100)
         for beta in (0.05, 0.1, 0.2, 0.5, 1.0)
     ]
-    counts = [int((phases == Phase.IN_PEAK).sum()) for phases in classify_trace(trace, configs)]
+    counts = [int((phases == Phase.IN_PEAK).sum()) for (phases,) in classify_trace([trace], configs)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert counts[0] > counts[-1]  # the margin actually bites on this trace
 

@@ -14,21 +14,17 @@ from dynprec.accel import _weight_reads
 from dynprec.lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, run_fp32
 from dynprec import lstm_quant
 from dynprec.lstm_quant import (
-    EPS_DENOM,
     FLOAT32_EXACT_COLUMNS,
     FORWARD_CHUNK,
     Lane,
     Mode,
     check_exact_fan_in,
-    peak_flags_from_phases,
     quantize_model,
-    relative_error_stats,
     run_lanes,
     run_quantized,
     sequence_fingerprint,
 )
 from dynprec.pdu import PduConfig, Phase, TrackerState
-from dynprec.lstm_ref import StateTrace
 from dynprec.quant import QuantizedVector, QuantParams, dual_codes, quant_step
 from pdu_oracle import Precision
 from quant_oracle import gate_operands, neuron_eval, quantize_array, run_quantized_reference
@@ -328,41 +324,6 @@ def test_dynamic_phase_trace_matches_precision_lag(toy):
     assert np.all(bits[0] == 4)  # nothing observed before the first step
 
 
-def test_relative_error_stats_identity(toy):
-    model, qmodel, seq = toy
-    fp = run_fp32(model, seq)
-    flags = tuple(np.zeros_like(layer, dtype=bool) for layer in fp.c)
-    peak, stable = relative_error_stats(fp, fp, flags)
-    assert peak is None
-    assert stable == 0.0
-
-
-def test_relative_error_stats_hand_case():
-    fp = StateTrace(c=(np.array([[2.0]]),), h=(np.array([[0.0]]),))
-    q = StateTrace(c=(np.array([[1.0]]),), h=(np.array([[0.0]]),))
-    flags = (np.array([[True]]),)
-    peak, stable = relative_error_stats(fp, q, flags)
-    assert peak == pytest.approx(0.5)
-    assert stable is None
-
-
-def test_relative_error_stats_eps_denominator():
-    fp = StateTrace(c=(np.array([[0.0]]),), h=(np.array([[0.0]]),))
-    q = StateTrace(c=(np.array([[EPS_DENOM]]),), h=(np.array([[0.0]]),))
-    flags = (np.array([[False]]),)
-    _, stable = relative_error_stats(fp, q, flags)
-    assert stable == pytest.approx(1.0)
-
-
-def test_relative_error_stats_rejects_misaligned(toy):
-    model, qmodel, seq = toy
-    fp = run_fp32(model, seq)
-    short = StateTrace(c=(fp.c[0][:-1],), h=(fp.h[0][:-1],))
-    flags = tuple(np.zeros_like(layer, dtype=bool) for layer in fp.c)
-    with pytest.raises(ValueError):
-        relative_error_stats(fp, short, flags)
-
-
 def test_fingerprints_are_stable(toy):
     model, qmodel, seq = toy
     assert qmodel.fingerprint == quantize_model(model).fingerprint
@@ -462,12 +423,6 @@ def test_multilayer_quantized_run():
     n_high = [np.count_nonzero(bits == 8) for bits in out.precision_bits]
     want = sum(len(GATES) * fan_in * bits.size for bits, fan_in in zip(out.precision_bits, fan_ins, strict=True))
     assert _weight_reads(qmodel, len(seq), n_high) == (want, 0)
-
-
-def test_peak_flags_from_phases_roundtrip():
-    phases = (np.array([[0, 1], [2, 1]], dtype=np.int8),)
-    flags = peak_flags_from_phases(phases)
-    assert flags[0].tolist() == [[False, False], [True, False]]
 
 
 @pytest.mark.parametrize("random_p", [math.nan, 1.5, -0.5, math.inf])

@@ -301,25 +301,30 @@ def test_array_tracker_matches_oracle_through_every_transition(beta):
 
 
 def test_classify_trace_matches_scalar_loop():
-    # several configs in one pass, each against its own scalar trackers
+    # several configs and layers in one pass, each element against its own scalar tracker
     configs = [
         PduConfig(t_profile=4, m_max_peak=5, n_max_stable=7),
         PduConfig(t_profile=3, m_max_peak=1, n_max_stable=2, beta=0.0, epsilon_range=0.5),
         PduConfig(t_profile=5, m_max_peak=10**20, n_max_stable=10**20, beta=math.inf),
     ]
     rng = np.random.default_rng(8)
-    trace = rng.normal(0, 1, (60, 3))
-    phases = classify_trace(trace, configs)
-    assert phases.shape == (3, 60, 3)
-    for cfg, cfg_phases in zip(configs, phases):
-        for k in range(3):
-            tracker = ScalarTracker()
-            for t in range(60):
-                p = scalar_observe(tracker, cfg, trace[t, k])
-                assert cfg_phases[t, k] == tracker.phase
-                assert (p is Precision.HIGH8) == (cfg_phases[t, k] == Phase.IN_PEAK)
+    for widths in [(3,), (3, 2)]:  # one layer, then two layers of different widths
+        traces = [rng.normal(0, 1, (60, n)) for n in widths]
+        phases = classify_trace(traces, configs)
+        assert len(phases) == len(configs)
+        for cfg, cfg_phases in zip(configs, phases):
+            assert [p.shape for p in cfg_phases] == [(60, n) for n in widths]
+            for trace, layer_phases in zip(traces, cfg_phases):
+                for k in range(trace.shape[1]):
+                    tracker = ScalarTracker()
+                    for t in range(60):
+                        p = scalar_observe(tracker, cfg, trace[t, k])
+                        assert layer_phases[t, k] == tracker.phase
+                        assert (p is Precision.HIGH8) == (layer_phases[t, k] == Phase.IN_PEAK)
 
 
 def test_classify_trace_rejects_bad_shape():
     with pytest.raises(ValueError):
-        classify_trace(np.zeros(5), [PduConfig(4, 4, 4)])
+        classify_trace([np.zeros(5)], [PduConfig(4, 4, 4)])
+    with pytest.raises(ValueError):  # layers of different lengths
+        classify_trace([np.zeros((5, 2)), np.zeros((4, 2))], [PduConfig(4, 4, 4)])
