@@ -1,6 +1,6 @@
 """Quantized LSTM inference with per-element dynamic precision selection."""
 
-from .accel import AccelConfig, CapacityError, EnergyModel, SimResult, simulate
+from .accel import AccelConfig, CapacityError, EnergyModel, SimResult, SipConfig, simulate
 from .harness import (
     ConfigError,
     ExperimentResult,
@@ -18,7 +18,6 @@ from .harness import (
 from .lstm_quant import Mode, quantize_model
 from .lstm_ref import InputSequence, LstmModel
 from .pdu import PduConfig
-from .sip import SipConfig
 
 __all__ = [
     "AccelConfig",

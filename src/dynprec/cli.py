@@ -6,8 +6,8 @@ history as CSV, ``sweep`` runs one experiment across parameter values,
 with every point's quantized runs as lanes of one pass.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error, 3 capacity
-error (an on-chip buffer, or the 64-bit cycle counter), 4 a file could
-not be read or written.
+error (an on-chip buffer, the 64-bit cycle counter or host memory), 4 a
+file could not be read or written.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import sys
 import typing
 from pathlib import Path
 
-from .accel import AccelConfig, CapacityError, EnergyModel
+from .accel import AccelConfig, CapacityError, EnergyModel, SipConfig
 from .harness import (
-    REPORT_SCHEMA_VERSION,
     ConfigError,
     Experiment,
     ExperimentResult,
@@ -35,13 +34,13 @@ from .harness import (
     load_sequence,
     render_report,
     run_experiment,
+    sweep_report,
     write_model,
     write_sequence,
 )
 from .lstm_quant import DEFAULT_RANDOM_P, Mode
 from .lstm_ref import InputSequence, LstmModel
 from .pdu import PduConfig
-from .sip import SipConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,6 +155,8 @@ def _parse_dims(raw: str) -> tuple[int, int, int, int]:
         raise UsageError(f"--dims must be four integers, got {raw!r}") from None
     if min(dims) < 1:
         raise UsageError("--dims values must all be >= 1")
+    if max(dims[1], dims[3]) >= 2**32:  # the sequence file stores both as uint32
+        raise UsageError("--dims input_size and steps must each be < 2**32")
     return dims  # type: ignore[return-value]
 
 
@@ -193,14 +194,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    modes = _parse_modes(args.mode)
-    result = _experiment_from_args(args, modes)
-    if args.report:
-        Path(args.report).write_text(result.report_text)
-        print(f"wrote {args.report}")
+def _write_report(text: str, path: str | None) -> None:
+    """``text`` to the file at ``path``, or to stdout when there is none."""
+    if path:
+        Path(path).write_text(text)
+        print(f"wrote {path}")
     else:
-        sys.stdout.write(result.report_text)
+        sys.stdout.write(text)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    result = _experiment_from_args(args, _parse_modes(args.mode))
+    _write_report(render_report(result.report), args.report)
     return EXIT_OK
 
 
@@ -240,25 +245,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for value in raw_values
     )
     results = Experiment(model, seq).run(modes, points)
-    sweep_report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "sweep": {
-            "param": args.param,
-            "points": [{"value": value, "report": result.report} for value, result in zip(raw_values, results)],
-        },
-    }
-    text = render_report(sweep_report)
-    if args.report:
-        Path(args.report).write_text(text)
-        print(f"wrote {args.report}")
-    else:
-        sys.stdout.write(text)
+    _write_report(render_report(sweep_report(args.param, raw_values, results)), args.report)
     return EXIT_OK
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="dynprec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments of every verb that reads a model
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--model", required=True)
+    reads.add_argument("--input", required=True)
+    reads.add_argument("--config", default=None)
+    reads.add_argument("--seed", type=_seed, default=0)
+    report_help = "report path (stdout when omitted)"
 
     gen = sub.add_parser("gen", help="generate a toy model and input sequence")
     gen.add_argument("--kind", required=True, choices=TOY_KINDS)
@@ -267,35 +267,23 @@ def build_parser() -> _Parser:
     gen.add_argument("--out", required=True, help="output path prefix")
     gen.set_defaults(func=_cmd_gen)
 
-    run = sub.add_parser("run", help="simulate one or more modes and report")
-    run.add_argument("--model", required=True)
-    run.add_argument("--input", required=True)
+    run = sub.add_parser("run", parents=[reads], help="simulate one or more modes and report")
     run.add_argument("--mode", default="static8,static4,dynamic", help="comma-separated modes")
-    run.add_argument("--config", default=None)
-    run.add_argument("--report", default=None, help="report path (stdout when omitted)")
-    run.add_argument("--seed", type=_seed, default=0)
+    run.add_argument("--report", default=None, help=report_help)
     run.set_defaults(func=_cmd_run)
 
-    trace = sub.add_parser("trace", help="export one element's per-step trace as CSV")
-    trace.add_argument("--model", required=True)
-    trace.add_argument("--input", required=True)
+    trace = sub.add_parser("trace", parents=[reads], help="export one element's per-step trace as CSV")
     trace.add_argument("--mode", default="dynamic")
-    trace.add_argument("--config", default=None)
     trace.add_argument("--element", type=int, required=True)
     trace.add_argument("--layer", type=int, default=0)
     trace.add_argument("--out", required=True)
-    trace.add_argument("--seed", type=_seed, default=0)
     trace.set_defaults(func=_cmd_trace)
 
-    sweep = sub.add_parser("sweep", help="run one experiment across parameter values")
-    sweep.add_argument("--model", required=True)
-    sweep.add_argument("--input", required=True)
+    sweep = sub.add_parser("sweep", parents=[reads], help="run one experiment across parameter values")
     sweep.add_argument("--param", required=True)
     sweep.add_argument("--values", required=True, help="comma-separated values")
     sweep.add_argument("--mode", default="static8,dynamic")
-    sweep.add_argument("--config", default=None)
-    sweep.add_argument("--report", default=None)
-    sweep.add_argument("--seed", type=_seed, default=0)
+    sweep.add_argument("--report", default=None, help=report_help)
     sweep.set_defaults(func=_cmd_sweep)
     return parser
 
@@ -313,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FORMAT
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:
+        print("error: out of host memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_CAPACITY
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

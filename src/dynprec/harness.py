@@ -365,7 +365,6 @@ class ExperimentResult:
     fp_phases: tuple[np.ndarray, ...]
     sims: dict[str, SimResult]
     report: dict
-    report_text: str
 
 
 def relative_error_stats(
@@ -522,13 +521,7 @@ class Experiment:
             "runs": runs_report,
             "precision_histogram": histogram,
         }
-        return ExperimentResult(
-            fp_trace=fp_trace,
-            fp_phases=fp_phases,
-            sims=sims,
-            report=report,
-            report_text=render_report(report),
-        )
+        return ExperimentResult(fp_trace=fp_trace, fp_phases=fp_phases, sims=sims, report=report)
 
 
 def run_experiment(
@@ -545,6 +538,12 @@ def run_experiment(
     """One point of an ``Experiment``; a config left None takes its default."""
     point = Point(accel_config or AccelConfig(), energy_model or EnergyModel(), pdu_config, random_p, seed)
     return Experiment(model, seq).run(modes, [point])[0]
+
+
+def sweep_report(param: str, values: list[float], results: list[ExperimentResult]) -> dict:
+    """The report of a sweep over ``param``: each value beside its point's report."""
+    points = [{"value": value, "report": result.report} for value, result in zip(values, results, strict=True)]
+    return {"schema_version": REPORT_SCHEMA_VERSION, "sweep": {"param": param, "points": points}}
 
 
 def render_report(report: dict) -> str:

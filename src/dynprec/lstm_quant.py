@@ -121,8 +121,14 @@ class QuantizedLayer:
     fwd: FusedOperand
     rec: FusedOperand
     bias: np.ndarray
-    cell_size: int
-    input_size: int
+
+    @property
+    def cell_size(self) -> int:
+        return self.rec.codes.shape[2]
+
+    @property
+    def input_size(self) -> int:
+        return self.fwd.codes.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +169,7 @@ def quantize_model(model: LstmModel) -> QuantizedModel:
                 digest.update(packed_bytes(operand.codes[:, rows]))
                 digest.update(w_alphas[g].tobytes())
             digest.update(b.tobytes())
-        layers.append(QuantizedLayer(*operands, bias=layer.b, cell_size=n, input_size=layer.input_size))
+        layers.append(QuantizedLayer(*operands, bias=layer.b))
     return QuantizedModel(tuple(layers), digest.hexdigest())
 
 

@@ -22,9 +22,8 @@ import math
 from dataclasses import replace
 from typing import Sequence
 
-from dynprec.accel import STATE_ENTRY_BYTES, AccelConfig, EnergyModel
+from dynprec.accel import STATE_ENTRY_BYTES, AccelConfig, EnergyModel, sip_cycles
 from dynprec.lstm_quant import QuantizedModel, QuantRunResult
-from dynprec.sip import sip_cycles
 from quant_oracle import StepActivity
 
 

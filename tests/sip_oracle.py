@@ -1,10 +1,10 @@
-"""Functional bit-serial inner product: the spec behind ``dynprec.sip``'s cycle cost.
+"""Functional bit-serial inner product: the spec behind ``dynprec.accel``'s cycle cost.
 
 One serial unit multiplies a vector of full-width weights by one bit
 plane of the other operand per cycle, MSB first, shift-accumulating the
 partial products. ``sip_dot`` must equal the parallel integer dot product
 (acceptance criterion 1), and its own cycle formula must agree with
-``dynprec.sip.sip_cycles``.
+``dynprec.accel.sip_cycles``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dynprec.sip import DEFAULT_SIP_CONFIG, SipConfig, _check_precision
+from dynprec.accel import DEFAULT_SIP_CONFIG, SipConfig, _check_precision
 from quant_oracle import QIndex
 
 WEIGHT_BITS = 8

@@ -9,6 +9,7 @@ from dynprec.accel import (
     AccelConfig,
     CapacityError,
     EnergyModel,
+    SipConfig,
     check_capacity,
     _step_cycles,
     compare,
@@ -19,7 +20,6 @@ from dynprec.harness import gen_toy
 from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
 from dynprec.lstm_quant import Mode, quantize_model, run_quantized
 from dynprec.pdu import PduConfig
-from dynprec.sip import SipConfig
 from accel_oracle import energy_reference, step_cycles_reference, without_overheads, zero_dynamic
 from quant_oracle import run_quantized_reference
 

@@ -11,13 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from dynprec.accel import AccelConfig, compare, simulate
-from dynprec.harness import gen_toy, relative_error_stats, run_experiment
+from dynprec.accel import AccelConfig, SipConfig, compare, simulate, sip_cycles
+from dynprec.harness import gen_toy, relative_error_stats, render_report, run_experiment
 from dynprec.lstm_quant import Mode, quantize_model, run_quantized
 from dynprec.lstm_ref import run_fp32
 from dynprec.pdu import PduConfig, Phase, TrackerState, classify_trace
 from dynprec.quant import QuantParams
-from dynprec.sip import SipConfig, sip_cycles
 from accel_oracle import zero_dynamic
 from quant_oracle import dot_int, encode_dual, extract_low, quantize
 from sip_oracle import sip_dot, sip_dot_batch
@@ -254,7 +253,7 @@ def test_criterion_10_determinism(tmp_path):
     texts = []
     for _ in range(2):
         result = run_experiment(model, seq, [Mode.STATIC4, Mode.DYNAMIC, Mode.RANDOM], seed=123)
-        texts.append(result.report_text)
+        texts.append(render_report(result.report))
     paths = []
     for i, text in enumerate(texts):
         p = tmp_path / f"report{i}.json"

@@ -65,6 +65,12 @@ def test_source_imports_no_test_code():
                 assert module.split(".")[0] != "tests" and "oracle" not in module, f"{path.name} imports {module}"
 
 
+def test_harness_alone_builds_reports():
+    # every report shape, and so its schema version, is built in one module
+    owners = [path.name for path in sorted(SRC.glob("*.py")) if "schema_version" in path.read_text().lower()]
+    assert owners == ["harness.py"]
+
+
 @pytest.fixture()
 def perfbench_run(monkeypatch):
     """perfbench/run.py, loaded by path with perfbench/ importable."""

@@ -18,13 +18,12 @@ from dynprec.cli import (
     load_config_file,
     main,
 )
-from dynprec import harness
-from dynprec.accel import AccelConfig, EnergyModel
+from dynprec import cli, harness
+from dynprec.accel import AccelConfig, EnergyModel, SipConfig
 from dynprec.harness import load_model, load_sequence, render_report, run_experiment, write_model, write_sequence
 from dynprec.lstm_quant import Mode
 from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
 from dynprec.pdu import PduConfig
-from dynprec.sip import SipConfig
 
 
 @pytest.fixture()
@@ -120,6 +119,9 @@ def test_usage_errors_exit_1(toy_files, capsys):
     assert main(["run", "--model", str(model)]) == EXIT_USAGE  # missing --input
     assert main(["run", "--model", str(model), "--input", str(seq), "--mode", "bogus"]) == EXIT_USAGE
     assert main(["gen", "--kind", "flat", "--dims", "1,2", "--seed", "0", "--out", "x"]) == EXIT_USAGE
+    # the sequence header stores steps and input_size as uint32
+    assert main(["gen", "--kind", "flat", "--dims", "1,1,1,4294967296", "--seed", "0", "--out", "x"]) == EXIT_USAGE
+    assert main(["gen", "--kind", "flat", "--dims", "1,4294967296,1,1", "--seed", "0", "--out", "x"]) == EXIT_USAGE
     assert main(["sweep", "--model", str(model), "--input", str(seq), "--param", "nope",
                  "--values", "1"]) == EXIT_USAGE
     assert main(["trace", "--model", str(model), "--input", str(seq), "--element", "999",
@@ -249,6 +251,22 @@ def test_capacity_error_exit_3(toy_files, tmp_path, capsys):
     cfg.write_text("weight_buffer_bytes = 64\n")
     assert main(["run", "--model", str(model), "--input", str(seq), "--config", str(cfg)]) == EXIT_CAPACITY
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", ["gen", "run"])
+def test_running_out_of_host_memory_exit_3(toy_files, tmp_path, capsys, monkeypatch, verb):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+    model, seq = toy_files
+    argv = {
+        "gen": ["gen", "--kind", "random", "--dims", "1,2000000,2000000,2", "--out", str(tmp_path / "g")],
+        "run": ["run", "--model", str(model), "--input", str(seq)],
+    }[verb]
+    monkeypatch.setattr(cli, "gen_toy", exhausted)
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    assert main(argv) == EXIT_CAPACITY
+    assert capsys.readouterr().err == "error: out of host memory: Unable to allocate 29.1 TiB for an array\n"
 
 
 def test_stretched_steps_past_the_cycle_counter_exit_3(tmp_path, capsys):
@@ -428,12 +446,20 @@ def test_console_script_runs():
     assert "gen" in proc.stdout and "sweep" in proc.stdout
 
 
-def test_run_writes_report_to_stdout(toy_files, capsys):
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_run_writes_report_to_stdout(toy_files, tmp_path, capsys, verb):
     model, seq = toy_files
-    assert main(["run", "--model", str(model), "--input", str(seq), "--mode", "static8"]) == EXIT_OK
+    argv = [verb, "--model", str(model), "--input", str(seq), "--mode", "static8"]
+    if verb == "sweep":
+        argv += ["--param", "beta", "--values", "0.1,0.2"]
+    assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
+    report = tmp_path / "report.json"
+    assert main([*argv, "--report", str(report)]) == EXIT_OK
+    assert out.encode() == report.read_bytes()
     doc = json.loads(out)
-    assert doc["runs"]["static8"]["speedup_vs_static8"] == 1.0
+    runs = doc["runs"] if verb == "run" else doc["sweep"]["points"][0]["report"]["runs"]
+    assert runs["static8"]["speedup_vs_static8"] == 1.0
 
 
 ALL_MODES = "static8,static4,dynamic,random"
@@ -475,7 +501,7 @@ def test_sweep_points_match_fresh_experiments(sweep_files, tmp_path, param, valu
         config = build_point({param: value}, len(seq), seed=3)
         fresh = run_experiment(model, seq, modes, accel_config=config.accel_config, energy_model=config.energy_model,
                                pdu_config=config.pdu_config, random_p=config.random_p, seed=config.seed)
-        assert render_report(point["report"]) == fresh.report_text
+        assert render_report(point["report"]) == render_report(fresh.report)
     first_runs, second_runs = (points[i]["report"]["runs"] for i in (0, 1))
     assert first_runs != second_runs  # the swept value reaches the numbers
 

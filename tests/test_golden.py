@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from dynprec.cli import EXIT_OK, main
-from dynprec.harness import gen_toy, load_model, load_sequence, run_experiment, write_model
+from dynprec.harness import gen_toy, load_model, load_sequence, render_report, run_experiment, write_model
 from dynprec.lstm_quant import Mode
 from dynprec.pdu import PduConfig, Phase
 
@@ -60,7 +60,7 @@ def _sha(data: bytes) -> str:
 def test_report_text_is_pinned(kind, dims, seed, modes, digest):
     model, seq = gen_toy(kind, dims, seed)
     result = run_experiment(model, seq, modes, seed=seed)
-    assert _sha(result.report_text.encode()) == digest
+    assert _sha(render_report(result.report).encode()) == digest
 
 
 @pytest.fixture()

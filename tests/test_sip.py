@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprec.sip import SipConfig, sip_cycles
+from dynprec.accel import SipConfig, sip_cycles
 from quant_oracle import QIndex, dot_int
 from sip_oracle import sip_dot, sip_dot_batch
 
