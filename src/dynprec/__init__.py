@@ -6,6 +6,7 @@ from .harness import (
     ExperimentResult,
     FormatError,
     ModelFormatError,
+    Point,
     SequenceFormatError,
     export_trace,
     gen_toy,
@@ -31,6 +32,7 @@ __all__ = [
     "Mode",
     "ModelFormatError",
     "PduConfig",
+    "Point",
     "SequenceFormatError",
     "SimResult",
     "SipConfig",

@@ -22,7 +22,6 @@ from pathlib import Path
 from .accel import AccelConfig, CapacityError, EnergyModel, SipConfig
 from .harness import (
     ConfigError,
-    Experiment,
     ExperimentResult,
     FormatError,
     Point,
@@ -173,7 +172,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[LstmModel, InputSequence]:
 def _experiment_from_args(args: argparse.Namespace, modes: list[Mode]) -> ExperimentResult:
     model, seq = _load_inputs(args)
     values = load_config_file(args.config) if args.config else {}
-    return run_experiment(model, seq, modes, **vars(build_point(values, len(seq), args.seed)))
+    return run_experiment(model, seq, modes, [build_point(values, len(seq), args.seed)])[0]
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -222,12 +221,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sweep_value(param: str, raw: str, value: float) -> float | int:
+    """What one ``--values`` entry sets; an int key reads an integer literal exactly, as ``float`` rounds past 2**53."""
+    if param not in _INT_KEYS:
+        return value
+    try:
+        return int(raw)
+    except ValueError:
+        return int(value)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     modes = _parse_modes(args.mode)
     if args.param not in _KEYS:
         raise UsageError(f"--param must be one of {sorted(_KEYS)}")
+    entries = [v for v in args.values.split(",") if v.strip()]
     try:
-        raw_values = [float(v) for v in args.values.split(",") if v.strip()]
+        raw_values = [float(v) for v in entries]
     except ValueError:
         raise UsageError(f"--values must be comma-separated numbers, got {args.values!r}") from None
     if not raw_values:
@@ -241,10 +251,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = load_config_file(args.config) if args.config else {}
     # built one at a time as the experiment checks them, so the first bad point in value order fails
     points = (
-        build_point({**base, args.param: int(value) if args.param in _INT_KEYS else value}, len(seq), args.seed)
-        for value in raw_values
+        build_point({**base, args.param: _sweep_value(args.param, raw, value)}, len(seq), args.seed)
+        for raw, value in zip(entries, raw_values)
     )
-    results = Experiment(model, seq).run(modes, points)
+    results = run_experiment(model, seq, modes, points)
     _write_report(render_report(sweep_report(args.param, raw_values, results)), args.report)
     return EXIT_OK
 

@@ -18,7 +18,6 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -32,8 +31,6 @@ from .lstm_quant import (
     DEFAULT_RANDOM_P,
     Lane,
     Mode,
-    QuantizedModel,
-    QuantRunResult,
     quantize_model,
     run_lanes,
     sequence_fingerprint,
@@ -428,73 +425,54 @@ class Point:
         return Lane(mode, self.pdu_config if mode is Mode.DYNAMIC else None)
 
 
-class Experiment:
-    """One model on one input sequence, run at every point of a sweep at once.
+def run_experiment(
+    model: LstmModel, seq: InputSequence, modes: list[Mode], points: Iterable[Point] = (Point(),)
+) -> list[ExperimentResult]:
+    """The reference plus each requested mode at every point, and each point's report.
 
-    ``run`` checks every point, in order, before it runs anything. Then it
-    computes each stage once for all points: the quantized model and the
-    reference read only the model and the sequence; a quantized run reads its
-    mode, plus the ``PduConfig`` in dynamic mode and ``random_p`` and the seed
-    in random mode, and each distinct run is a lane of one ``run_lanes``
-    pass; the reference phases read only the ``PduConfig``, and each distinct
-    one takes part in one ``classify_trace`` pass. Each point then costs its
-    runs with its ``AccelConfig`` and ``EnergyModel``. The runs keep no ``h``
-    traces: the reports read only ``c``.
+    The points are read and checked one at a time, in order, before anything
+    runs. Then each stage runs once for all points: the quantized model and
+    the reference read only the model and the sequence; a quantized run reads
+    its mode, plus the ``PduConfig`` in dynamic mode and ``random_p`` and the
+    seed in random mode, and each distinct run is a lane of one ``run_lanes``
+    pass, which keeps no ``h`` traces since the reports read only ``c``. The
+    8-bit static run is always a lane, as the comparison baseline. Peak/stable
+    error partitions come from the trackers run over the reference, each
+    distinct ``PduConfig`` in one ``classify_trace`` pass, so every mode is
+    measured against the same peak structure. Each point then costs its runs
+    with its ``AccelConfig`` and ``EnergyModel``.
     """
-
-    def __init__(self, model: LstmModel, seq: InputSequence) -> None:
-        self.model = model
-        self.seq = seq
-
-    @cached_property
-    def qmodel(self) -> QuantizedModel:
-        return quantize_model(self.model)
-
-    @cached_property
-    def fp_trace(self) -> StateTrace:
-        return run_fp32(self.model, self.seq)
-
-    def _check(self, modes: list[Mode], point: Point) -> Point:
-        """``point`` with its default ``PduConfig`` filled in, once it passes every check that reads the model."""
+    ordered = list(dict.fromkeys([BASELINE_MODE, *modes]))
+    # the checks read only whether a mode runs trackers
+    trackers = [mode for mode in (BASELINE_MODE, Mode.DYNAMIC) if mode in ordered]
+    qmodel, checked = None, []
+    for point in points:
         if point.pdu_config is None:
-            point = replace(point, pdu_config=PduConfig.for_sequence(len(self.seq)))
-        for mode in modes:
-            try:
-                check_capacity(self.qmodel, self.seq, point.accel_config, point.energy_model, mode)
-            except ValueError as exc:
-                raise ConfigError(f"invalid configuration: {exc}") from None
-        return point
+            point = replace(point, pdu_config=PduConfig.for_sequence(len(seq)))
+        try:
+            if qmodel is None:
+                qmodel = quantize_model(model)
+            for mode in trackers:
+                check_capacity(qmodel, seq, point.accel_config, point.energy_model, mode)
+        except ValueError as exc:
+            raise ConfigError(f"invalid configuration: {exc}") from None
+        checked.append(point)
+    if qmodel is None:  # no points
+        return []
+    fp_trace = run_fp32(model, seq)
+    configs = list(dict.fromkeys(point.pdu_config for point in checked))
+    fp_phases = dict(zip(configs, classify_trace(fp_trace.c, configs)))
+    lanes = list(dict.fromkeys(point.lane(mode) for point in checked for mode in ordered))
+    runs = dict(zip(lanes, run_lanes(qmodel, seq, lanes, keep_h=False)))
 
-    def run(self, modes: list[Mode], points: Iterable[Point]) -> list[ExperimentResult]:
-        """The reference plus each requested mode at every point, and each point's report.
-
-        The points are read and checked one at a time, in order, before
-        anything runs. The 8-bit static run is always simulated as the
-        comparison baseline, even when not requested. Peak/stable error
-        partitions come from running the trackers over the reference
-        cell-state trace, so every mode is measured against the same peak
-        structure.
-        """
-        ordered = list(dict.fromkeys([BASELINE_MODE, *modes]))
-        # the checks read only whether a mode runs trackers
-        trackers = [mode for mode in (BASELINE_MODE, Mode.DYNAMIC) if mode in ordered]
-        checked = [self._check(trackers, point) for point in points]
-        configs = list(dict.fromkeys(point.pdu_config for point in checked))
-        fp_phases = dict(zip(configs, classify_trace(self.fp_trace.c, configs)))
-        lanes = list(dict.fromkeys(point.lane(mode) for point in checked for mode in ordered))
-        runs = dict(zip(lanes, run_lanes(self.qmodel, self.seq, lanes, keep_h=False)))
-        return [self._result(point, ordered, runs, fp_phases[point.pdu_config]) for point in checked]
-
-    def _result(
-        self, point: Point, modes: list[Mode], runs: dict[Lane, QuantRunResult], fp_phases: tuple[np.ndarray, ...]
-    ) -> ExperimentResult:
-        fp_trace = self.fp_trace
+    def result(point: Point) -> ExperimentResult:
+        phases = fp_phases[point.pdu_config]
         sims = {
-            mode.value: cost_run(self.qmodel, self.seq, runs[point.lane(mode)], point.accel_config, point.energy_model)
-            for mode in modes
+            mode.value: cost_run(qmodel, seq, runs[point.lane(mode)], point.accel_config, point.energy_model)
+            for mode in ordered
         }
         baseline = sims[BASELINE_MODE.value]
-        runs_report = {name: _run_entry(sim, baseline, fp_trace, fp_phases) for name, sim in sims.items()}
+        runs_report = {name: _run_entry(sim, baseline, fp_trace, phases) for name, sim in sims.items()}
         histogram = {
             name: [[int(n) for n in (bits == 4).sum(axis=0)] for bits in sim.run.precision_bits]
             for name, sim in sims.items()
@@ -502,16 +480,16 @@ class Experiment:
         report = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "model": {
-                "hash": self.qmodel.fingerprint,
+                "hash": qmodel.fingerprint,
                 "layers": [
                     {"input_size": layer.input_size, "cell_size": layer.cell_size}
-                    for layer in self.model.layers
+                    for layer in model.layers
                 ],
             },
             "sequence": {
-                "hash": sequence_fingerprint(self.seq),
-                "steps": len(self.seq),
-                "width": self.seq.width,
+                "hash": sequence_fingerprint(seq),
+                "steps": len(seq),
+                "width": seq.width,
             },
             "pdu_config": asdict(point.pdu_config),
             "accel_config": asdict(point.accel_config),
@@ -521,23 +499,9 @@ class Experiment:
             "runs": runs_report,
             "precision_histogram": histogram,
         }
-        return ExperimentResult(fp_trace=fp_trace, fp_phases=fp_phases, sims=sims, report=report)
+        return ExperimentResult(fp_trace=fp_trace, fp_phases=phases, sims=sims, report=report)
 
-
-def run_experiment(
-    model: LstmModel,
-    seq: InputSequence,
-    modes: list[Mode],
-    *,
-    accel_config: AccelConfig | None = None,
-    energy_model: EnergyModel | None = None,
-    pdu_config: PduConfig | None = None,
-    random_p: float = DEFAULT_RANDOM_P,
-    seed: int = 0,
-) -> ExperimentResult:
-    """One point of an ``Experiment``; a config left None takes its default."""
-    point = Point(accel_config or AccelConfig(), energy_model or EnergyModel(), pdu_config, random_p, seed)
-    return Experiment(model, seq).run(modes, [point])[0]
+    return [result(point) for point in checked]
 
 
 def sweep_report(param: str, values: list[float], results: list[ExperimentResult]) -> dict:

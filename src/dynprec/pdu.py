@@ -49,27 +49,13 @@ class PduConfig:
             raise ValueError(f"epsilon_range must be positive, got {self.epsilon_range!r}")
 
     @classmethod
-    def for_sequence(
-        cls,
-        n_steps: int,
-        *,
-        beta: float = 0.1,
-        epsilon_range: float = 1e-6,
-        t_profile: int | None = None,
-        m_max_peak: int | None = None,
-        n_max_stable: int | None = None,
-    ) -> "PduConfig":
-        """Resolve the 5%-of-steps counter convention for a known-length sequence."""
+    def for_sequence(cls, n_steps: int, **given: float) -> "PduConfig":
+        """Resolve the 5%-of-steps counter convention for a known-length sequence; ``given`` fields override it."""
         if n_steps < 1:
             raise ValueError("sequence length must be >= 1")
         five_pct = max(1, round(0.05 * n_steps))
-        return cls(
-            t_profile=t_profile if t_profile is not None else min(max(five_pct, 4), 64),
-            m_max_peak=m_max_peak if m_max_peak is not None else five_pct,
-            n_max_stable=n_max_stable if n_max_stable is not None else five_pct,
-            beta=beta,
-            epsilon_range=epsilon_range,
-        )
+        counters = {"t_profile": min(max(five_pct, 4), 64), "m_max_peak": five_pct, "n_max_stable": five_pct}
+        return cls(**{**counters, **given})
 
 
 def thresholds(

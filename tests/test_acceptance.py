@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dynprec.accel import AccelConfig, SipConfig, compare, simulate, sip_cycles
-from dynprec.harness import gen_toy, relative_error_stats, render_report, run_experiment
+from dynprec.harness import Point, gen_toy, relative_error_stats, render_report, run_experiment
 from dynprec.lstm_quant import Mode, quantize_model, run_quantized
 from dynprec.lstm_ref import run_fp32
 from dynprec.pdu import PduConfig, Phase, TrackerState, classify_trace
@@ -126,7 +126,7 @@ def test_criterion_03_cycle_halving(flat_toy):
 
 def test_criterion_04_flat_input_dynamic_behavior(flat_toy):
     model, _, seq = flat_toy
-    result = run_experiment(model, seq, [Mode.DYNAMIC])
+    (result,) = run_experiment(model, seq, [Mode.DYNAMIC])
     usage = result.sims["dynamic"].run.low_precision_usage
     speedup = result.report["runs"]["dynamic"]["speedup_vs_static8"]
     _verdict(
@@ -252,7 +252,7 @@ def test_criterion_10_determinism(tmp_path):
     model, seq = gen_toy("peaky", (1, 12, 12, 150), 5)
     texts = []
     for _ in range(2):
-        result = run_experiment(model, seq, [Mode.STATIC4, Mode.DYNAMIC, Mode.RANDOM], seed=123)
+        (result,) = run_experiment(model, seq, [Mode.STATIC4, Mode.DYNAMIC, Mode.RANDOM], [Point(seed=123)])
         texts.append(render_report(result.report))
     paths = []
     for i, text in enumerate(texts):

@@ -31,6 +31,7 @@ PIPELINE_API = [
     "Mode",
     "ModelFormatError",
     "PduConfig",
+    "Point",
     "SequenceFormatError",
     "SimResult",
     "SipConfig",
@@ -145,13 +146,31 @@ def test_perfbench_layer_metrics_read_a_traced_run(perfbench_run, tmp_path):
     per_mode = sum(4 * (layer.input_size + layer.cell_size) * layer.cell_size * steps for layer in model.layers)
     # perfbench counts MACs from the runs it captures at accel.run_quantized, which the lane pass of an
     # experiment does not call; accel's weight reads of the experiment's runs give the same count
-    result = run_experiment(model, load_sequence(f"{prefix}.seq"), [Mode(name) for name in modes])
+    (result,) = run_experiment(model, load_sequence(f"{prefix}.seq"), [Mode(name) for name in modes])
     qmodel = quantize_model(model)
     reads = [
         _weight_reads(qmodel, steps, [np.count_nonzero(bits == 8) for bits in sim.run.precision_bits])
         for sim in result.sims.values()
     ]
     assert sum(map(sum, reads)) == len(modes) * per_mode
+
+
+def test_perfbench_spans_cover_a_traced_sweep(perfbench_run, tmp_path):
+    # every point of a sweep runs inside the one harness.run_experiment span perfbench reads on the sweep workload
+    from spans import Tracer
+
+    prefix = tmp_path / "toy"
+    assert cli.main(["gen", "--kind", "peaky", "--dims", "1,3,4,20", "--seed", "7", "--out", str(prefix)]) == 0
+    argv = ["sweep", "--param", "beta", "--values", "0.05,0.1,0.2", "--model", f"{prefix}.model",
+            "--input", f"{prefix}.seq", "--report", str(tmp_path / "sweep.json")]
+    tracer = Tracer()
+    tracer.install(perfbench_run.span_targets([]))
+    try:
+        assert tracer.call("cli.main", cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    assert not tracer.missing
+    assert tracer.calls("harness.run_experiment") == 1
 
 
 def test_perfbench_golden_bytes(perfbench_run, tmp_path):

@@ -213,10 +213,12 @@ def test_sweep_accepts_integral_values_for_integer_params(toy_files, tmp_path):
     model, seq = toy_files
     report = tmp_path / "sweep.json"
     argv = ["sweep", "--model", str(model), "--input", str(seq), "--param", "t_profile",
-            "--values", "4,6.0", "--mode", "dynamic", "--report", str(report)]
+            "--values", "4,6.0,9007199254740993", "--mode", "dynamic", "--report", str(report)]
     assert main(argv) == EXIT_OK
     points = json.loads(report.read_text())["sweep"]["points"]
-    assert [p["report"]["pdu_config"]["t_profile"] for p in points] == [4, 6]
+    # an integer literal is read exactly, as a config file reads it; float() would round it to 2**53
+    assert [p["report"]["pdu_config"]["t_profile"] for p in points] == [4, 6, 2**53 + 1]
+    assert [p["value"] for p in points] == [4.0, 6.0, 2.0**53]
 
 
 @pytest.mark.parametrize("verb", ["gen", "run", "trace", "sweep"])
@@ -253,7 +255,7 @@ def test_capacity_error_exit_3(toy_files, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("verb", ["gen", "run"])
+@pytest.mark.parametrize("verb", ["gen", "run", "trace", "sweep"])
 def test_running_out_of_host_memory_exit_3(toy_files, tmp_path, capsys, monkeypatch, verb):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 29.1 TiB for an array")
@@ -262,6 +264,8 @@ def test_running_out_of_host_memory_exit_3(toy_files, tmp_path, capsys, monkeypa
     argv = {
         "gen": ["gen", "--kind", "random", "--dims", "1,2000000,2000000,2", "--out", str(tmp_path / "g")],
         "run": ["run", "--model", str(model), "--input", str(seq)],
+        "trace": ["trace", "--model", str(model), "--input", str(seq), "--element", "0", "--out", str(tmp_path / "t")],
+        "sweep": ["sweep", "--model", str(model), "--input", str(seq), "--param", "beta", "--values", "0.1"],
     }[verb]
     monkeypatch.setattr(cli, "gen_toy", exhausted)
     monkeypatch.setattr(cli, "run_experiment", exhausted)
@@ -499,8 +503,7 @@ def test_sweep_points_match_fresh_experiments(sweep_files, tmp_path, param, valu
     for point in points:
         value = int(point["value"]) if param == "t_profile" else point["value"]
         config = build_point({param: value}, len(seq), seed=3)
-        fresh = run_experiment(model, seq, modes, accel_config=config.accel_config, energy_model=config.energy_model,
-                               pdu_config=config.pdu_config, random_p=config.random_p, seed=config.seed)
+        (fresh,) = run_experiment(model, seq, modes, [config])
         assert render_report(point["report"]) == render_report(fresh.report)
     first_runs, second_runs = (points[i]["report"]["runs"] for i in (0, 1))
     assert first_runs != second_runs  # the swept value reaches the numbers

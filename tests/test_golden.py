@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from dynprec.cli import EXIT_OK, main
-from dynprec.harness import gen_toy, load_model, load_sequence, render_report, run_experiment, write_model
+from dynprec.harness import Point, gen_toy, load_model, load_sequence, render_report, run_experiment, write_model
 from dynprec.lstm_quant import Mode
 from dynprec.pdu import PduConfig, Phase
 
@@ -59,7 +59,7 @@ def _sha(data: bytes) -> str:
 )
 def test_report_text_is_pinned(kind, dims, seed, modes, digest):
     model, seq = gen_toy(kind, dims, seed)
-    result = run_experiment(model, seq, modes, seed=seed)
+    (result,) = run_experiment(model, seq, modes, [Point(seed=seed)])
     assert _sha(render_report(result.report).encode()) == digest
 
 
@@ -126,5 +126,5 @@ def test_perfbench_tracker_events_are_pinned(tmp_path, kind, dims, events):
     assert main(argv) == EXIT_OK
     model, seq = load_model(tmp_path / "toy.model"), load_sequence(tmp_path / "toy.seq")
     pdu_config = PduConfig.for_sequence(len(seq), beta=0.1)  # sweep's pinned point; the default elsewhere
-    result = run_experiment(model, seq, [Mode.DYNAMIC], pdu_config=pdu_config, seed=7)
+    (result,) = run_experiment(model, seq, [Mode.DYNAMIC], [Point(pdu_config=pdu_config, seed=7)])
     assert _tracker_events(result.sims["dynamic"].run.phases) == events

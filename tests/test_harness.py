@@ -8,6 +8,7 @@ from dynprec import harness
 from dynprec.harness import (
     EPS_DENOM,
     ModelFormatError,
+    Point,
     SequenceFormatError,
     SPIKE_HOLD_STEPS,
     export_trace,
@@ -29,13 +30,13 @@ from dynprec.pdu import PduConfig, Phase
 @pytest.fixture(scope="module")
 def flat_experiment():
     model, seq = gen_toy("flat", (1, 16, 16, 200), 7)
-    return run_experiment(model, seq, [Mode.STATIC4, Mode.DYNAMIC])
+    return run_experiment(model, seq, [Mode.STATIC4, Mode.DYNAMIC])[0]
 
 
 @pytest.fixture(scope="module")
 def peaky_experiment():
     model, seq = gen_toy("peaky", (1, 16, 16, 200), 7)
-    return run_experiment(model, seq, [Mode.STATIC4, Mode.DYNAMIC])
+    return run_experiment(model, seq, [Mode.STATIC4, Mode.DYNAMIC])[0]
 
 
 def test_model_round_trip(tmp_path):
@@ -208,7 +209,7 @@ def test_peaky_toy_flags_spikes(peaky_experiment):
 def test_run_experiment_rejects_random_p_outside_unit_interval(random_p):
     model, seq = gen_toy("random", (1, 3, 4, 10), 0)
     with pytest.raises(ValueError, match="random_p"):
-        run_experiment(model, seq, [Mode.RANDOM], random_p=random_p)
+        run_experiment(model, seq, [Mode.RANDOM], [Point(random_p=random_p)])
 
 
 def test_run_experiment_rejects_infinite_beta_before_any_run(monkeypatch):
@@ -216,7 +217,7 @@ def test_run_experiment_rejects_infinite_beta_before_any_run(monkeypatch):
     model, seq = gen_toy("random", (1, 3, 4, 10), 0)
     monkeypatch.setattr(harness, "run_lanes", lambda *args, **kwargs: pytest.fail("a lane pass ran"))
     with pytest.raises(ValueError, match="beta must be finite"):
-        run_experiment(model, seq, [Mode.DYNAMIC], pdu_config=PduConfig.for_sequence(len(seq), beta=math.inf))
+        run_experiment(model, seq, [Mode.DYNAMIC], [Point(pdu_config=PduConfig.for_sequence(len(seq), beta=math.inf))])
 
 
 def test_report_contains_self_comparison(flat_experiment):
@@ -246,8 +247,8 @@ def test_report_histogram_matches_trace(peaky_experiment):
 
 def test_report_text_is_deterministic():
     model, seq = gen_toy("peaky", (1, 8, 8, 120), 3)
-    a = run_experiment(model, seq, [Mode.DYNAMIC, Mode.RANDOM], seed=5)
-    b = run_experiment(model, seq, [Mode.DYNAMIC, Mode.RANDOM], seed=5)
+    (a,) = run_experiment(model, seq, [Mode.DYNAMIC, Mode.RANDOM], [Point(seed=5)])
+    (b,) = run_experiment(model, seq, [Mode.DYNAMIC, Mode.RANDOM], [Point(seed=5)])
     assert render_report(a.report) == render_report(b.report)
     json.loads(render_report(a.report))  # parses back
 
