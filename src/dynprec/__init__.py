@@ -1,6 +1,6 @@
 """Quantized LSTM inference with per-element dynamic precision selection."""
 
-from .accel import AccelConfig, CapacityError, EnergyModel, SimResult, SipConfig, simulate
+from .accel import AccelConfig, CapacityError, EnergyModel, SimResult, SipConfig
 from .harness import (
     ConfigError,
     ExperimentResult,
@@ -13,6 +13,7 @@ from .harness import (
     load_model,
     load_sequence,
     run_experiment,
+    simulate,
     write_model,
     write_sequence,
 )

@@ -42,15 +42,10 @@ from typing import Sequence
 import numpy as np
 
 from .lstm_ref import GATES, InputSequence
-from .lstm_quant import (
-    DEFAULT_RANDOM_P,
-    Mode,
-    QuantRunResult,
-    QuantizedModel,
-    run_quantized,
-    sequence_fingerprint,
-)
-from .pdu import PduConfig
+from .lstm_quant import Mode, QuantRunResult, QuantizedModel, sequence_fingerprint
+
+# Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
+from .lstm_quant import run_quantized
 
 # Scalar-unit work per element and step: four gate activations plus the cell
 # update, output and requantization chain.
@@ -332,25 +327,6 @@ def _energy(
         "static": cycles * em.static_power,
     }
     return sum(breakdown.values()), breakdown
-
-
-def simulate(
-    qmodel: QuantizedModel,
-    seq: InputSequence,
-    mode: Mode,
-    accel_config: AccelConfig | None = None,
-    energy_model: EnergyModel | None = None,
-    pdu_config: PduConfig | None = None,
-    *,
-    random_p: float = DEFAULT_RANDOM_P,
-    random_seed: int = 0,
-) -> SimResult:
-    """Check the run with ``check_capacity``, then run the quantized network and account its cycles and energy."""
-    config = accel_config if accel_config is not None else AccelConfig()
-    em = energy_model if energy_model is not None else EnergyModel()
-    check_capacity(qmodel, seq, config, em, mode)
-    run = run_quantized(qmodel, seq, mode, pdu_config, random_p=random_p, random_seed=random_seed)
-    return cost_run(qmodel, seq, run, config, em)
 
 
 def cost_run(

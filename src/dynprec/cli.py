@@ -235,13 +235,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     modes = _parse_modes(args.mode)
     if args.param not in _KEYS:
         raise UsageError(f"--param must be one of {sorted(_KEYS)}")
-    entries = [v for v in args.values.split(",") if v.strip()]
+    if not args.values.strip():
+        raise UsageError("--values is empty")
+    entries = args.values.split(",")
     try:
         raw_values = [float(v) for v in entries]
     except ValueError:
         raise UsageError(f"--values must be comma-separated numbers, got {args.values!r}") from None
-    if not raw_values:
-        raise UsageError("--values is empty")
     if any(math.isnan(value) for value in raw_values):
         raise UsageError("--values holds NaN")
     if args.param in _INT_KEYS and not all(value.is_integer() for value in raw_values):

@@ -24,13 +24,11 @@ from typing import Iterable
 import numpy as np
 
 from .accel import AccelConfig, EnergyModel, SimResult, check_capacity, compare, cost_run
-
-# Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
-from .accel import simulate
 from .lstm_quant import (
     DEFAULT_RANDOM_P,
     Lane,
     Mode,
+    QuantizedModel,
     quantize_model,
     run_lanes,
     sequence_fingerprint,
@@ -423,6 +421,13 @@ class Point:
         if mode is Mode.RANDOM:
             return Lane(mode, random_p=self.random_p, random_seed=self.seed)
         return Lane(mode, self.pdu_config if mode is Mode.DYNAMIC else None)
+
+
+def simulate(qmodel: QuantizedModel, seq: InputSequence, mode: Mode, point: Point = Point()) -> SimResult:
+    """One mode's run at ``point``: ``check_capacity``, then its lane of ``run_lanes``, then ``cost_run``."""
+    check_capacity(qmodel, seq, point.accel_config, point.energy_model, mode)
+    (run,) = run_lanes(qmodel, seq, [point.lane(mode)])
+    return cost_run(qmodel, seq, run, point.accel_config, point.energy_model)
 
 
 def run_experiment(

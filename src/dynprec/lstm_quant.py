@@ -276,7 +276,7 @@ def run_lanes(
         if dynamic:  # every dynamic lane's trackers of this layer, lane after lane
             parts = ([getattr(t[L], f.name) for t in trackers] for f in fields(TrackerState))
             state = TrackerState(*map(np.concatenate, parts))
-            config = TrackerConfig.spread(configs, state, n_steps)
+            config = TrackerConfig.spread(configs, n)
         keep = keep_h or L + 1 < len(sizes)
         c_trace, h_trace, phases, adjusted = _run_layer(layer, inputs, high[L], state, config, keep)
         for k, lane_trackers in enumerate(trackers):  # each lane's trackers end where its run did

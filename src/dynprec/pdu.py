@@ -111,16 +111,13 @@ class TrackerConfig:
     epsilon_range: np.ndarray
 
     @classmethod
-    def spread(cls, configs: Sequence[PduConfig], state: TrackerState, n_steps: int) -> "TrackerConfig":
-        """Each config over an equal run of ``state``'s elements, in order, for its next ``n_steps`` observations.
+    def spread(cls, configs: Sequence[PduConfig], size: int) -> "TrackerConfig":
+        """Each config over a run of ``size`` elements, in order.
 
-        No counter passes its largest value in ``state`` plus ``n_steps``, so
-        a limit above that horizon is stored as the horizon plus one: it
-        still never expires, and it fits in int64.
+        A limit past int64 is stored as the int64 maximum: a counter passes its
+        limit only once it reaches it, and no counter gets near 2**63 - 1.
         """
-        size = state.phase.size // len(configs) if configs else 0
-        horizon = n_steps + int(state.steps_in_phase.max(initial=0))
-        limits = [[min(v, horizon + 1) for v in (c.t_profile, c.n_max_stable + 1, c.m_max_peak + 1)] for c in configs]
+        limits = [[min(v, 2**63 - 1) for v in (c.t_profile, c.n_max_stable + 1, c.m_max_peak + 1)] for c in configs]
         return cls(
             np.repeat(np.array(limits, dtype=np.int64).reshape(-1, 3), size, axis=0).ravel(),
             np.arange(0, 3 * size * len(configs), 3),
@@ -189,7 +186,7 @@ def classify_trace(traces: Sequence[np.ndarray], configs: Sequence[PduConfig]) -
     trace = np.concatenate(layers, axis=1)  # every layer's elements side by side
     (n_steps, n), k = trace.shape, len(configs)
     state = TrackerState.fresh(k * n)
-    config = TrackerConfig.spread(configs, state, n_steps)
+    config = TrackerConfig.spread(configs, n)
     phases = np.empty((k, n_steps, n), dtype=np.int8)
     for t, row in enumerate(trace):
         pdu_observe(state, config, np.tile(row, k))

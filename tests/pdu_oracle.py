@@ -84,4 +84,4 @@ def scalar_observe(tracker: ScalarTracker, config: PduConfig, c_value: float) ->
 
 def observe(state: TrackerState, config: PduConfig, c_vector: np.ndarray) -> None:
     """``pdu_observe`` with one ``PduConfig`` for every element."""
-    pdu_observe(state, TrackerConfig.spread([config], state, 1), c_vector)
+    pdu_observe(state, TrackerConfig.spread([config], state.phase.size), c_vector)

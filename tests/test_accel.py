@@ -14,9 +14,8 @@ from dynprec.accel import (
     _step_cycles,
     compare,
     cost_run,
-    simulate,
 )
-from dynprec.harness import gen_toy
+from dynprec.harness import Point, gen_toy, simulate
 from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel
 from dynprec.lstm_quant import Mode, quantize_model, run_quantized
 from dynprec.pdu import PduConfig
@@ -50,8 +49,8 @@ def toy():
 def test_cycle_ratio_exactly_two_without_overheads(toy):
     qmodel, seq = toy
     cfg = without_overheads(AccelConfig())
-    low = simulate(qmodel, seq, Mode.STATIC4, cfg)
-    high = simulate(qmodel, seq, Mode.STATIC8, cfg)
+    low = simulate(qmodel, seq, Mode.STATIC4, Point(cfg))
+    high = simulate(qmodel, seq, Mode.STATIC8, Point(cfg))
     assert high.total_cycles == 2 * low.total_cycles
     speedup, savings = compare(low, high)
     assert speedup == 2.0
@@ -69,9 +68,9 @@ def test_cycle_ratio_near_two_with_default_overheads(toy):
 def test_mixed_run_matches_closed_form(toy):
     qmodel, seq = toy
     cfg = AccelConfig()
-    total8 = simulate(qmodel, seq, Mode.STATIC8, cfg).total_cycles
+    total8 = simulate(qmodel, seq, Mode.STATIC8, Point(cfg)).total_cycles
     for seed in (1, 2, 3):
-        mixed = simulate(qmodel, seq, Mode.RANDOM, cfg, random_p=0.4, random_seed=seed)
+        mixed = simulate(qmodel, seq, Mode.RANDOM, Point(cfg, random_p=0.4, seed=seed))
         u = mixed.run.low_precision_usage
         predicted = total8 * (1 - u / 2)
         assert mixed.total_cycles == pytest.approx(predicted, rel=0.02)
@@ -94,7 +93,7 @@ def test_weight_fetch_energy_ratio_half(toy):
 def test_zero_coefficients_leave_only_static_energy(toy):
     qmodel, seq = toy
     em = zero_dynamic(static_power=2.5)
-    out = simulate(qmodel, seq, Mode.STATIC8, energy_model=em)
+    out = simulate(qmodel, seq, Mode.STATIC8, Point(energy_model=em))
     assert out.energy_total == 2.5 * out.total_cycles
 
 
@@ -103,7 +102,7 @@ def test_cycles_monotone_in_low_precision_usage(toy):
     cfg = without_overheads(AccelConfig())
     prev = None
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        out = simulate(qmodel, seq, Mode.RANDOM, cfg, random_p=p, random_seed=11)
+        out = simulate(qmodel, seq, Mode.RANDOM, Point(cfg, random_p=p, seed=11))
         if prev is not None:
             assert out.total_cycles <= prev
         prev = out.total_cycles
@@ -131,7 +130,7 @@ def test_mu_drain_floors_small_layers():
     qmodel = quantize_model(model)
     seq = InputSequence(rng.uniform(-1, 1, (10, 2)))
     cfg = AccelConfig()
-    out = simulate(qmodel, seq, Mode.STATIC4, cfg)
+    out = simulate(qmodel, seq, Mode.STATIC4, Point(cfg))
     # dot products cost 2*(4) = 8 cycles per element * 2 elements = 16 per step,
     # below the scalar-unit drain, so the drain dominates every step
     drain = cfg.mu_drain_cycles()
@@ -142,7 +141,7 @@ def test_bandwidth_ceiling_stretches_steps(toy):
     qmodel, seq = toy
     fast = simulate(qmodel, seq, Mode.STATIC4)
     slow_cfg = dataclasses.replace(AccelConfig(), peak_bandwidth=1e3)
-    slow = simulate(qmodel, seq, Mode.STATIC4, slow_cfg)
+    slow = simulate(qmodel, seq, Mode.STATIC4, Point(slow_cfg))
     assert slow.total_cycles > fast.total_cycles
     dram_bytes = (16 + 16) * 4
     min_step = math.ceil(dram_bytes * slow_cfg.frequency_hz / slow_cfg.peak_bandwidth)
@@ -167,7 +166,7 @@ def test_simulate_propagates_capacity_error(toy):
     qmodel, seq = toy
     cfg = dataclasses.replace(AccelConfig(), weight_buffer_bytes=16)
     with pytest.raises(CapacityError):
-        simulate(qmodel, seq, Mode.STATIC8, cfg)
+        simulate(qmodel, seq, Mode.STATIC8, Point(cfg))
 
 
 def test_wall_time_follows_frequency(toy):
@@ -178,7 +177,7 @@ def test_wall_time_follows_frequency(toy):
 
 def test_dynamic_run_charges_pdu_energy(toy):
     qmodel, seq = toy
-    dyn = simulate(qmodel, seq, Mode.DYNAMIC, pdu_config=PduConfig.for_sequence(len(seq)))
+    dyn = simulate(qmodel, seq, Mode.DYNAMIC, Point(pdu_config=PduConfig.for_sequence(len(seq))))
     st = simulate(qmodel, seq, Mode.STATIC4)
     assert dyn.energy_breakdown["pdu"] > 0.0
     assert st.energy_breakdown["pdu"] == 0.0
@@ -196,7 +195,7 @@ def test_energy_matches_per_step_oracle(mode, dims):
     seq = InputSequence(rng.uniform(-1, 1, (30, dims[0][0])))
     want_run, steps = run_quantized_reference(qmodel, seq, mode, random_p=0.5, random_seed=4)
     for em in (EnergyModel(), _ODD_ENERGY):
-        sim = simulate(qmodel, seq, mode, energy_model=em, random_p=0.5, random_seed=4)
+        sim = simulate(qmodel, seq, mode, Point(energy_model=em, random_p=0.5, seed=4))
         assert sim.run.input_adjusted == want_run.input_adjusted
         assert all(type(v) is int for v in sim.run.input_adjusted)
         want_total, want_breakdown = energy_reference(steps, sim.total_cycles, em)
@@ -255,7 +254,7 @@ def test_step_cycles_match_per_step_oracle(case):
     qmodel = quantize_model(_random_model(rng, dims))
     seq = InputSequence(rng.uniform(-1, 1, (60, dims[0][0])))
     cfg = dataclasses.replace(AccelConfig(), **overrides)
-    run = simulate(qmodel, seq, mode, cfg, random_p=0.5, random_seed=5).run
+    run = simulate(qmodel, seq, mode, Point(cfg, random_p=0.5, seed=5)).run
     dynamic = mode is Mode.DYNAMIC
     total, steps = _step_cycles(qmodel, run, cfg, dynamic)
     want_total, want_steps, want_regimes = step_cycles_reference(qmodel, run, cfg, dynamic)
@@ -268,25 +267,25 @@ def test_cycle_count_beyond_int64_is_a_capacity_error(toy):
     qmodel, seq = toy
     huge = dataclasses.replace(AccelConfig(), sip=SipConfig(reduction_latency=MAX_CYCLES // 4))
     with pytest.raises(CapacityError, match="cycle counter"):
-        simulate(qmodel, seq, Mode.STATIC4, huge)
+        simulate(qmodel, seq, Mode.STATIC4, Point(huge))
     slow = dataclasses.replace(AccelConfig(), frequency_hz=1e300, peak_bandwidth=1e-300)
     with pytest.raises(CapacityError, match="cycle counter"):
-        simulate(qmodel, seq, Mode.STATIC4, slow)
+        simulate(qmodel, seq, Mode.STATIC4, Point(slow))
     # a step stretched to 2**51 - 0.5 cycles is charged 2**51, so 4096 of them pass the counter although
     # 4096 fractional steps (2**63 - 2048) would not
     model, long_seq = gen_toy("flat", (1, 1, 1, 4096), 1)
     stretched = dataclasses.replace(AccelConfig(), frequency_hz=2251799813685247.5, peak_bandwidth=8)
     with pytest.raises(CapacityError, match="cycle counter"):
-        simulate(quantize_model(model), long_seq, Mode.STATIC8, stretched)
+        simulate(quantize_model(model), long_seq, Mode.STATIC8, Point(stretched))
 
 
 def test_simulate_refuses_what_a_report_cannot_hold(toy):
     qmodel, seq = toy
     with pytest.raises(ValueError, match="static8 run's wall time"):
-        simulate(qmodel, seq, Mode.STATIC8, AccelConfig(frequency_hz=1e-320))
+        simulate(qmodel, seq, Mode.STATIC8, Point(AccelConfig(frequency_hz=1e-320)))
     # a static 8-bit baseline with no energy, which compare would divide by
     with pytest.raises(ValueError, match="baseline energy of at least 0.0"):
-        simulate(qmodel, seq, Mode.STATIC4, energy_model=zero_dynamic(static_power=0.0))
+        simulate(qmodel, seq, Mode.STATIC4, Point(energy_model=zero_dynamic(static_power=0.0)))
 
 
 @pytest.mark.parametrize(

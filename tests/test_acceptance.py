@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from dynprec.accel import AccelConfig, SipConfig, compare, simulate, sip_cycles
-from dynprec.harness import Point, gen_toy, relative_error_stats, render_report, run_experiment
+from dynprec.accel import AccelConfig, SipConfig, compare, sip_cycles
+from dynprec.harness import Point, gen_toy, relative_error_stats, render_report, run_experiment, simulate
 from dynprec.lstm_quant import Mode, quantize_model, run_quantized
 from dynprec.lstm_ref import run_fp32
 from dynprec.pdu import PduConfig, Phase, TrackerState, classify_trace
@@ -216,7 +216,7 @@ def test_criterion_08_energy_accounting(peaky_toy):
     )
     fetch_ratio = low.energy_breakdown["weight_fetch"] / high.energy_breakdown["weight_fetch"]
     em = zero_dynamic(static_power=3.0)
-    zeroed = simulate(qmodel, seq, Mode.STATIC8, energy_model=em)
+    zeroed = simulate(qmodel, seq, Mode.STATIC8, Point(energy_model=em))
     static_only = zeroed.energy_total == 3.0 * zeroed.total_cycles
     _verdict(
         8,
@@ -229,12 +229,12 @@ def test_criterion_08_energy_accounting(peaky_toy):
 def test_criterion_09_closed_form_timing(peaky_toy):
     _, qmodel, seq = peaky_toy
     cfg = AccelConfig()
-    total8 = simulate(qmodel, seq, Mode.STATIC8, cfg).total_cycles
+    total8 = simulate(qmodel, seq, Mode.STATIC8, Point(cfg)).total_cycles
     worst = 0.0
     runs = [
-        simulate(qmodel, seq, Mode.DYNAMIC, cfg),
-        simulate(qmodel, seq, Mode.RANDOM, cfg, random_p=0.33, random_seed=1),
-        simulate(qmodel, seq, Mode.RANDOM, cfg, random_p=0.66, random_seed=2),
+        simulate(qmodel, seq, Mode.DYNAMIC, Point(cfg)),
+        simulate(qmodel, seq, Mode.RANDOM, Point(cfg, random_p=0.33, seed=1)),
+        simulate(qmodel, seq, Mode.RANDOM, Point(cfg, random_p=0.66, seed=2)),
     ]
     for sim in runs:
         u = sim.run.low_precision_usage

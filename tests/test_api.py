@@ -72,6 +72,19 @@ def test_harness_alone_builds_reports():
     assert owners == ["harness.py"]
 
 
+def test_accel_only_costs_runs():
+    # harness turns a configuration into a run; accel checks and costs finished runs
+    tree = ast.parse((SRC / "accel.py").read_text())
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"run_lanes", "run_quantized"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "simulate" not in defined
+
+
 @pytest.fixture()
 def perfbench_run(monkeypatch):
     """perfbench/run.py, loaded by path with perfbench/ importable."""

@@ -200,6 +200,8 @@ def test_random_p_outside_unit_interval_exit_2(toy_files, tmp_path, capsys, rand
         ("lanes", "4,2.5"),
         ("weight_buffer_bytes", "1e9,0.5"),
         ("pdu_update_cycles", "inf"),
+        ("beta", "0.1,,0.2"),
+        ("beta", "0.1,"),
     ],
 )
 def test_sweep_rejects_invalid_values_exit_1(toy_files, capsys, param, values):
@@ -573,7 +575,8 @@ def test_sweep_fails_at_the_first_bad_point_before_any_run(toy_files, capsys, mo
 
 @pytest.mark.parametrize("key", ["t_profile", "m_max_peak", "n_max_stable"])
 def test_huge_tracker_limits_run_as_limits_never_reached(toy_files, tmp_path, key):
-    # a limit past the last step never expires, so 1e20 runs as steps + 1; the report keeps the given value
+    # a limit past the last step never expires: 1e20, stored as the int64 maximum, runs as steps + 1 does;
+    # the report keeps the given value
     model, seq = toy_files
     steps = len(load_sequence(seq))
     report = tmp_path / "sweep.json"

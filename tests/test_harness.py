@@ -19,10 +19,12 @@ from dynprec.harness import (
     relative_error_stats,
     render_report,
     run_experiment,
+    simulate,
     write_model,
     write_sequence,
 )
-from dynprec.lstm_quant import Mode
+from dynprec.accel import AccelConfig, EnergyModel
+from dynprec.lstm_quant import Mode, quantize_model
 from dynprec.lstm_ref import InputSequence, StateTrace, run_fp32
 from dynprec.pdu import PduConfig, Phase
 
@@ -251,6 +253,26 @@ def test_report_text_is_deterministic():
     (b,) = run_experiment(model, seq, [Mode.DYNAMIC, Mode.RANDOM], [Point(seed=5)])
     assert render_report(a.report) == render_report(b.report)
     json.loads(render_report(a.report))  # parses back
+
+
+def test_simulate_matches_the_experiment_at_a_point():
+    # simulate runs one mode alone; at the same point each run must equal that mode's run in an experiment
+    model, seq = gen_toy("peaky", (2, 6, 5, 80), 4)
+    point = Point(
+        AccelConfig(peak_bandwidth=2e9, mu_comm_cycles=7),
+        EnergyModel(static_power=1.5, pdu_update=0.9),
+        PduConfig(t_profile=3, m_max_peak=4, n_max_stable=6, beta=0.2),
+        random_p=0.6,
+        seed=9,
+    )
+    (result,) = run_experiment(model, seq, list(Mode), [point])
+    qmodel = quantize_model(model)
+    for mode in Mode:
+        got, want = simulate(qmodel, seq, mode, point), result.sims[mode.value]
+        assert got.total_cycles == want.total_cycles, mode
+        assert got.energy_breakdown == want.energy_breakdown, mode
+        assert all(map(np.array_equal, got.run.precision_bits, want.run.precision_bits)), mode
+        assert all(map(np.array_equal, got.run.trace.c, want.run.trace.c)), mode
 
 
 def _c_trace(*layers) -> StateTrace:
