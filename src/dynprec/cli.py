@@ -141,6 +141,8 @@ def _parse_modes(raw: str) -> list[Mode]:
             raise UsageError(
                 f"unknown mode {name!r}; choose from {', '.join(m.value for m in Mode)}"
             ) from None
+        if modes.count(modes[-1]) > 1:
+            raise UsageError(f"--mode lists {name!r} more than once")
     return modes
 
 

@@ -6,21 +6,21 @@ layer's stacked gate-major weights, so each connection of a layer is one
 operand. One pass runs several lanes, each a mode and the fields it reads,
 and each lane's result is bit-identical to its run alone. The pass goes
 layer by layer. A layer's inputs are known before it starts, so they are
-encoded a chunk at a time and their forward products run as one GEMM per
-chunk of about ``FORWARD_CHUNK`` columns and per precision some lane can
-pick; layer 0 reads the same input in every lane, so its products are
-computed once. Each step then does only what depends on the step before:
-every lane picks its precision mix, the lanes' previous outputs are encoded
-at both precisions at once, the recurrent products run as one GEMM per
-precision over a lane-minor [cell, lanes] operand, and the cells update. The
-four gate neurons feeding one cell-state element always share that element's
-precision. Matrix products run on the integer indices in float32 BLAS,
-exactly (``exact_index_products``), so a GEMM gives the bits of a per-step
-product; rescaling to reals and the cell update (``lstm_ref.lstm_cell``) run
-in float64. Alongside the traces and precision choices each lane counts, per
-layer, the one event that needs the run itself: the input offsets adjusted
-on steps with a 4-bit element. The accelerator model (``accel``) derives
-every other event from these.
+encoded a chunk at a time and their forward products run as one stacked
+GEMM of both precisions per chunk of about ``FORWARD_CHUNK`` columns;
+layer 0 reads the same input in every lane, so its products are computed
+once. Each step then does only what depends on the step before: every lane
+picks its precision mix, the lanes' previous outputs are encoded at both
+precisions at once, the recurrent products run as one stacked GEMM over
+the lane-minor [2, cell, lanes] codes, one select keeps each element's
+precision, and the cells update. The four gate neurons feeding one
+cell-state element always share that element's precision. Matrix products
+run on the integer indices in float32 BLAS, exactly (``exact_index_products``),
+so a GEMM gives the bits of a per-step product; rescaling to reals and the
+cell update (``lstm_ref.lstm_cell``) run in float64. Alongside the traces and
+precision choices each lane counts, per layer, the one event that needs the
+run itself: the input offsets adjusted on steps with a 4-bit element. The
+accelerator model (``accel``) derives every other event from these.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ DEFAULT_RANDOM_P = 0.33
 # Outputs live in (-1, 1) and are always quantized with alpha 1.
 H_STEPS = dual_steps(1.0)
 
-# Columns per forward GEMM, one per lane and step. It bounds each precision's
-# [columns, 4H] float64 products buffer; 128 already cost peak memory on wide layers.
+# Columns per forward GEMM, one per lane and step. It bounds the [2, columns, 4H]
+# float64 products buffer of both precisions; 128 already cost peak memory on wide layers.
 FORWARD_CHUNK = 64
 
 
@@ -74,15 +74,15 @@ FLOAT32_EXACT_COLUMNS = (2**24 - 1) // magnitude_limit(8) ** 2
 def exact_index_products(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``w @ v`` for integer-valued float32 operands, exact for any fan-in.
 
-    Each column block is one float32 BLAS product whose sum is an exact
-    integer; the block results are added in float64, which stays exact under
-    ``check_exact_fan_in``. A fan-in of at most ``FLOAT32_EXACT_COLUMNS`` is
-    one block, returned as float32 for the caller's float64 rescale.
+    ``w`` [..., rows, k] and ``v`` [..., k, cols] may stack both precisions, as [2, rows, k] and [2, k, cols].
+    Each column block is one float32 BLAS product whose sum is an exact integer; the block results are
+    added in float64, which stays exact under ``check_exact_fan_in``. A fan-in of at most
+    ``FLOAT32_EXACT_COLUMNS`` is one block, returned as float32 for the caller's float64 rescale.
     """
-    total = w[:, :FLOAT32_EXACT_COLUMNS] @ v[:FLOAT32_EXACT_COLUMNS]
-    for start in range(FLOAT32_EXACT_COLUMNS, w.shape[1], FLOAT32_EXACT_COLUMNS):
+    total = w[..., :FLOAT32_EXACT_COLUMNS] @ v[..., :FLOAT32_EXACT_COLUMNS, :]
+    for start in range(FLOAT32_EXACT_COLUMNS, w.shape[-1], FLOAT32_EXACT_COLUMNS):
         stop = start + FLOAT32_EXACT_COLUMNS
-        total = np.add(total, w[:, start:stop] @ v[start:stop], dtype=np.float64)
+        total = np.add(total, w[..., start:stop] @ v[..., start:stop, :], dtype=np.float64)
     return total
 
 
@@ -103,17 +103,17 @@ class FusedOperand:
 def _forward_products(
     w: np.ndarray, v: np.ndarray, v_steps: np.ndarray, row_steps: np.ndarray, out: np.ndarray, lanes: int
 ) -> np.ndarray:
-    """Rescaled products of ``w`` with each of ``v``'s rows, into ``out[:len(v)]``.
+    """Rescaled products of ``w`` [2, 4H, fan_in] with each of ``v``'s rows [2, columns, fan_in], into ``out``.
 
-    ``v`` holds ``lanes`` blocks of steps, lane after lane; the products are returned as [steps, 4H, lanes].
-    The rows' index vectors form one [fan_in, rows] operand, so ``exact_index_products`` keeps its column
-    blocks exact in one GEMM. The rescale groups as the recurrent products do:
-    ``products * (row_step * vector_step)``.
+    ``v`` holds ``lanes`` blocks of steps, lane after lane, with steps ``v_steps`` [2, columns]; the
+    products of both precisions are returned as [2, steps, 4H, lanes]. The rows' index vectors form one
+    [2, fan_in, columns] operand, so ``exact_index_products`` keeps its column blocks exact in one stacked
+    GEMM. The rescale groups as the recurrent products do: ``products * (row_step * vector_step)``.
     """
-    chunk = out[: len(v)]
-    np.multiply.outer(v_steps, row_steps, out=chunk)
-    chunk *= exact_index_products(w, v.T).T
-    return chunk.reshape(lanes, -1, chunk.shape[1]).transpose(1, 2, 0)
+    chunk = out[:, : v.shape[1]]
+    np.multiply(v_steps[:, :, None], row_steps[:, None], out=chunk)
+    chunk *= exact_index_products(w, v.swapaxes(1, 2)).swapaxes(1, 2)
+    return chunk.reshape(2, lanes, -1, chunk.shape[2]).transpose(0, 2, 3, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,23 +321,19 @@ def _run_layer(
     """
     n_lanes, n_steps, n = high.shape
     n_dyn = 0 if trackers is None else trackers.phase.size // n
-    rows = len(GATES) * n
     shared = len(inputs)
     span = max(1, FORWARD_CHUNK // shared)  # steps per chunk: about FORWARD_CHUNK forward columns
     c_trace = np.empty((n_lanes, n_steps, n))
     h_trace = np.empty((n_lanes, n_steps, n)) if keep_h else None
-    h_chunk = None if keep_h else np.empty((n_lanes, span, n))
     phases = np.empty((n_dyn, n_steps, n), dtype=np.int8)
     adjusted = np.empty((n_lanes, n_steps), dtype=np.int64)
-    # a step's state is lane-minor, [cell, lanes], so each recurrent product is one GEMM
+    # a step's state is lane-minor, [cell, lanes], so both precisions' recurrent products are one GEMM
     rec_scales = (layer.rec.steps * H_STEPS[:, None])[:, :, None]
     h_steps, bias = H_STEPS[:, None, None], layer.bias[:, None]
     h_idx = np.empty((2, n, n_lanes))
     h_codes = np.empty((span, 2, n, n_lanes), dtype=np.float32)  # each step's h at 8 and at 4 bits
-    split = (len(GATES), n, n_lanes)
-    # forward products a chunk at a time, at each precision (0: 8 bits, 1: 4 bits) some lane can pick
-    can_pick = (n_dyn or high[n_dyn:].any(), n_dyn or not high[n_dyn:].all())
-    fwd_out = [np.empty((shared * span, rows)) if can else None for can in can_pick]
+    split = (2, len(GATES), n, n_lanes)
+    fwd_out = np.empty((2, shared * span, len(GATES) * n))  # forward products a chunk at a time, 8 bits then 4
     c = h = np.zeros((n, n_lanes))
     for t0 in range(0, n_steps, span):
         t1 = min(t0 + span, n_steps)
@@ -345,22 +341,19 @@ def _run_layer(
         _, x_steps = _block_steps(x, 1)  # each step's input at its own alpha
         x_codes = dual_codes(x, x_steps[:, :, None]).astype(np.float32)  # exact casts: |index| <= 127
         adjusted[:, t0:t1] = np.count_nonzero(offset_bits(x_codes), axis=1).reshape(shared, -1)
-        fwd = [_forward_products(layer.fwd.codes[p], x_codes[p], x_steps[p], layer.fwd.steps[p], out, shared)
-               if out is not None else None for p, out in enumerate(fwd_out)]
-        h_out = h_trace[:, t0:t1] if keep_h else h_chunk[:, : t1 - t0]
+        fwd = _forward_products(layer.fwd.codes, x_codes, x_steps, layer.fwd.steps, fwd_out, shared)
         for j, t in enumerate(range(t0, t1)):
             picks = high[:, t]
             if n_dyn:
                 picks[:n_dyn] = trackers.high_precision().reshape(n_dyn, n)
             h_codes[j] = dual_codes(h, h_steps, out=h_idx)
-            n8 = np.count_nonzero(picks)  # a precision no element picks is skipped
-            pre = [fwd[p][j] + exact_index_products(layer.rec.codes[p], h_codes[j, p]) * rec_scales[p]
-                   for p, picked in enumerate((n8 > 0, n8 < picks.size)) if picked]
-            if len(pre) == 2:  # a mixed step picks per element
-                mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
-                pre = [np.where(mask, pre[0].reshape(split), pre[1].reshape(split)).reshape(rows, n_lanes)]
-            c, h = lstm_cell(np.add(pre[0], bias, out=pre[0]), c)
-            c_trace[:, t], h_out[:, j] = c.T, h.T
+            both = (fwd[:, j] + exact_index_products(layer.rec.codes, h_codes[j]) * rec_scales).reshape(split)
+            mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
+            pre = np.where(mask, both[0], both[1]).reshape(-1, n_lanes)  # each element's precision
+            c, h = lstm_cell(np.add(pre, bias, out=pre), c)
+            c_trace[:, t] = c.T
+            if keep_h:
+                h_trace[:, t] = h.T
             if n_dyn:
                 pdu_observe(trackers, tracker_config, c[:, :n_dyn].T.ravel())
                 phases[:, t] = trackers.phase.reshape(n_dyn, n)

@@ -118,6 +118,9 @@ def test_usage_errors_exit_1(toy_files, capsys):
     model, seq = toy_files
     assert main(["run", "--model", str(model)]) == EXIT_USAGE  # missing --input
     assert main(["run", "--model", str(model), "--input", str(seq), "--mode", "bogus"]) == EXIT_USAGE
+    assert main(["run", "--model", str(model), "--input", str(seq), "--mode", "dynamic,dynamic"]) == EXIT_USAGE
+    assert main(["sweep", "--model", str(model), "--input", str(seq), "--param", "beta", "--values", "0.1",
+                 "--mode", "static8,static4,static8"]) == EXIT_USAGE
     assert main(["gen", "--kind", "flat", "--dims", "1,2", "--seed", "0", "--out", "x"]) == EXIT_USAGE
     # the sequence header stores steps and input_size as uint32
     assert main(["gen", "--kind", "flat", "--dims", "1,1,1,4294967296", "--seed", "0", "--out", "x"]) == EXIT_USAGE

@@ -400,6 +400,29 @@ def test_run_encodes_once_per_layer_and_keeps_no_whole_sequence_products():
         assert growth <= budget * len(lanes), ([lane.mode for lane in lanes], growth)
 
 
+def test_one_stacked_product_per_forward_chunk_and_layer_step():
+    # Both precisions share each product: a forward chunk makes one call, as does each layer-step,
+    # whatever precisions its lanes pick.
+    rng = np.random.default_rng(22)
+    qmodel = quantize_model(_random_model(rng, [(3, 5), (5, 4)]))
+    seq = InputSequence(rng.uniform(-1, 1, (2 * FORWARD_CHUNK + 1, 3)))
+    product = lstm_quant.exact_index_products
+
+    def counting(w, v):
+        assert len(w) == len(v) == 2, (w.shape, v.shape)
+        calls.append(w.shape)
+        return product(w, v)
+
+    for lanes in _lane_sets(len(seq)):
+        calls = []
+        with mock.patch.object(lstm_quant, "exact_index_products", counting):
+            run_lanes(qmodel, seq, lanes)
+        # layer 0 reads one shared input, a later layer each lane's own: about FORWARD_CHUNK columns a chunk
+        spans = [FORWARD_CHUNK, max(1, FORWARD_CHUNK // len(lanes))]
+        expected = sum(len(seq) + math.ceil(len(seq) / span) for span in spans)
+        assert len(calls) == expected, ([lane.mode for lane in lanes], len(calls), expected)
+
+
 def test_run_rejects_wrong_width(toy):
     _, qmodel, _ = toy
     with pytest.raises(ValueError):
