@@ -34,7 +34,10 @@ from .lstm_quant import (
     sequence_fingerprint,
 )
 from .lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, StateTrace, run_fp32
-from .pdu import PduConfig, Phase, classify_trace
+from .pdu import PduConfig, Phase
+
+# Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
+from .pdu import classify_trace
 
 REPORT_SCHEMA_VERSION = 1
 SEQUENCE_MAGIC = b"LSTMSEQ1"
@@ -442,10 +445,11 @@ def run_experiment(
     seed in random mode, and each distinct run is a lane of one ``run_lanes``
     pass, which keeps no ``h`` traces since the reports read only ``c``. The
     8-bit static run is always a lane, as the comparison baseline. Peak/stable
-    error partitions come from the trackers run over the reference, each
-    distinct ``PduConfig`` in one ``classify_trace`` pass, so every mode is
-    measured against the same peak structure. Each point then costs its runs
-    with its ``AccelConfig`` and ``EnergyModel``.
+    error partitions come from fresh trackers over the reference's cell
+    states, one set per distinct ``PduConfig``, which ride the same lane pass
+    as extra tracker rows, so every mode is measured against the same peak
+    structure. Each point then costs its runs with its ``AccelConfig`` and
+    ``EnergyModel``.
     """
     ordered = list(dict.fromkeys([BASELINE_MODE, *modes]))
     # the checks read only whether a mode runs trackers
@@ -466,9 +470,9 @@ def run_experiment(
         return []
     fp_trace = run_fp32(model, seq)
     configs = list(dict.fromkeys(point.pdu_config for point in checked))
-    fp_phases = dict(zip(configs, classify_trace(fp_trace.c, configs)))
     lanes = list(dict.fromkeys(point.lane(mode) for point in checked for mode in ordered))
-    runs = dict(zip(lanes, run_lanes(qmodel, seq, lanes, keep_h=False)))
+    results, phases = run_lanes(qmodel, seq, lanes, keep_h=False, reference=(fp_trace.c, configs))
+    runs, fp_phases = dict(zip(lanes, results)), dict(zip(configs, phases))
 
     def result(point: Point) -> ExperimentResult:
         phases = fp_phases[point.pdu_config]

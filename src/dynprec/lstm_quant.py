@@ -21,6 +21,12 @@ cell update (``lstm_ref.lstm_cell``) run in float64. Alongside the traces and
 precision choices each lane counts, per layer, the one event that needs the
 run itself: the input offsets adjusted on steps with a 4-bit element. The
 accelerator model (``accel``) derives every other event from these.
+
+Every tracker of a layer is a row of one ``TrackerState`` and observes each
+step in one ``pdu_observe`` call: the dynamic lanes' trackers first, then
+any fresh ones over a given reference trace (the full-precision run's cell
+states, one set per ``PduConfig``), whose phases come back beside the lane
+results.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lstm_ref import GATES, InputSequence, LstmModel, StateTrace, lstm_cell
+from .lstm_ref import FORWARD_CHUNK, GATES, InputSequence, LstmModel, StateTrace, lstm_cell
 
 # Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
 from .lstm_ref import sigmoid
@@ -44,10 +50,6 @@ DEFAULT_RANDOM_P = 0.33
 
 # Outputs live in (-1, 1) and are always quantized with alpha 1.
 H_STEPS = dual_steps(1.0)
-
-# Columns per forward GEMM, one per lane and step. It bounds the [2, columns, 4H]
-# float64 products buffer of both precisions; 128 already cost peak memory on wide layers.
-FORWARD_CHUNK = 64
 
 
 class Mode(enum.Enum):
@@ -225,8 +227,13 @@ def run_quantized(
 
 @np.errstate(over="ignore")  # see lstm_ref.run_fp32
 def run_lanes(
-    qmodel: QuantizedModel, seq: InputSequence, lanes: Sequence[Lane], *, keep_h: bool = True
-) -> list[QuantRunResult]:
+    qmodel: QuantizedModel,
+    seq: InputSequence,
+    lanes: Sequence[Lane],
+    *,
+    keep_h: bool = True,
+    reference: tuple[Sequence[np.ndarray], Sequence[PduConfig]] | None = None,
+) -> list[QuantRunResult] | tuple[list[QuantRunResult], list[tuple[np.ndarray, ...]]]:
     """Evaluate the network once per lane in one pass; each result is bit-identical to its lane run alone.
 
     Each lane picks a precision per cell element and step. Dynamic mode
@@ -237,6 +244,12 @@ def run_lanes(
     L at step t-1, so each layer runs over all steps and lanes before the
     next. Without ``keep_h`` the results hold no output traces, and the
     last layer's is never stored whole.
+
+    ``reference``, per-layer [steps, cell] cell-state traces and a list of
+    ``PduConfig``s, adds fresh trackers that observe those traces, one set
+    per config, as rows after the dynamic lanes' in each layer's trackers.
+    The pass then returns the results and those trackers' phases, as
+    ``pdu.classify_trace`` gives them.
     """
     if seq.width != qmodel.layers[0].input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {qmodel.layers[0].input_size}")
@@ -247,7 +260,12 @@ def run_lanes(
         if lane.mode is Mode.DYNAMIC and lane.trackers is not None:
             if [state.phase.shape for state in lane.trackers] != [(n,) for n in sizes]:
                 raise ValueError("tracker states do not match the model's layer sizes")
+    ref_c, ref_configs = reference or ((), ())
+    if reference is not None and [np.shape(c) for c in ref_c] != [(n_steps, n) for n in sizes]:
+        raise ValueError("reference traces do not match the sequence's steps and the model's layer sizes")
     if not lanes:
+        if reference is not None:
+            raise ValueError("reference trackers ride a lane pass, which needs a lane")
         return []
     # dynamic lanes first: their trackers are the first rows of every [lanes, ...] array
     order = sorted(range(len(lanes)), key=lambda i: lanes[i].mode is not Mode.DYNAMIC)
@@ -273,12 +291,16 @@ def run_lanes(
     for L, layer in enumerate(qmodel.layers):
         n = layer.cell_size
         state = config = None
-        if dynamic:  # every dynamic lane's trackers of this layer, lane after lane
-            parts = ([getattr(t[L], f.name) for t in trackers] for f in fields(TrackerState))
+        if configs or ref_configs:  # every dynamic lane's trackers of this layer, lane after lane, then fresh ones
+            fresh = TrackerState.fresh(len(ref_configs) * n)
+            parts = ([getattr(s, f.name) for s in (*(t[L] for t in trackers), fresh)] for f in fields(TrackerState))
             state = TrackerState(*map(np.concatenate, parts))
-            config = TrackerConfig.spread(configs, n)
+            config = TrackerConfig.spread([*configs, *ref_configs], n)
         keep = keep_h or L + 1 < len(sizes)
-        c_trace, h_trace, phases, adjusted = _run_layer(layer, inputs, high[L], state, config, keep)
+        observed = np.asarray(ref_c[L], dtype=np.float64) if ref_configs else None
+        c_trace, h_trace, phases, adjusted = _run_layer(
+            layer, inputs, high[L], len(dynamic), state, config, observed, keep
+        )
         for k, lane_trackers in enumerate(trackers):  # each lane's trackers end where its run did
             for f in fields(TrackerState):
                 getattr(lane_trackers[L], f.name)[...] = getattr(state, f.name)[k * n : (k + 1) * n]
@@ -288,7 +310,7 @@ def run_lanes(
         outs.append((c_trace, h_trace if keep_h else None, bits, phases, adjusted))
         inputs = h_trace
 
-    c, h, bits, phases, adjusted = zip(*outs)  # each per layer, [lanes, ...]
+    c, h, bits, phases, adjusted = zip(*outs)  # each per layer, [lanes, ...]; phases [dynamic lanes + configs, ...]
     results: list[QuantRunResult] = [None] * len(lanes)  # type: ignore[list-item]
     for k, i in enumerate(order):
         results[i] = QuantRunResult(
@@ -298,34 +320,42 @@ def run_lanes(
             input_adjusted=tuple(a[k] for a in adjusted),
             mode=lanes[i].mode,
         )
-    return results
+    if reference is None:
+        return results
+    return results, [tuple(a[len(dynamic) + r] for a in phases) for r in range(len(ref_configs))]
 
 
 def _run_layer(
     layer: QuantizedLayer,
     inputs: np.ndarray,
     high: np.ndarray,
+    n_dyn: int,
     trackers: TrackerState | None,
     tracker_config: TrackerConfig | None,
+    observed: np.ndarray | None,
     keep_h: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[int]]:
     """One layer over every step, for every lane.
 
     ``inputs`` is [1, steps, width] when every lane reads the same input,
     else [lanes, steps, width]. ``high`` is [lanes, steps, cell], each
-    step's 8-bit elements; the dynamic lanes' rows, the first ones, are
-    filled in here from ``trackers``. Returns the [lanes, steps, cell] cell
-    and output traces (the output only with ``keep_h``), the dynamic lanes'
-    phases after each step and each lane's input offsets adjusted, which
-    count only on steps with a 4-bit element.
+    step's 8-bit elements; the ``n_dyn`` dynamic lanes' rows, the first
+    ones, are filled in here from the first rows of ``trackers``. Any
+    further rows of ``trackers`` observe ``observed`` [steps, cell], one
+    copy per row. Every tracker row observes each step in one
+    ``pdu_observe`` call. Returns the [lanes, steps, cell] cell and output
+    traces (the output only with ``keep_h``), every tracker row's phases
+    after each step and each lane's input offsets adjusted, which count
+    only on steps with a 4-bit element.
     """
     n_lanes, n_steps, n = high.shape
-    n_dyn = 0 if trackers is None else trackers.phase.size // n
+    n_trk = 0 if trackers is None else trackers.phase.size // n
     shared = len(inputs)
     span = max(1, FORWARD_CHUNK // shared)  # steps per chunk: about FORWARD_CHUNK forward columns
     c_trace = np.empty((n_lanes, n_steps, n))
     h_trace = np.empty((n_lanes, n_steps, n)) if keep_h else None
-    phases = np.empty((n_dyn, n_steps, n), dtype=np.int8)
+    phases = np.empty((n_trk, n_steps, n), dtype=np.int8)
+    obs = np.empty((span, n_trk, n))  # each step's observations: the dynamic lanes' c, then ``observed`` per row
     adjusted = np.empty((n_lanes, n_steps), dtype=np.int64)
     # a step's state is lane-minor, [cell, lanes], so both precisions' recurrent products are one GEMM
     rec_scales = (layer.rec.steps * H_STEPS[:, None])[:, :, None]
@@ -342,10 +372,12 @@ def _run_layer(
         x_codes = dual_codes(x, x_steps[:, :, None]).astype(np.float32)  # exact casts: |index| <= 127
         adjusted[:, t0:t1] = np.count_nonzero(offset_bits(x_codes), axis=1).reshape(shared, -1)
         fwd = _forward_products(layer.fwd.codes, x_codes, x_steps, layer.fwd.steps, fwd_out, shared)
+        if observed is not None:
+            obs[: t1 - t0, n_dyn:] = observed[t0:t1, None]
         for j, t in enumerate(range(t0, t1)):
             picks = high[:, t]
             if n_dyn:
-                picks[:n_dyn] = trackers.high_precision().reshape(n_dyn, n)
+                picks[:n_dyn] = trackers.high_precision()[: n_dyn * n].reshape(n_dyn, n)
             h_codes[j] = dual_codes(h, h_steps, out=h_idx)
             both = (fwd[:, j] + exact_index_products(layer.rec.codes, h_codes[j]) * rec_scales).reshape(split)
             mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
@@ -354,10 +386,10 @@ def _run_layer(
             c_trace[:, t] = c.T
             if keep_h:
                 h_trace[:, t] = h.T
-            if n_dyn:
-                pdu_observe(trackers, tracker_config, c[:, :n_dyn].T.ravel())
-                phases[:, t] = trackers.phase.reshape(n_dyn, n)
+            if n_trk:
+                obs[j, :n_dyn] = c[:, :n_dyn].T
+                pdu_observe(trackers, tracker_config, obs[j].reshape(-1))
+                phases[:, t] = trackers.phase.reshape(n_trk, n)
         adjusted[:, t0:t1] += np.count_nonzero(offset_bits(h_codes[: t1 - t0].swapaxes(0, 1)), axis=1).T
 
     return c_trace, h_trace, phases, np.where(high.all(axis=2), 0, adjusted).sum(axis=1).tolist()
-

@@ -11,6 +11,11 @@ import numpy as np
 # g*H:(g+1)*H of a layer's stacked weights.
 GATES = ("input", "forget", "updater", "output")
 
+# Steps per forward chunk. ``run_fp32`` computes that many steps' forward products
+# at once; the lane pass (``lstm_quant``) about that many columns, one per lane and
+# step. It bounds each chunk's float64 products buffer; 128 already cost peak memory on wide layers.
+FORWARD_CHUNK = 64
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
@@ -139,25 +144,30 @@ class StateTrace:
 def run_fp32(model: LstmModel, seq: InputSequence) -> StateTrace:
     """Evaluate the network layer by layer; layer k consumes layer k-1's whole output trace.
 
-    Each gate's products stay separate gemvs with their own bias add, each
-    into its row block of one [4H] buffer: one fused [4H] gemv regroups the
-    float64 sums and changes the bits.
+    The weights are viewed as [4, H, n] gate blocks. A layer's forward
+    products run one ``FORWARD_CHUNK`` of steps at a time as one batched
+    matmul, and each step adds its recurrent products as one more: both
+    make one gemv per step and gate, the call a gate's own ``w @ x`` makes,
+    and the sums keep the order ``(w_x @ x + w_h @ h) + b``. One fused [4H]
+    gemv, or a GEMM over the steps, regroups the float64 sums and changes
+    the bits.
     """
     if seq.width != model.input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {model.input_size}")
     c_hist, h_hist = [], []
     inputs = seq.steps
     for layer in model.layers:
-        gates = layer.gates()
-        c_trace, h_trace = np.empty((len(seq), layer.cell_size)), np.empty((len(seq), layer.cell_size))
-        c = h = np.zeros(layer.cell_size)
-        pre = np.empty(len(GATES) * layer.cell_size)
-        blocks = np.split(pre, len(GATES))
-        for t, x in enumerate(inputs):
-            for (w_x, w_h, b), block in zip(gates, blocks):
-                np.add(w_x @ x + w_h @ h, b, out=block)
-            c, h = lstm_cell(pre, c)
-            c_trace[t], h_trace[t] = c, h
+        n = layer.cell_size
+        w_x, w_h, b = (part.reshape(len(GATES), n, -1) for part in (layer.w_x, layer.w_h, layer.b))
+        c_trace, h_trace = np.empty((len(seq), n)), np.empty((len(seq), n))
+        c = h = np.zeros(n)
+        for t0 in range(0, len(seq), FORWARD_CHUNK):
+            fwd = np.matmul(w_x, inputs[t0 : t0 + FORWARD_CHUNK, None, :, None])  # [steps, 4, H, 1]
+            for t, pre in enumerate(fwd, start=t0):
+                pre += np.matmul(w_h, h[:, None])
+                pre += b
+                c, h = lstm_cell(pre.reshape(-1), c)
+                c_trace[t], h_trace[t] = c, h
         c_hist.append(c_trace)
         h_hist.append(h_trace)
         inputs = h_trace

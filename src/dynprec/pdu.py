@@ -175,6 +175,9 @@ def pdu_observe(state: TrackerState, config: TrackerConfig, c_vector: np.ndarray
 def classify_trace(traces: Sequence[np.ndarray], configs: Sequence[PduConfig]) -> list[tuple[np.ndarray, ...]]:
     """Run fresh trackers over per-layer [steps, elements] traces, once per config, in one pass.
 
+    Experiments run these trackers inside the lane pass (``lstm_quant.run_lanes``'s
+    ``reference``); this loop of their own is what tests compare those phases against.
+
     Returns each config's phases as one [steps, elements] array per layer:
     row t holds the tracker phases right after observing step t, so
     ``phases == IN_PEAK`` flags the steps whose value sits outside the

@@ -528,7 +528,8 @@ def test_sweep_points_match_fresh_experiments(sweep_files, tmp_path, param, valu
     ],
 )
 def test_sweep_computes_each_stage_once(sweep_files, tmp_path, monkeypatch, param, values, modes, runs, distinct_pdu):
-    # one lane pass with one lane per distinct run, one reference pass with one config per distinct PduConfig
+    # one lane pass with one lane per distinct run, and one reference pass whose trackers, one set per distinct
+    # PduConfig, ride that lane pass: the experiment never runs classify_trace's own tracker loop
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -544,19 +545,20 @@ def test_sweep_computes_each_stage_once(sweep_files, tmp_path, monkeypatch, para
 
     def counted_classify(trace, configs):
         calls["classify_trace"] += 1
-        calls["pdu_configs"] += len(configs)
         return classify_trace(trace, configs)
 
     def counted_lanes(qmodel, seq, lanes, **kwargs):
         calls["run_lanes"] += 1
+        calls["pdu_configs"] += len(kwargs["reference"][1])
         calls.update(lane.mode.value for lane in lanes)
         return run_lanes(qmodel, seq, lanes, **kwargs)
 
     monkeypatch.setattr(harness, "classify_trace", counted_classify)
     monkeypatch.setattr(harness, "run_lanes", counted_lanes)
     _sweep(sweep_files, tmp_path, param, values, modes)
-    passes = {"quantize_model": 1, "run_fp32": 1, "classify_trace": 1, "run_lanes": 1}
+    passes = {"quantize_model": 1, "run_fp32": 1, "run_lanes": 1}
     assert calls == {**passes, "pdu_configs": distinct_pdu, **runs}
+    assert calls["classify_trace"] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from dynprec.harness import (
     write_sequence,
 )
 from dynprec.accel import AccelConfig, EnergyModel
+from dynprec import lstm_quant
 from dynprec.lstm_quant import Mode, quantize_model
 from dynprec.lstm_ref import InputSequence, StateTrace, run_fp32
-from dynprec.pdu import PduConfig, Phase
+from dynprec.pdu import PduConfig, Phase, classify_trace
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +282,21 @@ def _c_trace(*layers) -> StateTrace:
     return StateTrace(c=c, h=tuple(np.zeros_like(layer) for layer in c))
 
 
+@pytest.mark.parametrize("modes", [[Mode.STATIC4], [Mode.DYNAMIC, Mode.RANDOM]])
+def test_each_layer_step_of_an_experiment_observes_its_trackers_once(modes):
+    # the reference's trackers and the dynamic lanes' share one pdu_observe call per layer and step,
+    # and they run when no lane is dynamic too
+    model, seq = gen_toy("peaky", (2, 4, 6, 70), 3)
+    points = [Point(pdu_config=PduConfig.for_sequence(len(seq), beta=beta)) for beta in (0.1, 0.3)]
+    with mock.patch.object(lstm_quant, "pdu_observe", wraps=lstm_quant.pdu_observe) as observe:
+        results = run_experiment(model, seq, modes, points)
+    assert observe.call_count == len(model.layers) * len(seq)
+    fp = run_fp32(model, seq)
+    for point, result in zip(points, results, strict=True):
+        (want,) = classify_trace(fp.c, [point.pdu_config])
+        assert all(np.array_equal(a, b) for a, b in zip(result.fp_phases, want, strict=True))
+
+
 def test_relative_error_stats_identity():
     model, seq = gen_toy("random", (2, 6, 8, 40), 3)
     fp = run_fp32(model, seq)
@@ -322,8 +339,6 @@ def test_beta_sweep_peak_count_monotone():
     # narrower one. (With forced re-profiling the timelines diverge across beta
     # and counts may fluctuate; the divergence-bounded property is covered in
     # the tracker tests.)
-    from dynprec.pdu import PduConfig, classify_trace
-
     baseline = [0.5, 0.52, 0.48, 0.5, 0.49, 0.51, 0.5, 0.5]
     spike = [2.0, 1.4, 1.0, 0.8, 0.68, 0.6, 0.56, 0.53, 0.51]
     trace = np.array(baseline + spike + [0.5] * 8).reshape(-1, 1)

@@ -24,7 +24,7 @@ from dynprec.lstm_quant import (
     run_quantized,
     sequence_fingerprint,
 )
-from dynprec.pdu import PduConfig, Phase, TrackerState
+from dynprec.pdu import PduConfig, Phase, TrackerState, classify_trace
 from dynprec.quant import QuantizedVector, QuantParams, dual_codes, quant_step
 from pdu_oracle import Precision
 from quant_oracle import gate_operands, neuron_eval, quantize_array, run_quantized_reference
@@ -485,6 +485,11 @@ def _pinned_states(rng, qmodel):
 
 
 def _draw_model_and_sequence(draw):
+    model, seq, rng = _draw_float_model_and_sequence(draw)
+    return quantize_model(model), seq, rng
+
+
+def _draw_float_model_and_sequence(draw):
     n_layers = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, 9), min_size=n_layers + 1, max_size=n_layers + 1))
     # short runs, and runs that end just before, on and after a chunk boundary
@@ -498,7 +503,7 @@ def _draw_model_and_sequence(draw):
     model = _random_model(rng, list(zip(sizes[:-1], sizes[1:])), scale=scale)
     steps = rng.uniform(-1, 1, (n_steps, sizes[0])) * (5.0 if saturating else 1.0)
     steps[rng.random(n_steps) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0  # alpha falls back to 1
-    return quantize_model(model), InputSequence(steps), rng
+    return model, InputSequence(steps), rng
 
 
 def _draw_config(draw):
@@ -598,3 +603,66 @@ def test_lane_runs_match_their_runs_alone(case):
         for a, b in zip(mine.trackers or (), theirs or (), strict=True):
             for f in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+
+
+def _copy_lane(lane):
+    return lane if lane.trackers is None else dataclasses.replace(lane, trackers=tuple(_copy_states(lane.trackers)))
+
+
+@st.composite
+def _reference_cases(draw):
+    model, seq, rng = _draw_float_model_and_sequence(draw)
+    qmodel = quantize_model(model)
+    lanes = draw(st.sampled_from(_lane_sets(len(seq))))  # every mode alone, so some sets have no dynamic lane
+    lanes = [
+        dataclasses.replace(lane, trackers=tuple(_pinned_states(rng, qmodel))) if lane.mode is Mode.DYNAMIC else lane
+        for lane in lanes
+    ]
+    configs = [
+        dataclasses.replace(_draw_config(draw), beta=draw(st.sampled_from((0.0, math.inf))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return qmodel, seq, lanes, run_fp32(model, seq), configs
+
+
+@given(_reference_cases())
+@settings(max_examples=80, deadline=None)
+def test_reference_trackers_in_the_lane_pass_match_classify_trace(case):
+    # the reference's trackers ride the lane pass as extra rows: their phases are classify_trace's,
+    # and every lane's result, pinned trackers included, is what the pass gives without them
+    qmodel, seq, lanes, fp, configs = case
+    beside = [_copy_lane(lane) for lane in lanes]
+    got, phases = run_lanes(qmodel, seq, beside, reference=(fp.c, configs))
+    alone = [_copy_lane(lane) for lane in lanes]
+    want = run_lanes(qmodel, seq, alone)
+    expected = classify_trace(fp.c, configs)
+    assert len(phases) == len(expected) == len(configs)
+    for mine, theirs in zip(phases, expected):
+        assert len(mine) == len(theirs) == len(qmodel.layers)
+        assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+    for result, other in zip(got, want, strict=True):
+        assert result.mode is other.mode
+        for L in range(len(qmodel.layers)):
+            assert np.array_equal(result.trace.c[L], other.trace.c[L])
+            assert np.array_equal(result.trace.h[L], other.trace.h[L])
+            assert np.array_equal(result.precision_bits[L], other.precision_bits[L])
+        assert (result.phases is None) == (other.phases is None)
+        assert all(np.array_equal(a, b) for a, b in zip(result.phases or (), other.phases or (), strict=True))
+        assert result.input_adjusted == other.input_adjusted
+    for mine, theirs in zip(beside, alone):
+        for a, b in zip(mine.trackers or (), theirs.trackers or (), strict=True):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+
+
+def test_reference_traces_must_match_the_run():
+    rng = np.random.default_rng(23)
+    model = _random_model(rng, [(3, 4), (4, 2)])
+    seq = InputSequence(rng.uniform(-1, 1, (6, 3)))
+    qmodel, fp = quantize_model(model), run_fp32(model, seq)
+    configs = [PduConfig(2, 2, 2)]
+    for traces in (fp.c[:1], (fp.c[0], fp.c[1][:-1]), (fp.c[0], fp.c[0])):
+        with pytest.raises(ValueError, match="reference traces"):
+            run_lanes(qmodel, seq, [Lane(Mode.STATIC8)], reference=(traces, configs))
+    with pytest.raises(ValueError, match="needs a lane"):
+        run_lanes(qmodel, seq, [], reference=(fp.c, configs))

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynprec.harness import gen_toy
-from dynprec.lstm_ref import InputSequence, LstmLayer, LstmModel, run_fp32
+from dynprec import lstm_ref
+from dynprec.lstm_ref import FORWARD_CHUNK, InputSequence, LstmLayer, LstmModel, run_fp32
 from lstm_ref_oracle import LstmState, cell_step, gate_eval, run_fp32_reference, zero_model
 
 
@@ -235,12 +241,81 @@ def _fp_cases(draw):
 @given(_fp_cases())
 @example(gen_toy("random", (3, 37, 51, 40), 0))
 @example(gen_toy("random", (1, 13, 33, 40), 1))
+# 128 cells make OpenBLAS thread the gemvs, and the steps cross two forward chunk boundaries
+@example(gen_toy("random", (2, 96, 128, 2 * FORWARD_CHUNK + 1), 2))
+@example(gen_toy("random", (1, 5, 7, FORWARD_CHUNK), 3))
 @settings(max_examples=60, deadline=None)
 def test_layer_major_run_is_bit_identical_to_step_major_oracle(case):
-    # Each gate's products must keep their own gemv: a fused [4H] gemv regroups
-    # the float64 sums and changes the low bits, which the golden hashes can miss.
+    # Each gate's products must keep their own gemv per step: a fused [4H] gemv, or a
+    # GEMM over the steps, regroups the float64 sums and changes the low bits, which
+    # the golden hashes can miss.
     model, seq = case
     got, want = run_fp32(model, seq), run_fp32_reference(model, seq)
     for L in range(len(model.layers)):
         assert np.array_equal(got.c[L], want.c[L])
         assert np.array_equal(got.h[L], want.h[L])
+
+
+def test_run_fp32_makes_one_matmul_per_forward_chunk_and_step():
+    # the four gate blocks share each call: one for a chunk's forward products, one per step's recurrent ones
+    model, seq = gen_toy("random", (2, 3, 5, 2 * FORWARD_CHUNK + 1), 4)
+    with mock.patch.object(lstm_ref.np, "matmul", wraps=np.matmul) as matmul:
+        run_fp32(model, seq)
+    assert matmul.call_count == len(model.layers) * (len(seq) + math.ceil(len(seq) / FORWARD_CHUNK))
+    assert all(len(call.args[0]) == 4 for call in matmul.call_args_list)
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+_BLAS_CHILD = """
+import numpy as np
+from dynprec.harness import gen_toy
+from dynprec.lstm_ref import FORWARD_CHUNK, run_fp32
+from lstm_ref_oracle import run_fp32_reference
+
+cases = [
+    ("random", (2, 96, 128, 2 * FORWARD_CHUNK + 1), 2),
+    ("random", (3, 37, 51, 40), 0),
+    ("peaky", (1, 16, 16, 300), 7),
+]
+for kind, dims, seed in cases:
+    model, seq = gen_toy(kind, dims, seed)
+    got, want = run_fp32(model, seq), run_fp32_reference(model, seq)
+    for a, b in zip(got.c + got.h, want.c + want.h, strict=True):
+        assert np.array_equal(a, b), (kind, dims)
+print("bit-identical")
+"""
+
+
+def _cpu_has(feature: str) -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__.get(feature, False)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        ("OPENBLAS_CORETYPE", "Sandybridge"),
+        pytest.param(
+            ("OPENBLAS_CORETYPE", "Haswell"),
+            marks=pytest.mark.skipif(not _cpu_has("AVX2"), reason="the Haswell kernels need AVX2"),
+        ),
+        ("OPENBLAS_NUM_THREADS", "1"),
+    ],
+    ids=lambda setting: "=".join(setting),
+)
+def test_batched_reference_makes_the_oracles_calls_on_every_blas_kernel(setting):
+    # The golden hashes hold only on hosts like the one that pinned them; this pins only that the
+    # batched products make the same BLAS calls as the oracle's per-gate ones, whichever kernel runs
+    # them. The variable is set in the child's environment alone.
+    var, value = setting
+    pythonpath = os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "tests")])
+    env = {**os.environ, var: value, "OPENBLAS_VERBOSE": "2", "PYTHONPATH": pythonpath}
+    child = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip().endswith("bit-identical")
+    if var == "OPENBLAS_CORETYPE" and "Core:" in child.stdout + child.stderr:  # OpenBLAS says which kernel it picked
+        assert f"Core: {value}" in child.stdout + child.stderr
