@@ -179,11 +179,13 @@ def _experiment_from_args(args: argparse.Namespace, modes: list[Mode]) -> Experi
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
+    out = Path(args.out)
+    if out.name in ("", ".."):  # ".", "/", "" and "a/.." name no file to add the suffixes to
+        raise UsageError(f"--out {args.out!r} must end in a file name")
     try:
         model, seq = gen_toy(args.kind, dims, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     model_path = out.with_name(out.name + ".model")
     seq_path = out.with_name(out.name + ".seq")

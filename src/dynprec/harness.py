@@ -429,7 +429,7 @@ class Point:
 def simulate(qmodel: QuantizedModel, seq: InputSequence, mode: Mode, point: Point = Point()) -> SimResult:
     """One mode's run at ``point``: ``check_capacity``, then its lane of ``run_lanes``, then ``cost_run``."""
     check_capacity(qmodel, seq, point.accel_config, point.energy_model, mode)
-    (run,) = run_lanes(qmodel, seq, [point.lane(mode)])
+    (run,), _ = run_lanes(qmodel, seq, [point.lane(mode)])
     return cost_run(qmodel, seq, run, point.accel_config, point.energy_model)
 
 

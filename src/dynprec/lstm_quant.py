@@ -22,18 +22,19 @@ precision choices each lane counts, per layer, the one event that needs the
 run itself: the input offsets adjusted on steps with a 4-bit element. The
 accelerator model (``accel``) derives every other event from these.
 
-Every tracker of a layer is a row of one ``TrackerState`` and observes each
-step in one ``pdu_observe`` call: the dynamic lanes' trackers first, then
-any fresh ones over a given reference trace (the full-precision run's cell
-states, one set per ``PduConfig``), whose phases come back beside the lane
-results.
+Every tracker of a layer is a row of one ``TrackerState`` table that
+observes each step in one ``pdu_observe`` call: each dynamic lane's rows,
+then a fresh set per reference ``PduConfig`` over a given trace (the
+full-precision run's cell states). Only pinned ``Lane.trackers`` are copied
+in before the layer and back out after it. ``run_lanes`` always returns the
+lane results and the reference rows' phases.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -222,7 +223,8 @@ def run_quantized(
 ) -> QuantRunResult:
     """One lane of ``run_lanes``."""
     lane = Lane(mode, pdu_config, random_p, random_seed, None if trackers is None else tuple(trackers))
-    return run_lanes(qmodel, seq, [lane])[0]
+    (result,), _ = run_lanes(qmodel, seq, [lane])
+    return result
 
 
 @np.errstate(over="ignore")  # see lstm_ref.run_fp32
@@ -232,8 +234,8 @@ def run_lanes(
     lanes: Sequence[Lane],
     *,
     keep_h: bool = True,
-    reference: tuple[Sequence[np.ndarray], Sequence[PduConfig]] | None = None,
-) -> list[QuantRunResult] | tuple[list[QuantRunResult], list[tuple[np.ndarray, ...]]]:
+    reference: tuple[Sequence[np.ndarray], Sequence[PduConfig]] = ((), ()),
+) -> tuple[list[QuantRunResult], list[tuple[np.ndarray, ...]]]:
     """Evaluate the network once per lane in one pass; each result is bit-identical to its lane run alone.
 
     Each lane picks a precision per cell element and step. Dynamic mode
@@ -245,11 +247,10 @@ def run_lanes(
     next. Without ``keep_h`` the results hold no output traces, and the
     last layer's is never stored whole.
 
-    ``reference``, per-layer [steps, cell] cell-state traces and a list of
-    ``PduConfig``s, adds fresh trackers that observe those traces, one set
-    per config, as rows after the dynamic lanes' in each layer's trackers.
-    The pass then returns the results and those trackers' phases, as
-    ``pdu.classify_trace`` gives them.
+    ``reference`` holds per-layer [steps, cell] cell-state traces and a list
+    of ``PduConfig``s: fresh trackers observe those traces, one set per
+    config. Returns the lane results, in lane order, and each config's
+    reference phases as ``pdu.classify_trace`` gives them.
     """
     if seq.width != qmodel.layers[0].input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {qmodel.layers[0].input_size}")
@@ -260,18 +261,18 @@ def run_lanes(
         if lane.mode is Mode.DYNAMIC and lane.trackers is not None:
             if [state.phase.shape for state in lane.trackers] != [(n,) for n in sizes]:
                 raise ValueError("tracker states do not match the model's layer sizes")
-    ref_c, ref_configs = reference or ((), ())
-    if reference is not None and [np.shape(c) for c in ref_c] != [(n_steps, n) for n in sizes]:
+    ref_c, ref_configs = reference
+    if (len(ref_c) or ref_configs) and [np.shape(c) for c in ref_c] != [(n_steps, n) for n in sizes]:
         raise ValueError("reference traces do not match the sequence's steps and the model's layer sizes")
     if not lanes:
-        if reference is not None:
+        if ref_configs:
             raise ValueError("reference trackers ride a lane pass, which needs a lane")
-        return []
+        return [], []
     # dynamic lanes first: their trackers are the first rows of every [lanes, ...] array
     order = sorted(range(len(lanes)), key=lambda i: lanes[i].mode is not Mode.DYNAMIC)
     dynamic = [lanes[i] for i in order if lanes[i].mode is Mode.DYNAMIC]
-    configs = [lane.pdu_config or PduConfig.for_sequence(n_steps) for lane in dynamic]
-    trackers = [lane.trackers or tuple(TrackerState.fresh(n) for n in sizes) for lane in dynamic]
+    configs = [*(lane.pdu_config or PduConfig.for_sequence(n_steps) for lane in dynamic), *ref_configs]
+    pinned = [(k, lane.trackers) for k, lane in enumerate(dynamic) if lane.trackers is not None]
 
     high = [np.empty((len(lanes), n_steps, n), dtype=bool) for n in sizes]  # each step's 8-bit elements
     ends = np.cumsum(sizes)
@@ -290,20 +291,18 @@ def run_lanes(
     inputs = seq.steps[None]  # every lane reads the same layer 0 input
     for L, layer in enumerate(qmodel.layers):
         n = layer.cell_size
-        state = config = None
-        if configs or ref_configs:  # every dynamic lane's trackers of this layer, lane after lane, then fresh ones
-            fresh = TrackerState.fresh(len(ref_configs) * n)
-            parts = ([getattr(s, f.name) for s in (*(t[L] for t in trackers), fresh)] for f in fields(TrackerState))
-            state = TrackerState(*map(np.concatenate, parts))
-            config = TrackerConfig.spread([*configs, *ref_configs], n)
+        table = TrackerState.fresh(len(configs) * n)
+        for k, states in pinned:
+            for name, rows in vars(table).items():
+                rows[k * n : (k + 1) * n] = getattr(states[L], name)
         keep = keep_h or L + 1 < len(sizes)
         observed = np.asarray(ref_c[L], dtype=np.float64) if ref_configs else None
         c_trace, h_trace, phases, adjusted = _run_layer(
-            layer, inputs, high[L], len(dynamic), state, config, observed, keep
+            layer, inputs, high[L], len(dynamic), table, TrackerConfig.spread(configs, n), observed, keep
         )
-        for k, lane_trackers in enumerate(trackers):  # each lane's trackers end where its run did
-            for f in fields(TrackerState):
-                getattr(lane_trackers[L], f.name)[...] = getattr(state, f.name)[k * n : (k + 1) * n]
+        for k, states in pinned:  # a pinned lane's trackers end where its run did
+            for name, rows in vars(table).items():
+                getattr(states[L], name)[...] = rows[k * n : (k + 1) * n]
         bits = high[L].view(np.uint8)  # in place: True becomes 8 and False 4
         bits *= 4
         bits += 4
@@ -320,8 +319,6 @@ def run_lanes(
             input_adjusted=tuple(a[k] for a in adjusted),
             mode=lanes[i].mode,
         )
-    if reference is None:
-        return results
     return results, [tuple(a[len(dynamic) + r] for a in phases) for r in range(len(ref_configs))]
 
 
@@ -330,26 +327,26 @@ def _run_layer(
     inputs: np.ndarray,
     high: np.ndarray,
     n_dyn: int,
-    trackers: TrackerState | None,
-    tracker_config: TrackerConfig | None,
+    trackers: TrackerState,
+    tracker_config: TrackerConfig,
     observed: np.ndarray | None,
     keep_h: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[int]]:
     """One layer over every step, for every lane.
 
-    ``inputs`` is [1, steps, width] when every lane reads the same input,
-    else [lanes, steps, width]. ``high`` is [lanes, steps, cell], each
-    step's 8-bit elements; the ``n_dyn`` dynamic lanes' rows, the first
-    ones, are filled in here from the first rows of ``trackers``. Any
-    further rows of ``trackers`` observe ``observed`` [steps, cell], one
-    copy per row. Every tracker row observes each step in one
-    ``pdu_observe`` call. Returns the [lanes, steps, cell] cell and output
-    traces (the output only with ``keep_h``), every tracker row's phases
-    after each step and each lane's input offsets adjusted, which count
-    only on steps with a 4-bit element.
+    ``inputs`` is [1, steps, width] when every lane reads the same input, else
+    [lanes, steps, width]. ``high`` is [lanes, steps, cell], each step's 8-bit
+    elements; the ``n_dyn`` dynamic lanes' rows, the first ones, are filled in
+    here from the first rows of ``trackers``, the layer's table under
+    ``tracker_config``. Those rows observe their lane's cell state and the
+    rest ``observed`` [steps, cell] (None without reference rows), the whole
+    table in one ``pdu_observe`` call per step. Returns the [lanes, steps,
+    cell] cell and output traces (the output only with ``keep_h``), every
+    tracker row's phases after each step and each lane's input offsets
+    adjusted, which count only on steps with a 4-bit element.
     """
     n_lanes, n_steps, n = high.shape
-    n_trk = 0 if trackers is None else trackers.phase.size // n
+    n_trk = trackers.phase.size // n
     shared = len(inputs)
     span = max(1, FORWARD_CHUNK // shared)  # steps per chunk: about FORWARD_CHUNK forward columns
     c_trace = np.empty((n_lanes, n_steps, n))

@@ -86,6 +86,23 @@ def test_run_reports_are_byte_identical(toy_files, tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_reports_do_not_depend_on_mode_order(tmp_path):
+    # the lane list follows --mode; the lane pass must hand each mode its own result whatever the order
+    out = tmp_path / "toy"
+    assert main(["gen", "--kind", "random", "--dims", "2,6,12,150", "--seed", "5", "--out", str(out)]) == EXIT_OK
+    files = ["--model", str(tmp_path / "toy.model"), "--input", str(tmp_path / "toy.seq"), "--seed", "5"]
+    sweep = ["sweep", *files, "--param", "beta", "--values", "0.05,0.2"]
+    for argv, orders in (
+        (["run", *files], ("dynamic,random,static4", "static4,random,dynamic")),
+        (sweep, ("dynamic,random,static4", "random,static4,dynamic")),
+    ):
+        reports = []
+        for k, modes in enumerate(orders):
+            reports.append(tmp_path / f"r{k}.json")
+            assert main([*argv, "--mode", modes, "--report", str(reports[-1])]) == EXIT_OK
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
 def test_trace_command(toy_files, tmp_path):
     model, seq = toy_files
     out = tmp_path / "trace.csv"
@@ -114,8 +131,10 @@ def test_sweep_command(toy_files, tmp_path):
         assert point["report"]["pdu_config"]["beta"] == point["value"]
 
 
-def test_usage_errors_exit_1(toy_files, capsys):
+def test_usage_errors_exit_1(toy_files, tmp_path, capsys, monkeypatch):
     model, seq = toy_files
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
     assert main(["run", "--model", str(model)]) == EXIT_USAGE  # missing --input
     assert main(["run", "--model", str(model), "--input", str(seq), "--mode", "bogus"]) == EXIT_USAGE
     assert main(["run", "--model", str(model), "--input", str(seq), "--mode", "dynamic,dynamic"]) == EXIT_USAGE
@@ -125,10 +144,13 @@ def test_usage_errors_exit_1(toy_files, capsys):
     # the sequence header stores steps and input_size as uint32
     assert main(["gen", "--kind", "flat", "--dims", "1,1,1,4294967296", "--seed", "0", "--out", "x"]) == EXIT_USAGE
     assert main(["gen", "--kind", "flat", "--dims", "1,4294967296,1,1", "--seed", "0", "--out", "x"]) == EXIT_USAGE
+    for out in (".", "/", "", "sub/.."):  # no final file name to write the model and sequence beside
+        assert main(["gen", "--kind", "flat", "--dims", "1,2,2,3", "--seed", "0", "--out", out]) == EXIT_USAGE
     assert main(["sweep", "--model", str(model), "--input", str(seq), "--param", "nope",
                  "--values", "1"]) == EXIT_USAGE
     assert main(["trace", "--model", str(model), "--input", str(seq), "--element", "999",
                  "--out", "t.csv"]) == EXIT_USAGE
+    assert sorted(tmp_path.iterdir()) == before  # refused before anything was written
     capsys.readouterr()
 
 

@@ -358,7 +358,7 @@ def test_run_encodes_once_per_layer_and_keeps_no_whole_sequence_products():
     for lanes in _lane_sets(len(seq)):
         calls = []
         with mock.patch.object(lstm_quant, "dual_codes", recording):
-            results = run_lanes(qmodel, seq, lanes)
+            results, _ = run_lanes(qmodel, seq, lanes)
         encoded = [values for line, values in calls if line == input_site]
         assert np.array_equal(np.concatenate([rows for rows in encoded if rows.shape[1] == 3]), seq.steps)
         outputs = [row.tobytes() for result in results for row in result.trace.h[0]]
@@ -387,7 +387,7 @@ def test_run_encodes_once_per_layer_and_keeps_no_whole_sequence_products():
         seq = InputSequence(rng.uniform(-1, 1, (n_steps, input_size)))
         tracemalloc.start()
         try:
-            results = run_lanes(qmodel, seq, lanes)
+            results, _ = run_lanes(qmodel, seq, lanes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -579,7 +579,7 @@ def test_lane_runs_match_their_runs_alone(case):
         return None if trackers is None else tuple(_copy_states(trackers))
 
     together = [dataclasses.replace(lane, trackers=copies(lane.trackers)) for lane in lanes]
-    got = run_lanes(qmodel, seq, together, keep_h=keep_h)
+    got, _ = run_lanes(qmodel, seq, together, keep_h=keep_h)
     for lane, mine, result in zip(lanes, together, got, strict=True):
         theirs = copies(lane.trackers)
         want = run_quantized(
@@ -634,7 +634,7 @@ def test_reference_trackers_in_the_lane_pass_match_classify_trace(case):
     beside = [_copy_lane(lane) for lane in lanes]
     got, phases = run_lanes(qmodel, seq, beside, reference=(fp.c, configs))
     alone = [_copy_lane(lane) for lane in lanes]
-    want = run_lanes(qmodel, seq, alone)
+    want, _ = run_lanes(qmodel, seq, alone)
     expected = classify_trace(fp.c, configs)
     assert len(phases) == len(expected) == len(configs)
     for mine, theirs in zip(phases, expected):
