@@ -182,14 +182,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.name in ("", ".."):  # ".", "/", "" and "a/.." name no file to add the suffixes to
         raise UsageError(f"--out {args.out!r} must end in a file name")
-    try:
-        model, seq = gen_toy(args.kind, dims, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    out.parent.mkdir(parents=True, exist_ok=True)
     model_path = out.with_name(out.name + ".model")
     seq_path = out.with_name(out.name + ".seq")
-    write_model(model, model_path)
+    try:
+        model, seq = gen_toy(args.kind, dims, args.seed)
+        write_model(model, model_path)  # first: it makes the directory once it accepts the blob name
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     write_sequence(seq, seq_path)
     print(f"wrote {model_path}")
     print(f"wrote {model_path}.bin")

@@ -72,6 +72,8 @@ class ConfigError(FormatError):
 def write_model(model: LstmModel, path: str | Path) -> None:
     path = Path(path)
     blob_path = path.with_name(path.name + ".bin")
+    if blob_path.name.strip() != blob_path.name or blob_path.name.splitlines() != [blob_path.name]:
+        raise ValueError(f"blob name {blob_path.name!r} would not read back from the manifest")
     lines = [
         f"format = {MODEL_FORMAT}",
         f"version = {MODEL_VERSION}",
@@ -90,6 +92,7 @@ def write_model(model: LstmModel, path: str | Path) -> None:
                 chunks.append(raw)
                 offset += len(raw)
     lines.append(f"blob_bytes = {offset}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     blob_path.write_bytes(b"".join(chunks))
 
@@ -253,8 +256,7 @@ SPIKE_HOLD_STEPS = 3
 
 def peaky_spike_steps(n_steps: int) -> tuple[int, ...]:
     """Deterministic spike onsets; spaced so trackers settle between spikes."""
-    t_profile = min(max(round(0.05 * n_steps), 4), 64)
-    start = t_profile + 8
+    start = PduConfig.for_sequence(n_steps).t_profile + 8
     spacing = max(2 * SPIKE_HOLD_STEPS + 8, round(0.07 * n_steps))
     steps = []
     t = start
@@ -414,8 +416,7 @@ class Point:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.random_p <= 1.0:
-            raise ValueError(f"random_p must be in [0, 1], got {self.random_p!r}")
+        self.lane(Mode.RANDOM)  # Lane checks random_p
         if self.pdu_config is not None and not math.isfinite(self.pdu_config.beta):  # a JSON report cannot hold it
             raise ValueError(f"beta must be finite, got {self.pdu_config.beta!r}")
 

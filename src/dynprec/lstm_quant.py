@@ -25,9 +25,10 @@ accelerator model (``accel``) derives every other event from these.
 Every tracker of a layer is a row of one ``TrackerState`` table that
 observes each step in one ``pdu_observe`` call: each dynamic lane's rows,
 then a fresh set per reference ``PduConfig`` over a given trace (the
-full-precision run's cell states). Only pinned ``Lane.trackers`` are copied
-in before the layer and back out after it. ``run_lanes`` always returns the
-lane results and the reference rows' phases.
+full-precision run's cell states). A pinned ``Lane.trackers`` is only each
+layer's starting state, copied into the table: the pass writes into none of
+its arguments. ``run_lanes`` always returns the lane results and the
+reference rows' phases.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ class Lane:
     """One run of ``run_lanes``: the mode, and the fields that mode reads.
 
     Dynamic reads ``pdu_config`` (``PduConfig.for_sequence`` when None) and
-    ``trackers``, one per layer (fresh when None, else updated in place);
-    random reads ``random_p`` and ``random_seed``.
+    ``trackers``, each layer's starting state (fresh when None; never written);
+    random reads ``random_p`` and ``random_seed``. Building a lane checks ``random_p``.
     """
 
     mode: Mode
@@ -209,6 +210,10 @@ class Lane:
     random_p: float = DEFAULT_RANDOM_P
     random_seed: int = 0
     trackers: tuple[TrackerState, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.random_p <= 1.0:
+            raise ValueError(f"random_p must be in [0, 1], got {self.random_p!r}")
 
 
 def run_quantized(
@@ -240,7 +245,8 @@ def run_lanes(
 
     Each lane picks a precision per cell element and step. Dynamic mode
     runs an element at 8 bits exactly when its tracker, fed the layer's
-    cell state each step, is in a peak. Random mode draws one number per
+    cell state each step, is in a peak; a pinned ``Lane.trackers`` is each
+    layer's starting state, read and never written. Random mode draws one number per
     element and step, in (step, layer) order, and picks 4 bits below
     ``random_p``. Layer L at step t needs only layer L-1 at step t and layer
     L at step t-1, so each layer runs over all steps and lanes before the
@@ -256,8 +262,6 @@ def run_lanes(
         raise ValueError(f"sequence width {seq.width} != model input size {qmodel.layers[0].input_size}")
     n_steps, sizes = len(seq), [layer.cell_size for layer in qmodel.layers]
     for lane in lanes:
-        if not 0.0 <= lane.random_p <= 1.0:
-            raise ValueError(f"random_p must be in [0, 1], got {lane.random_p!r}")
         if lane.mode is Mode.DYNAMIC and lane.trackers is not None:
             if [state.phase.shape for state in lane.trackers] != [(n,) for n in sizes]:
                 raise ValueError("tracker states do not match the model's layer sizes")
@@ -300,9 +304,6 @@ def run_lanes(
         c_trace, h_trace, phases, adjusted = _run_layer(
             layer, inputs, high[L], len(dynamic), table, TrackerConfig.spread(configs, n), observed, keep
         )
-        for k, states in pinned:  # a pinned lane's trackers end where its run did
-            for name, rows in vars(table).items():
-                getattr(states[L], name)[...] = rows[k * n : (k + 1) * n]
         bits = high[L].view(np.uint8)  # in place: True becomes 8 and False 4
         bits *= 4
         bits += 4
@@ -373,8 +374,7 @@ def _run_layer(
             obs[: t1 - t0, n_dyn:] = observed[t0:t1, None]
         for j, t in enumerate(range(t0, t1)):
             picks = high[:, t]
-            if n_dyn:
-                picks[:n_dyn] = trackers.high_precision()[: n_dyn * n].reshape(n_dyn, n)
+            picks[:n_dyn] = trackers.high_precision()[: n_dyn * n].reshape(n_dyn, n)
             h_codes[j] = dual_codes(h, h_steps, out=h_idx)
             both = (fwd[:, j] + exact_index_products(layer.rec.codes, h_codes[j]) * rec_scales).reshape(split)
             mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
@@ -383,10 +383,9 @@ def _run_layer(
             c_trace[:, t] = c.T
             if keep_h:
                 h_trace[:, t] = h.T
-            if n_trk:
-                obs[j, :n_dyn] = c[:, :n_dyn].T
-                pdu_observe(trackers, tracker_config, obs[j].reshape(-1))
-                phases[:, t] = trackers.phase.reshape(n_trk, n)
+            obs[j, :n_dyn] = c[:, :n_dyn].T
+            pdu_observe(trackers, tracker_config, obs[j].reshape(-1))
+            phases[:, t] = trackers.phase.reshape(n_trk, n)
         adjusted[:, t0:t1] += np.count_nonzero(offset_bits(h_codes[: t1 - t0].swapaxes(0, 1)), axis=1).T
 
     return c_trace, h_trace, phases, np.where(high.all(axis=2), 0, adjusted).sum(axis=1).tolist()

@@ -279,6 +279,8 @@ def run_quantized_reference(
             trackers = [TrackerState.fresh(layer.cell_size) for layer in layers]
         elif [state.phase.shape for state in trackers] != [(layer.cell_size,) for layer in layers]:
             raise ValueError("tracker states do not match the model's layer sizes")
+        else:  # a starting state, like run_quantized's: the caller's arrays are not written
+            trackers = [TrackerState(**{name: a.copy() for name, a in vars(state).items()}) for state in trackers]
     rng = np.random.default_rng(random_seed) if mode is Mode.RANDOM else None
     gates = [gate_operands(layer) for layer in layers]
 

@@ -146,6 +146,8 @@ def test_usage_errors_exit_1(toy_files, tmp_path, capsys, monkeypatch):
     assert main(["gen", "--kind", "flat", "--dims", "1,4294967296,1,1", "--seed", "0", "--out", "x"]) == EXIT_USAGE
     for out in (".", "/", "", "sub/.."):  # no final file name to write the model and sequence beside
         assert main(["gen", "--kind", "flat", "--dims", "1,2,2,3", "--seed", "0", "--out", out]) == EXIT_USAGE
+    for out in (" lead", "x\ny"):  # a blob name the manifest would not read back
+        assert main(["gen", "--kind", "flat", "--dims", "1,2,2,3", "--seed", "0", "--out", out]) == EXIT_USAGE
     assert main(["sweep", "--model", str(model), "--input", str(seq), "--param", "nope",
                  "--values", "1"]) == EXIT_USAGE
     assert main(["trace", "--model", str(model), "--input", str(seq), "--element", "999",

@@ -64,6 +64,17 @@ def test_model_write_load_write_is_identical(tmp_path):
     assert (tmp_path / "a.model.bin").read_bytes() == (tmp_path / "b.model.bin").read_bytes()
 
 
+def test_write_model_refuses_a_blob_name_the_manifest_would_not_read_back(tmp_path):
+    model, _ = gen_toy("random", (1, 3, 4, 5), 9)
+    for name in (" lead.model", "x\ny.model", "x\u2028y.model", "\tx.model"):
+        with pytest.raises(ValueError, match="would not read back"):
+            write_model(model, tmp_path / name)
+    assert list(tmp_path.iterdir()) == []  # refused before anything was written
+    path = tmp_path / "sub" / "lead .model"  # a space inside the name reads back; the directory is made
+    write_model(model, path)
+    assert load_model(path).layers[0].cell_size == 4
+
+
 def test_truncated_blob_reports_lengths(tmp_path):
     model, _ = gen_toy("random", (1, 3, 4, 5), 1)
     path = tmp_path / "toy.model"
@@ -207,6 +218,13 @@ def test_peaky_toy_flags_spikes(peaky_experiment):
     assert len(spikes) == 10
     flagged = sum(1 for s in spikes if phases[s, 0] == Phase.IN_PEAK)
     assert flagged >= 8
+
+
+def test_first_spike_follows_the_default_profiling_window():
+    # the toy reads its spike onsets from PduConfig's 5%-of-steps rule, so its trackers profile first
+    for n in range(1, 2001):
+        start = PduConfig.for_sequence(n).t_profile + 8
+        assert peaky_spike_steps(n)[:1] == ((start,) if start + SPIKE_HOLD_STEPS < n else ())
 
 
 @pytest.mark.parametrize("random_p", [math.nan, 1.5, -0.5])

@@ -7,10 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynprec.accel import _weight_reads
+from dynprec.harness import gen_toy
 from dynprec.lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, run_fp32
 from dynprec import lstm_quant
 from dynprec.lstm_quant import (
@@ -452,6 +453,8 @@ def test_multilayer_quantized_run():
 def test_random_p_outside_unit_interval_is_rejected(toy, random_p):
     _, qmodel, seq = toy
     for mode in Mode:
+        with pytest.raises(ValueError, match=r"random_p must be in \[0, 1\]"):
+            Lane(mode, random_p=random_p)
         with pytest.raises(ValueError, match="random_p"):
             run_quantized(qmodel, seq, mode, random_p=random_p)
 
@@ -465,8 +468,9 @@ def test_dynamic_rejects_mismatched_tracker_states(toy):
         run_quantized(qmodel, seq, Mode.DYNAMIC, trackers=[])
 
 
-def _copy_states(states):
-    return [TrackerState(*(getattr(s, f.name).copy() for f in dataclasses.fields(s))) for s in states]
+def _state_bytes(states):
+    """Every array of every state in ``states``, as bytes: unchanged exactly when nothing was written."""
+    return [a.tobytes() for state in states or () for a in vars(state).values()]
 
 
 def _pinned_states(rng, qmodel):
@@ -530,10 +534,9 @@ def _differential_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_run_quantized_matches_step_major_oracle(case):
     qmodel, seq, mode, config, kwargs, trackers = case
-    mine = _copy_states(trackers) if trackers is not None else None
-    theirs = _copy_states(trackers) if trackers is not None else None
-    got = run_quantized(qmodel, seq, mode, config, trackers=mine, **kwargs)
-    want, _ = run_quantized_reference(qmodel, seq, mode, config, trackers=theirs, **kwargs)
+    start = _state_bytes(trackers)
+    got = run_quantized(qmodel, seq, mode, config, trackers=trackers, **kwargs)
+    want, _ = run_quantized_reference(qmodel, seq, mode, config, trackers=trackers, **kwargs)
     for L in range(len(qmodel.layers)):
         assert np.array_equal(got.trace.c[L], want.trace.c[L])
         assert np.array_equal(got.trace.h[L], want.trace.h[L])
@@ -546,10 +549,7 @@ def test_run_quantized_matches_step_major_oracle(case):
         assert got.phases is None and want.phases is None
     assert got.input_adjusted == want.input_adjusted
     assert all(type(v) is int for v in got.input_adjusted)
-    if trackers is not None:
-        for a, b in zip(mine, theirs, strict=True):
-            for f in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+    assert _state_bytes(trackers) == start  # pinned trackers are a starting state, for both runs
 
 
 @st.composite
@@ -574,17 +574,12 @@ def _lane_cases(draw):
 def test_lane_runs_match_their_runs_alone(case):
     # every lane of a pass, whatever else runs beside it, is bit for bit its one-lane run
     qmodel, seq, lanes, keep_h = case
-
-    def copies(trackers):
-        return None if trackers is None else tuple(_copy_states(trackers))
-
-    together = [dataclasses.replace(lane, trackers=copies(lane.trackers)) for lane in lanes]
-    got, _ = run_lanes(qmodel, seq, together, keep_h=keep_h)
-    for lane, mine, result in zip(lanes, together, got, strict=True):
-        theirs = copies(lane.trackers)
+    start = [_state_bytes(lane.trackers) for lane in lanes]
+    got, _ = run_lanes(qmodel, seq, lanes, keep_h=keep_h)
+    for lane, result in zip(lanes, got, strict=True):
         want = run_quantized(
             qmodel, seq, lane.mode, lane.pdu_config, random_p=lane.random_p, random_seed=lane.random_seed,
-            trackers=theirs,
+            trackers=lane.trackers,
         )
         assert result.mode is want.mode
         for L in range(len(qmodel.layers)):
@@ -600,13 +595,7 @@ def test_lane_runs_match_their_runs_alone(case):
         else:
             assert result.phases is None
         assert result.input_adjusted == want.input_adjusted
-        for a, b in zip(mine.trackers or (), theirs or (), strict=True):
-            for f in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
-
-
-def _copy_lane(lane):
-    return lane if lane.trackers is None else dataclasses.replace(lane, trackers=tuple(_copy_states(lane.trackers)))
+    assert [_state_bytes(lane.trackers) for lane in lanes] == start
 
 
 @st.composite
@@ -629,12 +618,11 @@ def _reference_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_reference_trackers_in_the_lane_pass_match_classify_trace(case):
     # the reference's trackers ride the lane pass as extra rows: their phases are classify_trace's,
-    # and every lane's result, pinned trackers included, is what the pass gives without them
+    # and every lane's result is what the pass gives without them
     qmodel, seq, lanes, fp, configs = case
-    beside = [_copy_lane(lane) for lane in lanes]
-    got, phases = run_lanes(qmodel, seq, beside, reference=(fp.c, configs))
-    alone = [_copy_lane(lane) for lane in lanes]
-    want, _ = run_lanes(qmodel, seq, alone)
+    start = [_state_bytes(lane.trackers) for lane in lanes]
+    got, phases = run_lanes(qmodel, seq, lanes, reference=(fp.c, configs))
+    want, _ = run_lanes(qmodel, seq, lanes)
     expected = classify_trace(fp.c, configs)
     assert len(phases) == len(expected) == len(configs)
     for mine, theirs in zip(phases, expected):
@@ -649,10 +637,51 @@ def test_reference_trackers_in_the_lane_pass_match_classify_trace(case):
         assert (result.phases is None) == (other.phases is None)
         assert all(np.array_equal(a, b) for a, b in zip(result.phases or (), other.phases or (), strict=True))
         assert result.input_adjusted == other.input_adjusted
-    for mine, theirs in zip(beside, alone):
-        for a, b in zip(mine.trackers or (), theirs.trackers or (), strict=True):
-            for f in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+    assert [_state_bytes(lane.trackers) for lane in lanes] == start
+
+
+def _shared_fresh_trackers_case():
+    # two dynamic lanes start from one fresh tuple; a pass that wrote end states back would leave the
+    # tuple at whichever lane was written last
+    model, seq = gen_toy("peaky", (1, 4, 8, 200), 3)
+    shared = (TrackerState.fresh(8),)
+    lanes = [Lane(Mode.DYNAMIC, PduConfig.for_sequence(len(seq), beta=beta), trackers=shared) for beta in (0.05, 0.4)]
+    return quantize_model(model), seq, lanes, run_fp32(model, seq), [PduConfig.for_sequence(len(seq))]
+
+
+@st.composite
+def _shared_pinned_cases(draw):
+    model, seq, rng = _draw_float_model_and_sequence(draw)
+    qmodel = quantize_model(model)
+    shared = tuple(_pinned_states(rng, qmodel))
+    lanes = [Lane(Mode.DYNAMIC, _draw_config(draw), trackers=shared) for _ in range(2)]
+    for _ in range(draw(st.integers(0, 3))):
+        mode = draw(st.sampled_from(list(Mode)))
+        own = mode is Mode.DYNAMIC and draw(st.booleans())
+        lanes.append(Lane(mode, trackers=tuple(_pinned_states(rng, qmodel)) if own else None))
+    configs = [_draw_config(draw) for _ in range(draw(st.integers(0, 2)))]
+    return qmodel, seq, draw(st.permutations(lanes)), run_fp32(model, seq), configs
+
+
+@given(_shared_pinned_cases())
+@example(_shared_fresh_trackers_case())
+@settings(max_examples=60, deadline=None)
+def test_lane_pass_writes_into_no_pinned_tracker_or_reference_trace(case):
+    # pinned trackers are each layer's starting state, also when two lanes share one tuple:
+    # every array of every state and each reference trace reads the same bytes after the pass,
+    # and each lane runs as it would alone from that state
+    qmodel, seq, lanes, fp, configs = case
+    states = [lane.trackers for lane in lanes if lane.trackers is not None]
+    start = [_state_bytes(trackers) for trackers in states]
+    traces = [c.tobytes() for c in fp.c]
+    got, _ = run_lanes(qmodel, seq, lanes, reference=(fp.c, configs))
+    assert [_state_bytes(trackers) for trackers in states] == start
+    assert [c.tobytes() for c in fp.c] == traces
+    for lane, result in zip(lanes, got, strict=True):
+        if lane.mode is Mode.DYNAMIC:
+            alone = run_quantized(qmodel, seq, lane.mode, lane.pdu_config, trackers=lane.trackers)
+            assert all(np.array_equal(a, b) for a, b in zip(result.phases, alone.phases, strict=True))
+            assert all(np.array_equal(a, b) for a, b in zip(result.trace.c, alone.trace.c, strict=True))
 
 
 def test_reference_traces_must_match_the_run():
