@@ -416,7 +416,7 @@ class Point:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.lane(Mode.RANDOM)  # Lane checks random_p
+        self.lane(Mode.RANDOM)  # Lane checks random_p and the seed
         if self.pdu_config is not None and not math.isfinite(self.pdu_config.beta):  # a JSON report cannot hold it
             raise ValueError(f"beta must be finite, got {self.pdu_config.beta!r}")
 

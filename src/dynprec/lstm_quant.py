@@ -104,22 +104,6 @@ class FusedOperand:
     steps: np.ndarray
 
 
-def _forward_products(
-    w: np.ndarray, v: np.ndarray, v_steps: np.ndarray, row_steps: np.ndarray, out: np.ndarray, lanes: int
-) -> np.ndarray:
-    """Rescaled products of ``w`` [2, 4H, fan_in] with each of ``v``'s rows [2, columns, fan_in], into ``out``.
-
-    ``v`` holds ``lanes`` blocks of steps, lane after lane, with steps ``v_steps`` [2, columns]; the
-    products of both precisions are returned as [2, steps, 4H, lanes]. The rows' index vectors form one
-    [2, fan_in, columns] operand, so ``exact_index_products`` keeps its column blocks exact in one stacked
-    GEMM. The rescale groups as the recurrent products do: ``products * (row_step * vector_step)``.
-    """
-    chunk = out[:, : v.shape[1]]
-    np.multiply(v_steps[:, :, None], row_steps[:, None], out=chunk)
-    chunk *= exact_index_products(w, v.swapaxes(1, 2)).swapaxes(1, 2)
-    return chunk.reshape(2, lanes, -1, chunk.shape[2]).transpose(0, 2, 3, 1)
-
-
 @dataclass(frozen=True, eq=False)
 class QuantizedLayer:
     fwd: FusedOperand
@@ -202,7 +186,8 @@ class Lane:
 
     Dynamic reads ``pdu_config`` (``PduConfig.for_sequence`` when None) and
     ``trackers``, each layer's starting state (fresh when None; never written);
-    random reads ``random_p`` and ``random_seed``. Building a lane checks ``random_p``.
+    random reads ``random_p`` and ``random_seed``. Building a lane checks
+    ``random_p`` and ``random_seed``, a Python ``int`` (not a ``bool``) of at least 0.
     """
 
     mode: Mode
@@ -214,6 +199,9 @@ class Lane:
     def __post_init__(self) -> None:
         if not 0.0 <= self.random_p <= 1.0:
             raise ValueError(f"random_p must be in [0, 1], got {self.random_p!r}")
+        seed = self.random_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"random_seed must be an integer >= 0, got {seed!r}")
 
 
 def run_quantized(
@@ -341,7 +329,9 @@ def _run_layer(
     here from the first rows of ``trackers``, the layer's table under
     ``tracker_config``. Those rows observe their lane's cell state and the
     rest ``observed`` [steps, cell] (None without reference rows), the whole
-    table in one ``pdu_observe`` call per step. Returns the [lanes, steps,
+    table in one ``pdu_observe`` call per step. Each step's pre-activations
+    go to ``lstm_cell`` as the [4, cell, lanes] gate blocks that one
+    ``np.where`` picks, plus the bias as [4, cell, 1]. Returns the [lanes, steps,
     cell] cell and output traces (the output only with ``keep_h``), every
     tracker row's phases after each step and each lane's input offsets
     adjusted, which count only on steps with a 4-bit element.
@@ -357,11 +347,9 @@ def _run_layer(
     adjusted = np.empty((n_lanes, n_steps), dtype=np.int64)
     # a step's state is lane-minor, [cell, lanes], so both precisions' recurrent products are one GEMM
     rec_scales = (layer.rec.steps * H_STEPS[:, None])[:, :, None]
-    h_steps, bias = H_STEPS[:, None, None], layer.bias[:, None]
-    h_idx = np.empty((2, n, n_lanes))
+    h_steps, bias = H_STEPS[:, None, None], layer.bias.reshape(len(GATES), n, 1)
     h_codes = np.empty((span, 2, n, n_lanes), dtype=np.float32)  # each step's h at 8 and at 4 bits
     split = (2, len(GATES), n, n_lanes)
-    fwd_out = np.empty((2, shared * span, len(GATES) * n))  # forward products a chunk at a time, 8 bits then 4
     c = h = np.zeros((n, n_lanes))
     for t0 in range(0, n_steps, span):
         t1 = min(t0 + span, n_steps)
@@ -369,16 +357,19 @@ def _run_layer(
         _, x_steps = _block_steps(x, 1)  # each step's input at its own alpha
         x_codes = dual_codes(x, x_steps[:, :, None]).astype(np.float32)  # exact casts: |index| <= 127
         adjusted[:, t0:t1] = np.count_nonzero(offset_bits(x_codes), axis=1).reshape(shared, -1)
-        fwd = _forward_products(layer.fwd.codes, x_codes, x_steps, layer.fwd.steps, fwd_out, shared)
+        # forward products of both precisions, rescaled as the recurrent ones: products * (row_step * x_step)
+        fwd = x_steps[:, :, None] * layer.fwd.steps[:, None]
+        fwd *= exact_index_products(layer.fwd.codes, x_codes.swapaxes(1, 2)).swapaxes(1, 2)
+        fwd = fwd.reshape(2, shared, -1, fwd.shape[2]).transpose(0, 2, 3, 1)  # [2, steps, 4H, lanes]
         if observed is not None:
             obs[: t1 - t0, n_dyn:] = observed[t0:t1, None]
         for j, t in enumerate(range(t0, t1)):
             picks = high[:, t]
             picks[:n_dyn] = trackers.high_precision()[: n_dyn * n].reshape(n_dyn, n)
-            h_codes[j] = dual_codes(h, h_steps, out=h_idx)
+            h_codes[j] = dual_codes(h, h_steps)
             both = (fwd[:, j] + exact_index_products(layer.rec.codes, h_codes[j]) * rec_scales).reshape(split)
             mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
-            pre = np.where(mask, both[0], both[1]).reshape(-1, n_lanes)  # each element's precision
+            pre = np.where(mask, both[0], both[1])  # each element's precision, [4, cell, lanes]
             c, h = lstm_cell(np.add(pre, bias, out=pre), c)
             c_trace[:, t] = c.T
             if keep_h:

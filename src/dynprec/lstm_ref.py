@@ -22,11 +22,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def lstm_cell(pre: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The new cell state and output from the stacked [4H, ...] gate pre-activations and the [H, ...] cell state."""
-    n = len(pre) // len(GATES)
-    gates = sigmoid(pre)  # one call for the three sigmoid gates; the updater's rows go unused
-    c = gates[n : 2 * n] * c + gates[:n] * np.tanh(pre[2 * n : 3 * n])
-    return c, gates[3 * n :] * np.tanh(c)
+    """The new cell state and output from the [4, H, ...] gate pre-activations and the [H, ...] cell state.
+
+    ``pre[g]`` is gate g's block, in ``GATES`` order.
+    """
+    i, f, _, o = sigmoid(pre)  # one call for the three sigmoid gates; the updater's block goes unused
+    c = f * c + i * np.tanh(pre[2])
+    return c, o * np.tanh(c)
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -150,7 +152,8 @@ def run_fp32(model: LstmModel, seq: InputSequence) -> StateTrace:
     make one gemv per step and gate, the call a gate's own ``w @ x`` makes,
     and the sums keep the order ``(w_x @ x + w_h @ h) + b``. One fused [4H]
     gemv, or a GEMM over the steps, regroups the float64 sums and changes
-    the bits.
+    the bits. Each step's [4, H, 1] sum goes to ``lstm_cell`` as its
+    [4, H] view.
     """
     if seq.width != model.input_size:
         raise ValueError(f"sequence width {seq.width} != model input size {model.input_size}")
@@ -166,7 +169,7 @@ def run_fp32(model: LstmModel, seq: InputSequence) -> StateTrace:
             for t, pre in enumerate(fwd, start=t0):
                 pre += np.matmul(w_h, h[:, None])
                 pre += b
-                c, h = lstm_cell(pre.reshape(-1), c)
+                c, h = lstm_cell(pre[..., 0], c)
                 c_trace[t], h_trace[t] = c, h
         c_hist.append(c_trace)
         h_hist.append(h_trace)

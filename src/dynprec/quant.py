@@ -62,16 +62,16 @@ def dual_steps(alpha: float | np.ndarray) -> np.ndarray:
     return np.stack((quant_step(alpha, 8), quant_step(alpha, 4)))
 
 
-def dual_codes(values: np.ndarray, steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def dual_codes(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """The signed 8- and 4-bit indices of ``values``, stacked as [2, *values.shape] exact integers in float64.
 
     ``steps`` stacks the 8- and 4-bit steps as [2, ...], broadcast against ``values``: one per precision or
-    one per row. Writes into ``out`` when given. A zero index is +0.0 for either sign.
+    one per row. A zero index is +0.0 for either sign.
     """
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError("cannot quantize non-finite values")
-    codes = np.divide(np.abs(arr), steps, out=out)
+    codes = np.abs(arr) / steps
     codes += 0.5
     np.floor(codes, out=codes)
     np.minimum(codes.T, _DUAL_LIMITS, out=codes.T)  # the precision axis last, where the limits broadcast

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -200,6 +201,15 @@ def test_perfbench_golden_bytes(perfbench_run, tmp_path):
             csv = tmp_path / f"{name}.csv"
             assert cli.main(["trace", "--mode", "dynamic", "--element", "0", *files, "--out", str(csv)]) == 0
             assert perfbench_run.sha256(csv.read_bytes()) == golden["trace_csv"], name
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark's own check: every workload at tiny dims, traced and not, correct and with every
+    # metric and unit BENCHMARK.json names, and a bare directory's exit; it writes only under .bench_work/
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _unused_imports(path: Path) -> list[tuple[str, int]]:

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import inspect
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from unittest import mock
@@ -10,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynprec.accel import _weight_reads
-from dynprec.harness import gen_toy
+from dynprec.accel import AccelConfig, EnergyModel, _weight_reads, cost_run
+from dynprec.harness import Point, gen_toy
 from dynprec.lstm_ref import GATES, InputSequence, LstmLayer, LstmModel, run_fp32
 from dynprec import lstm_quant
 from dynprec.lstm_quant import (
@@ -29,6 +32,7 @@ from dynprec.pdu import PduConfig, Phase, TrackerState, classify_trace
 from dynprec.quant import QuantizedVector, QuantParams, dual_codes, quant_step
 from pdu_oracle import Precision
 from quant_oracle import gate_operands, neuron_eval, quantize_array, run_quantized_reference
+from test_lstm_ref import _ROOT, _cpu_has
 
 
 def _random_model(rng, layer_dims, scale=0.5):
@@ -350,11 +354,11 @@ def test_run_encodes_once_per_layer_and_keeps_no_whole_sequence_products():
     source, first = inspect.getsourcelines(lstm_quant._run_layer)
     input_site, h_site = (first + i for i, line in enumerate(source) if "dual_codes(" in line)
 
-    def recording(values, steps, out=None):
+    def recording(values, steps):
         caller = sys._getframe(1)
         assert caller.f_code is lstm_quant._run_layer.__code__
         calls.append((caller.f_lineno, np.array(values)))
-        return dual_codes(values, steps, out)
+        return dual_codes(values, steps)
 
     for lanes in _lane_sets(len(seq)):
         calls = []
@@ -457,6 +461,20 @@ def test_random_p_outside_unit_interval_is_rejected(toy, random_p):
             Lane(mode, random_p=random_p)
         with pytest.raises(ValueError, match="random_p"):
             run_quantized(qmodel, seq, mode, random_p=random_p)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(3)])
+def test_seed_that_is_not_a_non_negative_int_is_rejected(toy, seed):
+    # checked when the lane or point is built: numpy's generator would reject -1 and 1.5 only after the
+    # reference ran, and take True and np.int64(3), which a report then renders as true or cannot render
+    _, qmodel, seq = toy
+    for mode in Mode:
+        with pytest.raises(ValueError, match="random_seed must be an integer >= 0"):
+            Lane(mode, random_seed=seed)
+        with pytest.raises(ValueError, match="random_seed"):
+            run_quantized(qmodel, seq, mode, random_seed=seed)
+    with pytest.raises(ValueError, match="random_seed"):
+        Point(seed=seed)
 
 
 def test_dynamic_rejects_mismatched_tracker_states(toy):
@@ -695,3 +713,58 @@ def test_reference_traces_must_match_the_run():
             run_lanes(qmodel, seq, [Lane(Mode.STATIC8)], reference=(traces, configs))
     with pytest.raises(ValueError, match="needs a lane"):
         run_lanes(qmodel, seq, [], reference=(fp.c, configs))
+
+
+def lane_pass_digest() -> str:
+    """SHA-256 of every quantized field a lane pass yields, over toys that take every product path.
+
+    One lane per mode plus a second dynamic lane; per lane, its ``c`` and ``h`` traces, precision
+    bits, phases, input offsets adjusted and ``cost_run``'s total cycles. The last toy's fan-in
+    exceeds ``FLOAT32_EXACT_COLUMNS``, so its forward products run in two column blocks.
+    """
+    digest = hashlib.sha256()
+    for kind, dims in [("random", (2, 64, 256, 120)), ("peaky", (1, 16, 16, 400)), ("random", (1, 1100, 8, 30))]:
+        model, seq = gen_toy(kind, dims, 5)
+        qmodel = quantize_model(model)
+        lanes = [Lane(mode) for mode in Mode] + [Lane(Mode.DYNAMIC, PduConfig.for_sequence(len(seq), beta=0.5))]
+        results, _ = run_lanes(qmodel, seq, lanes)
+        for run in results:
+            for a in (*run.trace.c, *run.trace.h, *run.precision_bits, *(run.phases or ())):
+                digest.update(a.tobytes())
+            cycles = cost_run(qmodel, seq, run, AccelConfig(), EnergyModel()).total_cycles
+            digest.update(repr((run.input_adjusted, cycles)).encode())
+    return digest.hexdigest()
+
+
+_PORTABLE_CHILD = "from test_lstm_quant import lane_pass_digest; print(lane_pass_digest())"
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        ("OPENBLAS_CORETYPE", "Sandybridge"),
+        pytest.param(
+            ("OPENBLAS_CORETYPE", "Haswell"),
+            marks=pytest.mark.skipif(not _cpu_has("AVX2"), reason="the Haswell kernels need AVX2"),
+        ),
+        ("OPENBLAS_NUM_THREADS", "1"),
+    ],
+    ids=lambda setting: "=".join(setting),
+)
+def test_quantized_runs_and_their_cycles_are_the_same_on_every_blas_kernel(setting):
+    # The quantized products are exact integer sums in float32 BLAS, so whichever kernel runs them
+    # the lane pass yields the same bits. Only BLAS varies here: lowering numpy's SIMD level (e.g.
+    # NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4") changes the bits of np.exp and np.tanh,
+    # and so the cell states. A ulp-level change of c could in principle move an h code or a tracker
+    # band crossing, so this measures that the decisions are portable; it cannot prove it. The
+    # variable is set in the child's environment alone.
+    var, value = setting
+    pythonpath = os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "tests")])
+    env = {**os.environ, var: value, "OPENBLAS_VERBOSE": "2", "PYTHONPATH": pythonpath}
+    child = subprocess.run(
+        [sys.executable, "-c", _PORTABLE_CHILD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split()[-1] == lane_pass_digest()
+    if var == "OPENBLAS_CORETYPE" and "Core:" in child.stdout + child.stderr:  # OpenBLAS says which kernel it picked
+        assert f"Core: {value}" in child.stdout + child.stderr
