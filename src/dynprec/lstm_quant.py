@@ -13,8 +13,11 @@ once. Each step then does only what depends on the step before: every lane
 picks its precision mix, the lanes' previous outputs are encoded at both
 precisions at once, the recurrent products run as one stacked GEMM over
 the lane-minor [2, cell, lanes] codes, one select keeps each element's
-precision, and the cells update. The four gate neurons feeding one
-cell-state element always share that element's precision. Matrix products
+precision, and the cells update. The recurrent row scales and the bias are
+held lane-wide once per layer, as [2, 4H, lanes] and [4, cell, lanes], so
+no per-step op broadcasts along the narrow lane axis. The four gate
+neurons feeding one cell-state element always share that element's
+precision. Matrix products
 run on the integer indices in float32 BLAS, exactly (``exact_index_products``),
 so a GEMM gives the bits of a per-step product; rescaling to reals and the
 cell update (``lstm_ref.lstm_cell``) run in float64. Alongside the traces and
@@ -44,7 +47,7 @@ from .lstm_ref import FORWARD_CHUNK, GATES, InputSequence, LstmModel, StateTrace
 
 # Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
 from .lstm_ref import sigmoid
-from .pdu import PduConfig, TrackerConfig, TrackerState, pdu_observe
+from .pdu import _IN_PEAK, PduConfig, TrackerConfig, TrackerState, pdu_observe
 from .quant import dual_codes, dual_steps, magnitude_limit, offset_bits, packed_bytes
 
 # Share of elements random mode runs at 4 bits unless told otherwise.
@@ -83,6 +86,8 @@ def exact_index_products(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     added in float64, which stays exact under ``check_exact_fan_in``. A fan-in of at most
     ``FLOAT32_EXACT_COLUMNS`` is one block, returned as float32 for the caller's float64 rescale.
     """
+    if w.shape[-1] <= FLOAT32_EXACT_COLUMNS:
+        return w @ v
     total = w[..., :FLOAT32_EXACT_COLUMNS] @ v[..., :FLOAT32_EXACT_COLUMNS, :]
     for start in range(FLOAT32_EXACT_COLUMNS, w.shape[-1], FLOAT32_EXACT_COLUMNS):
         stop = start + FLOAT32_EXACT_COLUMNS
@@ -331,7 +336,7 @@ def _run_layer(
     rest ``observed`` [steps, cell] (None without reference rows), the whole
     table in one ``pdu_observe`` call per step. Each step's pre-activations
     go to ``lstm_cell`` as the [4, cell, lanes] gate blocks that one
-    ``np.where`` picks, plus the bias as [4, cell, 1]. Returns the [lanes, steps,
+    ``np.where`` picks, plus the lane-wide bias. Returns the [lanes, steps,
     cell] cell and output traces (the output only with ``keep_h``), every
     tracker row's phases after each step and each lane's input offsets
     adjusted, which count only on steps with a 4-bit element.
@@ -344,10 +349,14 @@ def _run_layer(
     h_trace = np.empty((n_lanes, n_steps, n)) if keep_h else None
     phases = np.empty((n_trk, n_steps, n), dtype=np.int8)
     obs = np.empty((span, n_trk, n))  # each step's observations: the dynamic lanes' c, then ``observed`` per row
+    obs_rows, phase_rows = obs.reshape(span, -1), trackers.phase.reshape(n_trk, n)  # views, filled in place
+    peak_rows = phase_rows[:n_dyn]
     adjusted = np.empty((n_lanes, n_steps), dtype=np.int64)
-    # a step's state is lane-minor, [cell, lanes], so both precisions' recurrent products are one GEMM
-    rec_scales = (layer.rec.steps * H_STEPS[:, None])[:, :, None]
-    h_steps, bias = H_STEPS[:, None, None], layer.bias.reshape(len(GATES), n, 1)
+    # a step's state is lane-minor, [cell, lanes], so both precisions' recurrent products are one GEMM; the
+    # row scales and the bias are held lane-wide, so no per-step op broadcasts along the lane axis
+    rec_scales = np.repeat((layer.rec.steps * H_STEPS[:, None])[:, :, None], n_lanes, axis=2)
+    bias = np.repeat(layer.bias.reshape(len(GATES), n, 1), n_lanes, axis=2)
+    h_steps = H_STEPS[:, None, None]
     h_codes = np.empty((span, 2, n, n_lanes), dtype=np.float32)  # each step's h at 8 and at 4 bits
     split = (2, len(GATES), n, n_lanes)
     c = h = np.zeros((n, n_lanes))
@@ -365,9 +374,11 @@ def _run_layer(
             obs[: t1 - t0, n_dyn:] = observed[t0:t1, None]
         for j, t in enumerate(range(t0, t1)):
             picks = high[:, t]
-            picks[:n_dyn] = trackers.high_precision()[: n_dyn * n].reshape(n_dyn, n)
+            np.equal(peak_rows, _IN_PEAK, out=picks[:n_dyn])
             h_codes[j] = dual_codes(h, h_steps)
-            both = (fwd[:, j] + exact_index_products(layer.rec.codes, h_codes[j]) * rec_scales).reshape(split)
+            both = exact_index_products(layer.rec.codes, h_codes[j]) * rec_scales
+            both += fwd[:, j]
+            both = both.reshape(split)
             mask = np.ascontiguousarray(picks.T)  # a strided mask slows np.where down
             pre = np.where(mask, both[0], both[1])  # each element's precision, [4, cell, lanes]
             c, h = lstm_cell(np.add(pre, bias, out=pre), c)
@@ -375,8 +386,8 @@ def _run_layer(
             if keep_h:
                 h_trace[:, t] = h.T
             obs[j, :n_dyn] = c[:, :n_dyn].T
-            pdu_observe(trackers, tracker_config, obs[j].reshape(-1))
-            phases[:, t] = trackers.phase.reshape(n_trk, n)
+            pdu_observe(trackers, tracker_config, obs_rows[j])
+            phases[:, t] = phase_rows
         adjusted[:, t0:t1] += np.count_nonzero(offset_bits(h_codes[: t1 - t0].swapaxes(0, 1)), axis=1).T
 
     return c_trace, h_trace, phases, np.where(high.all(axis=2), 0, adjusted).sum(axis=1).tolist()

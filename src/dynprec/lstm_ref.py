@@ -1,4 +1,9 @@
-"""Full-precision four-gate LSTM evaluation, the ground truth for error metrics."""
+"""Full-precision four-gate LSTM evaluation, the ground truth for error metrics.
+
+``lstm_cell`` is the package's one gate activation and cell update; its
+``sigmoid`` computes in one buffer, in place, with the ops and order of
+``1 / (1 + exp(-x))``.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +23,11 @@ FORWARD_CHUNK = 64
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    """``1 / (1 + exp(-x))``, computed in one float64 buffer."""
+    s = np.negative(x, out=np.empty_like(x, dtype=np.float64))
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def lstm_cell(pre: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -26,9 +35,10 @@ def lstm_cell(pre: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``pre[g]`` is gate g's block, in ``GATES`` order.
     """
-    i, f, _, o = sigmoid(pre)  # one call for the three sigmoid gates; the updater's block goes unused
-    c = f * c + i * np.tanh(pre[2])
-    return c, o * np.tanh(c)
+    s = sigmoid(pre)  # one call for the input, forget and output gates; the updater's block goes unused
+    c = s[1] * c
+    c += s[0] * np.tanh(pre[2])
+    return c, s[3] * np.tanh(c)
 
 
 def _as_matrix(a, name: str) -> np.ndarray:

@@ -8,13 +8,21 @@ step is evaluated at 4 bits. A value outside the band is a *peak*: the
 element runs at 8 bits exactly while in a peak. Staying in a peak for
 more than ``m_max_peak`` steps, or stable for more than ``n_max_stable``
 steps, forces a fresh profiling window so the band tracks slow drift.
+
+A layer's trackers are arrays of registers (``TrackerState``), advanced
+by one ``pdu_observe`` call per step. ``min_c`` and ``max_c`` take in
+every observation and restart with each profiling window, so they hold
+the window's running range while an element profiles and mean nothing
+after it, as the band means nothing while an element profiles. A table
+with no rows costs one shape check.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,8 +34,25 @@ class Phase(enum.IntEnum):
     IN_PEAK = 2
 
 
-# plain ints for the per-step array compares; NumPy converts enum members slowly
-_PROFILING, _STABLE, _IN_PEAK = (int(p) for p in Phase)
+# int8 scalars for the per-step compares with the int8 phases; NumPy converts
+# enum members slowly, and Python ints more slowly than scalars of the array's type
+_PROFILING, _STABLE, _IN_PEAK = (np.int8(p) for p in Phase)
+
+
+def _check_field_types(config) -> None:
+    """Refuse a config value that is not of its field's type, naming the field.
+
+    An ``int`` field takes only a Python ``int`` that is not a ``bool``; a
+    ``float`` field takes any real number but a ``bool``. ``PduConfig``,
+    ``accel.SipConfig``, ``accel.AccelConfig`` and ``accel.EnergyModel`` check
+    this first, so a report prints each field as the type it is declared.
+    """
+    for f in fields(config):
+        v, kind = getattr(config, f.name), getattr(f.type, "__name__", f.type)  # a string when postponed
+        if kind == "int" and (isinstance(v, bool) or not isinstance(v, int)):
+            raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        if kind == "float" and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+            raise ValueError(f"{f.name} must be a real number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -39,9 +64,10 @@ class PduConfig:
     epsilon_range: float = 1e-6
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         for name in ("t_profile", "m_max_peak", "n_max_stable"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if math.isnan(self.beta) or self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta!r}")
@@ -62,7 +88,7 @@ def thresholds(
     min_c: float | np.ndarray, max_c: float | np.ndarray, beta: float | np.ndarray, epsilon_range: float | np.ndarray
 ):
     """Band limits around the profiled range, guarded against a degenerate range (elementwise)."""
-    if np.any(max_c < min_c):
+    if np.count_nonzero(max_c < min_c):
         raise ValueError(f"max_c {max_c} < min_c {min_c}")
     r = np.maximum(max_c - min_c, epsilon_range)
     return min_c - r * beta, max_c + r * beta
@@ -130,35 +156,36 @@ def pdu_observe(state: TrackerState, config: TrackerConfig, c_vector: np.ndarray
     """Fold one cell-state observation per element into the layer's trackers.
 
     Afterwards ``state.high_precision()`` selects the elements that run at
-    8 bits on the next step.
+    8 bits on the next step. Every element's ``min_c`` and ``max_c`` take
+    in the observation, profiling or not (see the module docstring).
     """
     c = np.asarray(c_vector, dtype=np.float64)
     if c.shape != state.phase.shape:
         raise ValueError(f"{state.phase.shape[0]} trackers but values of shape {c.shape}")
-    if not np.isfinite(c).all():
+    if not c.size:
+        return  # a lane pass of static and random lanes alone
+    if np.count_nonzero(np.isfinite(c)) != c.size:
         raise ValueError("cell-state values must be finite")
     phase, steps = state.phase, state.steps_in_phase
 
-    profiling = phase == _PROFILING
-    np.minimum(state.min_c, c, out=state.min_c, where=profiling)
-    np.maximum(state.max_c, c, out=state.max_c, where=profiling)
+    np.minimum(state.min_c, c, out=state.min_c)
+    np.maximum(state.max_c, c, out=state.max_c)
     steps += 1
     # NaN bands compare False, so only profiled elements can cross: a stable
     # one by leaving its band, an in-peak one by re-entering it
-    outside = (c < state.lower) | (c > state.upper)
-    crossed = outside != (phase == _IN_PEAK)
-    changed = np.flatnonzero(crossed | (steps >= config.limits.take(config.rows + phase)))
+    crossed = (c < state.lower) | (c > state.upper)
+    crossed ^= phase == _IN_PEAK
+    changed = steps >= config.limits[config.rows + phase]
+    changed |= crossed
+    (changed,) = changed.nonzero()
     if not changed.size:
         return  # most steps change no element's phase
 
-    # A band crossing swaps stable and in-peak and beats an expired counter,
-    # which ends profiling with a band or else forces a fresh profiling window.
+    # A band crossing swaps stable and in-peak (their values sum to 3) and beats
+    # an expired counter, which ends profiling with a band (True is STABLE) or
+    # else forces a fresh profiling window.
     old = phase[changed]
-    new = np.where(
-        crossed[changed],
-        np.where(outside[changed], _IN_PEAK, _STABLE),
-        np.where(old == _PROFILING, _STABLE, _PROFILING),
-    )
+    new = np.where(crossed[changed], _STABLE + _IN_PEAK - old, old == _PROFILING)
     phase[changed] = new
     steps[changed] = 0
     done = changed[old == _PROFILING]

@@ -69,12 +69,12 @@ def dual_codes(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
     one per row. A zero index is +0.0 for either sign.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("cannot quantize non-finite values")
     codes = np.abs(arr) / steps
     codes += 0.5
     np.floor(codes, out=codes)
-    np.minimum(codes.T, _DUAL_LIMITS, out=codes.T)  # the precision axis last, where the limits broadcast
+    np.minimum(codes, _DUAL_LIMITS.reshape((2,) + (1,) * (codes.ndim - 1)), out=codes)
     np.copysign(codes, arr, out=codes)
     codes += 0.0  # -0.0 + 0.0 is +0.0
     return codes

@@ -5,8 +5,10 @@ the per-element state machine the array tracker must reproduce. It
 shares ``thresholds`` with the array tracker, so both compute the same
 band bits. Restarting a profiling window keeps the old band here; the
 array tracker clears it to NaN, and the band means nothing while an
-element profiles. ``observe`` feeds the array tracker with one
-``PduConfig`` for every element.
+element profiles. The array tracker's ``min_c`` and ``max_c`` take in
+every observation, not only those of a profiling window, so they mean
+nothing outside profiling; here they stop at the window's end.
+``observe`` feeds the array tracker with one ``PduConfig`` for every element.
 """
 
 from __future__ import annotations

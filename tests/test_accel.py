@@ -229,6 +229,25 @@ def test_accel_config_validation():
         AccelConfig(weight_buffer_bytes=0)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: PduConfig(True, 2, 2), "t_profile"),
+        (lambda: AccelConfig(mu_add_cycles=True), "mu_add_cycles"),
+        (lambda: EnergyModel(mu_add=True), "mu_add"),
+        (lambda: AccelConfig(weight_buffer_bytes=1e9), "weight_buffer_bytes"),
+        (lambda: SipConfig(lanes=2.5), "lanes"),
+        (lambda: AccelConfig(mu_add_cycles=1.5), "mu_add_cycles"),
+    ],
+    ids=["pdu-int-bool", "accel-int-bool", "energy-float-bool", "accel-int-float", "sip-int-float", "accel-cycles-float"],
+)
+def test_config_fields_refuse_values_of_another_type(build, field):
+    # an int field takes only a Python int that is not a bool, a float field no bool,
+    # so every report prints each field as the type it is declared
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 # 16x16 layer: 8 cycles per element at 4 bits and 16 at 8 bits, so a step
 # costs 128 + 8 * n_high dot-product cycles; the default drain is 93 cycles.
 _REGIME_CASES = {

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,30 @@ def test_perfbench_selftest_passes():
         [sys.executable, str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT, capture_output=True, text=True, timeout=600
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_pair_runner_smoke(tmp_path):
+    # tools/pairs.py against this checkout's own HEAD: one alternating pair of tiny perfbench runs
+    top = subprocess.run(
+        ["git", "rev-parse", "--show-toplevel", "--verify", "HEAD"], cwd=ROOT, capture_output=True, text=True
+    ) if shutil.which("git") else None
+    if top is None or top.returncode != 0 or Path(top.stdout.splitlines()[0]).resolve() != ROOT:
+        pytest.skip("not the root of a git checkout with a HEAD commit")
+    out = tmp_path / "pairs.json"
+    argv = ["--rev", "HEAD", "--tiny", "--pairs", "1", "--seconds", "1", "--workloads", "long", "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pairs.py"), *argv], cwd=ROOT, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    record = json.loads(out.read_text())
+    assert record["problems"] == [] and len(record["workloads"]["long"]["runs"]) == 1
+    summary = record["workloads"]["long"]["summary"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(summary) == {m["name"] for m in spec["end_to_end"]}
+    for entry in summary.values():
+        assert entry["pairs"] == 1 and entry["change_wins"] in (0, 1)
+        assert entry["base"]["q1"] <= entry["base"]["median"] <= entry["base"]["q3"]
+    assert "report_s" in done.stdout
 
 
 def _unused_imports(path: Path) -> list[tuple[str, int]]:
