@@ -41,9 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fields import check_field_types
 from .lstm_ref import GATES, InputSequence
 from .lstm_quant import Mode, QuantRunResult, QuantizedModel, sequence_fingerprint
-from .pdu import _check_field_types
 
 # Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
 from .lstm_quant import run_quantized
@@ -86,7 +86,7 @@ class SipConfig:
     reduction_latency: int = 0
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        check_field_types(self)
         if self.lanes < 1 or self.lane_width < 1:
             raise ValueError("lanes and lane_width must be >= 1")
         if self.reduction_latency < 0:
@@ -130,7 +130,7 @@ class AccelConfig:
     peak_bandwidth: float = 30e9
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        check_field_types(self)
         if not (0 < self.frequency_hz < math.inf and 0 < self.peak_bandwidth < math.inf):
             raise ValueError("frequency and peak bandwidth must be positive and finite")
         for name in (
@@ -177,7 +177,7 @@ class EnergyModel:
     static_power: float = 5.0
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        check_field_types(self)
         for name in self.__dataclass_fields__:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")

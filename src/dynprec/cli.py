@@ -16,9 +16,9 @@ import argparse
 import dataclasses
 import math
 import sys
-import typing
 from pathlib import Path
 
+from ._fields import field_kind
 from .accel import AccelConfig, CapacityError, EnergyModel, SipConfig
 from .harness import (
     ConfigError,
@@ -50,8 +50,7 @@ EXIT_IO = 4
 
 def _keys(config_type: type, kind: type) -> tuple[str, ...]:
     """Names of the fields of ``config_type`` annotated as ``kind``, in field order."""
-    hints = typing.get_type_hints(config_type)
-    return tuple(f.name for f in dataclasses.fields(config_type) if hints[f.name] is kind)
+    return tuple(f.name for f in dataclasses.fields(config_type) if field_kind(f) == kind.__name__)
 
 
 _PDU_INT_KEYS, _PDU_FLOAT_KEYS = _keys(PduConfig, int), _keys(PduConfig, float)

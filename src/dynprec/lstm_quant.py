@@ -47,7 +47,7 @@ from .lstm_ref import FORWARD_CHUNK, GATES, InputSequence, LstmModel, StateTrace
 
 # Unused by the pipeline; kept because perfbench/run.py span_targets wraps it.
 from .lstm_ref import sigmoid
-from .pdu import _IN_PEAK, PduConfig, TrackerConfig, TrackerState, pdu_observe
+from .pdu import PduConfig, TrackerConfig, TrackerState, pdu_observe
 from .quant import dual_codes, dual_steps, magnitude_limit, offset_bits, packed_bytes
 
 # Share of elements random mode runs at 4 bits unless told otherwise.
@@ -86,8 +86,6 @@ def exact_index_products(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     added in float64, which stays exact under ``check_exact_fan_in``. A fan-in of at most
     ``FLOAT32_EXACT_COLUMNS`` is one block, returned as float32 for the caller's float64 rescale.
     """
-    if w.shape[-1] <= FLOAT32_EXACT_COLUMNS:
-        return w @ v
     total = w[..., :FLOAT32_EXACT_COLUMNS] @ v[..., :FLOAT32_EXACT_COLUMNS, :]
     for start in range(FLOAT32_EXACT_COLUMNS, w.shape[-1], FLOAT32_EXACT_COLUMNS):
         stop = start + FLOAT32_EXACT_COLUMNS
@@ -350,7 +348,6 @@ def _run_layer(
     phases = np.empty((n_trk, n_steps, n), dtype=np.int8)
     obs = np.empty((span, n_trk, n))  # each step's observations: the dynamic lanes' c, then ``observed`` per row
     obs_rows, phase_rows = obs.reshape(span, -1), trackers.phase.reshape(n_trk, n)  # views, filled in place
-    peak_rows = phase_rows[:n_dyn]
     adjusted = np.empty((n_lanes, n_steps), dtype=np.int64)
     # a step's state is lane-minor, [cell, lanes], so both precisions' recurrent products are one GEMM; the
     # row scales and the bias are held lane-wide, so no per-step op broadcasts along the lane axis
@@ -374,7 +371,7 @@ def _run_layer(
             obs[: t1 - t0, n_dyn:] = observed[t0:t1, None]
         for j, t in enumerate(range(t0, t1)):
             picks = high[:, t]
-            np.equal(peak_rows, _IN_PEAK, out=picks[:n_dyn])
+            trackers.high_precision(out=picks[:n_dyn])
             h_codes[j] = dual_codes(h, h_steps)
             both = exact_index_products(layer.rec.codes, h_codes[j]) * rec_scales
             both += fwd[:, j]

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from ._fields import check_field_types
 
 
 class Phase(enum.IntEnum):
@@ -39,22 +40,6 @@ class Phase(enum.IntEnum):
 _PROFILING, _STABLE, _IN_PEAK = (np.int8(p) for p in Phase)
 
 
-def _check_field_types(config) -> None:
-    """Refuse a config value that is not of its field's type, naming the field.
-
-    An ``int`` field takes only a Python ``int`` that is not a ``bool``; a
-    ``float`` field takes any real number but a ``bool``. ``PduConfig``,
-    ``accel.SipConfig``, ``accel.AccelConfig`` and ``accel.EnergyModel`` check
-    this first, so a report prints each field as the type it is declared.
-    """
-    for f in fields(config):
-        v, kind = getattr(config, f.name), getattr(f.type, "__name__", f.type)  # a string when postponed
-        if kind == "int" and (isinstance(v, bool) or not isinstance(v, int)):
-            raise ValueError(f"{f.name} must be an integer, got {v!r}")
-        if kind == "float" and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
-            raise ValueError(f"{f.name} must be a real number, got {v!r}")
-
-
 @dataclass(frozen=True)
 class PduConfig:
     t_profile: int
@@ -64,7 +49,7 @@ class PduConfig:
     epsilon_range: float = 1e-6
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        check_field_types(self)
         for name in ("t_profile", "m_max_peak", "n_max_stable"):
             v = getattr(self, name)
             if v < 1:
@@ -119,9 +104,14 @@ class TrackerState:
             steps_in_phase=np.zeros(n_elements, dtype=np.int64),
         )
 
-    def high_precision(self) -> np.ndarray:
-        """Elements that run at 8 bits on the next step: exactly those in a peak."""
-        return self.phase == _IN_PEAK
+    def high_precision(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Elements that run at 8 bits on the next step: exactly those in a peak.
+
+        With ``out``, the flags of the first ``out.size`` elements go into it, in its shape.
+        """
+        if out is None:
+            return self.phase == _IN_PEAK
+        return np.equal(self.phase[: out.size].reshape(out.shape), _IN_PEAK, out=out)
 
 
 @dataclass(frozen=True, eq=False)

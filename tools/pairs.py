@@ -46,7 +46,8 @@ def unpack(rev: str, dest: Path) -> None:
         subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=archive)
         archive.seek(0)
         with tarfile.open(fileobj=archive) as tar:
-            tar.extractall(dest, filter="data")
+            # the extraction filters are missing before Python 3.10.12 and 3.11.4
+            tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def run_once(tree: Path, workload: str, seconds: float, tiny: bool) -> tuple[dict | None, str]:
@@ -118,7 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"base": base_tree, "change": ROOT}
     record = {
         "base": {"rev": args.rev, "commit": base_commit},
-        "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+        # dirty: a tracked file differs from HEAD, so the commit does not name the measured tree
+        "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "-uno"))},
         "pairs": args.pairs,
         "seconds": args.seconds,
         "tiny": args.tiny,
